@@ -47,6 +47,26 @@ def _elements(text: str) -> set[int]:
     return out
 
 
+def _depth(r: int) -> int:
+    if r < 1:
+        raise UsageError(f"--r must be at least 1, got {r}")
+    return r
+
+
+def _filled(partition: OrderedSetPartition, r: int) -> OrderedSetPartition:
+    """The partition, when every block fills the r top rows of a tableau."""
+    _depth(r)
+    smallest = min(len(block) for block in partition.blocks)
+    if smallest < r:
+        raise UsageError(f"every block needs at least r = {r} elements, the smallest has {smallest}")
+    return partition
+
+
+def _hook_sizes(n: int, d: int) -> None:
+    if not 1 <= d <= n:
+        raise UsageError(f"need 1 <= d <= n, got n = {n}, d = {d}")
+
+
 def _prefix_blocks(text: str | None) -> list[tuple[int, ...]]:
     if not text or not text.strip():
         return []
@@ -58,7 +78,7 @@ def _prefix_blocks(text: str | None) -> list[tuple[int, ...]]:
 
 def cmd_invariant(args) -> int:
     partition = _partition(args.partition)
-    poly = jellyfish_invariant(partition, args.r)
+    poly = jellyfish_invariant(partition, _depth(args.r))
     if args.pretty:
         print(poly)
     else:
@@ -67,7 +87,7 @@ def cmd_invariant(args) -> int:
 
 
 def cmd_tableaux(args) -> int:
-    partition = _partition(args.partition)
+    partition = _filled(_partition(args.partition), args.r)
     tableaux = enumerate_tableaux(partition, args.r)
     if args.json:
         payload = [
@@ -120,18 +140,21 @@ def cmd_independence(args) -> int:
     if args.family == "nc":
         if args.n is None or args.d is None or args.r is None:
             raise UsageError("--family nc needs --n, --d, --r")
+        if min(args.n, args.d, args.r) < 1:
+            raise UsageError("--family nc needs --n, --d, --r of at least 1")
         family = enumerate_noncrossing(args.n, args.d, args.r)
         r = args.r
     elif args.family == "hook":
         if args.n is None or args.d is None:
             raise UsageError("--family hook needs --n and --d")
+        _hook_sizes(args.n, args.d)
         family = hook_family(args.n, args.d)
         r = 1
     elif args.family == "orbit":
         if not args.partition or args.r is None:
             raise UsageError("--family orbit needs --partition and --r")
         family = rotation_orbit(_partition(args.partition))
-        r = args.r
+        r = _depth(args.r)
     else:
         if args.n is None or args.d is None or args.r is None:
             raise UsageError("--family conjecture needs --n, --d, --r")
@@ -161,6 +184,8 @@ def cmd_independence(args) -> int:
 
 def cmd_specht_check(args) -> int:
     partition = _partition(args.partition)
+    if partition.n < _depth(args.r) * partition.d:
+        raise UsageError(f"need n >= r*d, got n = {partition.n}, r*d = {args.r * partition.d}")
     shape = SpechtShape(partition.n, partition.d, args.r)
     poly = jellyfish_invariant(partition, args.r)
     ok = membership_test(poly, shape)
@@ -172,7 +197,7 @@ def cmd_specht_check(args) -> int:
 
 
 def cmd_gc_compare(args) -> int:
-    partition = _partition(args.partition)
+    partition = _filled(_partition(args.partition), args.r)
     sign = compare_up_to_sign(
         phi_star(gc_jellyfish(partition, args.r)), jellyfish_invariant(partition, args.r)
     )
@@ -188,7 +213,7 @@ def cmd_gc_compare(args) -> int:
 
 
 def cmd_diagram(args) -> int:
-    partition = _partition(args.partition)
+    partition = _filled(_partition(args.partition), args.r)
     diagram = build_tensor_diagram(partition, args.r)
     text = export(diagram, args.format)
     if args.out:
@@ -204,6 +229,7 @@ def cmd_diagram(args) -> int:
 def cmd_hook_basis(args) -> int:
     from math import comb
 
+    _hook_sizes(args.n, args.d)
     family = hook_family(args.n, args.d)
     shape = SpechtShape(args.n, args.d, 1)
     invariants = [jellyfish_invariant(p, 1) for p in family]
@@ -245,7 +271,7 @@ def cmd_conjecture(args) -> int:
 def cmd_orbit_rank(args) -> int:
     partition = _partition(args.partition)
     orbit = rotation_orbit(partition)
-    profile = exact_rank([jellyfish_invariant(p, args.r) for p in orbit])
+    profile = exact_rank([jellyfish_invariant(p, _depth(args.r)) for p in orbit])
     print(f"orbit={len(orbit)} rank={profile.rank}")
     return 0
 

@@ -10,13 +10,13 @@ invariants as the tableau sum, up to one global sign per partition.
 The translation sign from a Pluecker coordinate to a minor of M is
 computed from first principles by Laplace expansion along the unit
 columns; a popular shortcut claims the sign is (-1)**|I|, which fails in
-general, so every call records whether the shortcut would have agreed
-(see ``sign_shortcut_tally``).
+general (``scripts/global_sign_survey.py`` counts how often).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -26,7 +26,13 @@ from .partitions import (
     OrderedSetPartition,
     word_inversions,
 )
-from .polynomials import MatrixPolynomial, integer_determinant, minor
+from .polynomials import (
+    MatrixPolynomial,
+    add_minor_product,
+    column_scatter,
+    extend_minor_product,
+    integer_determinant,
+)
 from .tableaux import top_justified_tableau
 
 # -- the embedding ----------------------------------------------------------
@@ -58,11 +64,6 @@ def delta_index_set(rows: Iterable[int], cols: Iterable[int], n: int) -> tuple[i
     return tuple(sorted((set(range(1, n + 1)) - I) | {j + n for j in J}))
 
 
-#: Running tally of how often the exact translation sign happens to equal
-#: (-1)**|I|; purely observational, never asserted.
-sign_shortcut_tally = {"agree": 0, "disagree": 0}
-
-
 def translation_sign(rows: Sequence[int], n: int) -> int:
     """Exact sign relating the Pluecker coordinate on delta_index_set(I, J, n)
     to the minor on rows I and columns J.
@@ -90,12 +91,7 @@ def delta_to_minor(K: Iterable[int], n: int) -> tuple[int, tuple[int, ...], tupl
     J = tuple(sorted(k - n for k in Kset - kept))
     if len(I) != len(J):
         raise ValueError("K is not a valid minor translation set")
-    sign = translation_sign(I, n)
-    if sign == (-1 if len(I) % 2 else 1):
-        sign_shortcut_tally["agree"] += 1
-    else:
-        sign_shortcut_tally["disagree"] += 1
-    return sign, I, J
+    return translation_sign(I, n), I, J
 
 
 # -- exterior algebra over the 2n column vectors ----------------------------
@@ -289,16 +285,23 @@ def gc_jellyfish(partition: OrderedSetPartition, r: int) -> PlueckerExpression:
 
 def phi_star(expr: PlueckerExpression) -> MatrixPolynomial:
     """Pull a Pluecker expression back to matrix entries: every factor
-    becomes a signed minor of M, fully expanded."""
+    becomes a signed minor of M, fully expanded.
+
+    Raises ColumnCollision when two factors of a product share a column.
+    """
     n = expr.n
-    result = MatrixPolynomial.zero(n)
+    acc: dict = {}
+    k = 0
     for factors, c in expr.terms.items():
-        term = MatrixPolynomial.one(n) * c
-        for K in factors:
-            sign, I, J = delta_to_minor(K, n)
-            term = term * (minor(I, J, n) * sign)
-        result = result + term
-    return result
+        minors = [delta_to_minor(K, n) for K in factors]
+        scatter = column_scatter([J for _, _, J in minors], n)
+        rows = [I for _, I, _ in minors] or [()]
+        partial = [((), c)]
+        for I in rows[:-1]:
+            partial = extend_minor_product(partial, I)
+        add_minor_product(acc, scatter, partial, rows[-1], math.prod(sign for sign, _, _ in minors))
+        k = max([k] + [I[-1] for I in rows if I])
+    return MatrixPolynomial._trusted(n, acc, k)
 
 
 def compare_up_to_sign(p: MatrixPolynomial, q: MatrixPolynomial) -> int | None:
@@ -324,7 +327,8 @@ def predicted_global_sign(partition: OrderedSetPartition, r: int) -> int:
         ctx.tentacle_counts[i] * (ctx.nu - len(partition.blocks[i]))
         for i in range(ctx.d)
     )
-    assert cross % 2 == 0, "cross-term exponent must be even"
+    if cross % 2:
+        raise ArithmeticError(f"cross-term exponent {cross} must be even")
     exponent = word_inversions(word) + cross // 2
     return -1 if exponent % 2 else 1
 

@@ -2,8 +2,20 @@
 
 The invariant at depth r is the signed sum of minor products over all
 jellyfish tableaux.  Partitions with a block smaller than r get the zero
-polynomial rather than an error.  The symmetric group acts on columns;
-the laws verified here are
+polynomial rather than an error.
+
+It is built without tableau objects: the deep rows are chosen column by
+column in the order of ``iter_tableaux``, and the product of the minors of
+the columns chosen so far is carried down as a list of partial terms, so
+tableaux that agree on their first columns share that work.  Each finished
+term is added in place into one dict, signed by the parity of the
+tableau's reading word, and the polynomial is adopted once through
+``MatrixPolynomial._trusted``; the walk meets its precondition, since
+cancelled terms leave the dict and no row exceeds nu.  ``JellyfishTableau``
+with its ``sign`` and ``minor_product`` is the independent reference the
+tests compare against.
+
+The symmetric group acts on columns; the laws verified here are
 
 * w . [pi]_r = sgn(w) [w . pi]_r for any permutation w of [n],
 * [pi]_r = sgn(sigma)^r [sigma(pi)]_r for any reordering sigma of blocks,
@@ -13,6 +25,7 @@ together with the rotation and reflection specializations of the first.
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 from typing import Sequence
 
@@ -24,9 +37,9 @@ from .partitions import (
     longest_permutation,
     perm_sign,
     permute_blocks,
+    word_inversions,
 )
-from .polynomials import MatrixPolynomial
-from .tableaux import iter_tableaux
+from .polynomials import MatrixPolynomial, add_minor_product, column_scatter, extend_minor_product
 
 
 @lru_cache(maxsize=16384)
@@ -34,11 +47,30 @@ def _invariant_cached(partition: OrderedSetPartition, r: int) -> MatrixPolynomia
     ctx = FlamingoContext.from_partition(partition, r)
     if not ctx.admissible:
         return MatrixPolynomial.zero(partition.n, k=0)
-    result = MatrixPolynomial.zero(partition.n, k=ctx.nu)
-    for tableau in iter_tableaux(partition, r):
-        term = tableau.minor_product()
-        result = result + (term if tableau.sign() > 0 else -term)
-    return result
+    blocks = partition.blocks
+    last = ctx.d - 1
+    top = tuple(range(1, r + 1))
+    deep_rows = ctx.tentacle_rows
+    # rows 1..r of the reading word; the deep rows follow, one entry each
+    head_word = [block[t] for t in range(r) for block in blocks]
+    entry: dict[int, int] = {}  # deep row -> its entry along the current path
+    scatter = column_scatter(blocks, partition.n)
+    acc: dict = {}
+
+    def walk(i: int, remaining: list[int], partial: list) -> None:
+        for chosen in itertools.combinations(remaining, ctx.tentacle_counts[i]):
+            for row, element in zip(chosen, blocks[i][r:]):
+                entry[row] = element
+            if i < last:
+                rest = [row for row in remaining if row not in chosen]
+                walk(i + 1, rest, extend_minor_product(partial, top + chosen))
+            else:
+                word = head_word + [entry[row] for row in deep_rows]
+                sign = -1 if word_inversions(word) % 2 else 1
+                add_minor_product(acc, scatter, partial, top + chosen, sign)
+
+    walk(0, list(deep_rows), [((), 1)])
+    return MatrixPolynomial._trusted(partition.n, acc, ctx.nu)
 
 
 def jellyfish_invariant(partition: OrderedSetPartition, r: int) -> MatrixPolynomial:

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 Monomial = tuple[int, ...]
 
@@ -94,6 +95,18 @@ class MatrixPolynomial:
         self.terms = clean
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, n: int, terms: dict[Monomial, int], k: int) -> "MatrixPolynomial":
+        """Adopt ``terms`` without copying or checking it.  The caller
+        guarantees what ``__init__`` would enforce: every key a length-n
+        tuple of nonnegative ints, every coefficient a nonzero int, and no
+        row above ``k``."""
+        self = cls.__new__(cls)
+        self.n = n
+        self.k = k
+        self.terms = terms
+        return self
 
     @classmethod
     def zero(cls, n: int, k: int = 0) -> "MatrixPolynomial":
@@ -266,16 +279,19 @@ class MatrixPolynomial:
 
 
 @lru_cache(maxsize=None)
-def _minor_terms(rows: tuple[int, ...], cols: tuple[int, ...], n: int) -> tuple[tuple[Monomial, int], ...]:
+def _minor_terms(rows: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Terms of the minor on the given increasing rows and any len(rows)
+    increasing columns: for each term, the row paired with each column in
+    column order, and the term's sign."""
     out = []
     for perm in itertools.permutations(range(len(rows))):
         inversions = sum(
             1 for a in range(len(perm)) for b in range(a + 1, len(perm)) if perm[a] > perm[b]
         )
-        m = [0] * n
+        paired = [0] * len(rows)
         for t, p in enumerate(perm):
-            m[cols[p] - 1] = rows[t]
-        out.append((tuple(m), -1 if inversions % 2 else 1))
+            paired[p] = rows[t]
+        out.append((tuple(paired), -1 if inversions % 2 else 1))
     return tuple(out)
 
 
@@ -295,7 +311,77 @@ def minor(rows: Iterable[int], cols: Iterable[int], n: int) -> MatrixPolynomial:
         raise ValueError(f"column indices must lie in [1, {n}]")
     if not I:
         return MatrixPolynomial.one(n)
-    return MatrixPolynomial(n, dict(_minor_terms(I, J, n)), k=I[-1])
+    scatter = column_scatter([J], n)
+    return MatrixPolynomial(n, {scatter(paired): c for paired, c in _minor_terms(I)}, k=I[-1])
+
+
+# -- products of minors over disjoint columns --------------------------------
+#
+# A product of minors, one per column set, is carried as a list of partial
+# terms (rows, coefficient): ``rows`` lists the row paired with each column,
+# block after block and each block's columns in increasing order.  Only the
+# finished terms are scattered into monomials, so the intermediate products
+# build no MatrixPolynomial and share every prefix of blocks.
+
+
+def column_scatter(col_sets: Sequence[Sequence[int]], n: int) -> Callable[[tuple[int, ...]], Monomial]:
+    """The map from rows listed block by block, each block's columns in
+    increasing order, to the length-n monomial; columns in no block read 0.
+
+    Raises ColumnCollision when two column sets share a column.
+    """
+    position = [-1] * n
+    offset = 0
+    for cols in col_sets:
+        for j in sorted(cols):
+            if position[j - 1] >= 0:
+                raise ColumnCollision(f"column {j} used by both factors")
+            position[j - 1] = offset
+            offset += 1
+    if -1 in position:
+        # every uncovered column reads a 0 appended after the listed rows
+        position = [offset if p < 0 else p for p in position]
+        pick = _picker(position)
+        return lambda rows: pick(rows + (0,))
+    return _picker(position)
+
+
+def _picker(position: list[int]) -> Callable[[tuple[int, ...]], Monomial]:
+    if len(position) >= 2:
+        return operator.itemgetter(*position)
+    return lambda rows: tuple(rows[p] for p in position)
+
+
+def extend_minor_product(
+    partial: list[tuple[tuple[int, ...], int]], rows: tuple[int, ...]
+) -> list[tuple[tuple[int, ...], int]]:
+    """Multiply partial terms by the minor on the given increasing rows and
+    the next block of columns."""
+    terms = _minor_terms(rows)
+    return [(head + tail, c * s) for head, c in partial for tail, s in terms]
+
+
+def add_minor_product(
+    acc: dict[Monomial, int],
+    scatter: Callable[[tuple[int, ...]], Monomial],
+    partial: list[tuple[tuple[int, ...], int]],
+    rows: tuple[int, ...],
+    coeff: int,
+) -> None:
+    """Add coeff times the partial terms times the minor on ``rows`` and the
+    last block of columns into ``acc``, in place; monomials whose
+    coefficient cancels to 0 leave ``acc``."""
+    terms = _minor_terms(rows)
+    get = acc.get
+    for head, c in partial:
+        c *= coeff
+        for tail, s in terms:
+            m = scatter(head + tail)
+            new = get(m, 0) + (c if s > 0 else -c)
+            if new:
+                acc[m] = new
+            else:
+                acc.pop(m, None)
 
 
 def integer_determinant(matrix: Sequence[Sequence[int]]) -> int:

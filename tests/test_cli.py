@@ -182,3 +182,23 @@ class TestEntryPoint:
             [sys.executable, "-m", "flamingo", "bogus"], capture_output=True, text=True
         )
         assert proc.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("invariant", "--partition", "1|2", "--r", "0"),
+        ("tableaux", "--partition", "1|2 3", "--r", "2"),
+        ("diagram", "--partition", "1|2 3", "--r", "2", "--format", "dot"),
+        ("gc-compare", "--partition", "1|2 3", "--r", "2"),
+        ("hook-basis", "--n", "0", "--d", "1"),
+        ("specht-check", "--partition", "1 2|3", "--r", "2"),
+        ("independence", "--family", "nc", "--n", "4", "--d", "0", "--r", "1"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_out_of_range_argument_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
