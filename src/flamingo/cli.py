@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 from . import verification
@@ -60,6 +58,11 @@ def _filled(partition: OrderedSetPartition, r: int) -> OrderedSetPartition:
     if smallest < r:
         raise UsageError(f"every block needs at least r = {r} elements, the smallest has {smallest}")
     return partition
+
+
+def _fits(n: int, d: int, r: int) -> None:
+    if n < _depth(r) * d:
+        raise UsageError(f"need n >= r*d, got n = {n}, r*d = {r * d}")
 
 
 def _hook_sizes(n: int, d: int) -> None:
@@ -142,6 +145,7 @@ def cmd_independence(args) -> int:
             raise UsageError("--family nc needs --n, --d, --r")
         if min(args.n, args.d, args.r) < 1:
             raise UsageError("--family nc needs --n, --d, --r of at least 1")
+        _fits(args.n, args.d, args.r)
         family = enumerate_noncrossing(args.n, args.d, args.r)
         r = args.r
     elif args.family == "hook":
@@ -153,8 +157,8 @@ def cmd_independence(args) -> int:
     elif args.family == "orbit":
         if not args.partition or args.r is None:
             raise UsageError("--family orbit needs --partition and --r")
-        family = rotation_orbit(_partition(args.partition))
-        r = _depth(args.r)
+        family = rotation_orbit(_filled(_partition(args.partition), args.r))
+        r = args.r
     else:
         if args.n is None or args.d is None or args.r is None:
             raise UsageError("--family conjecture needs --n, --d, --r")
@@ -184,8 +188,7 @@ def cmd_independence(args) -> int:
 
 def cmd_specht_check(args) -> int:
     partition = _partition(args.partition)
-    if partition.n < _depth(args.r) * partition.d:
-        raise UsageError(f"need n >= r*d, got n = {partition.n}, r*d = {args.r * partition.d}")
+    _fits(partition.n, partition.d, args.r)
     shape = SpechtShape(partition.n, partition.d, args.r)
     poly = jellyfish_invariant(partition, args.r)
     ok = membership_test(poly, shape)
@@ -269,44 +272,17 @@ def cmd_conjecture(args) -> int:
 
 
 def cmd_orbit_rank(args) -> int:
-    partition = _partition(args.partition)
-    orbit = rotation_orbit(partition)
-    profile = exact_rank([jellyfish_invariant(p, _depth(args.r)) for p in orbit])
+    orbit = rotation_orbit(_filled(_partition(args.partition), args.r))
+    profile = exact_rank([jellyfish_invariant(p, args.r) for p in orbit])
     print(f"orbit={len(orbit)} rank={profile.rank}")
     return 0
 
 
 def cmd_verify_all(args) -> int:
-    names = [
-        ("running-example-depth-2", lambda: verification.check_running_example()),
-        ("three-row-example-depth-3", lambda: verification.check_three_row_example()),
-        ("depth-one-enumeration", lambda: verification.check_depth_one_enumeration()),
-        ("grassmann-cayley-equivalence", lambda: verification.check_gc_equivalence(n_max=min(7, args.n_max))),
-        ("recurrence-identities", lambda: verification.check_recurrence(n_max=min(7, args.n_max))),
-        ("specht-membership", lambda: verification.check_specht_membership(n_max=min(7, args.n_max))),
-        ("column-equivariance", lambda: verification.check_equivariance(n_max=min(6, args.n_max))),
-        ("noncrossing-independence", lambda: verification.check_independence(n_max=min(8, args.n_max))),
-        ("hook-basis", lambda: verification.check_hook_basis(n_max=min(8, args.n_max))),
-        ("rotation-orbit-rank", lambda: verification.check_orbit_rank()),
-        ("independence-conjecture", lambda: verification.check_conjecture(n_max=min(8, args.n_max))),
-        ("tensor-diagram-validation", lambda: verification.check_diagrams(n_max=min(8, args.n_max))),
-        (
-            "sign-properties",
-            lambda: verification.check_sign_properties(
-                seed=args.seed, exhaustive_n=min(5, args.n_max)
-            ),
-        ),
-    ]
-    jobs = args.jobs or int(os.environ.get("FLAMINGO_JOBS", "1"))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(fn) for _, fn in names]
-            results = [f.result() for f in futures]
-    else:
-        results = []
-        for name, fn in names:
-            print(f"running {name} ...", file=sys.stderr, flush=True)
-            results.append(fn())
+    results = []
+    for name, check in verification.battery(args.n_max, args.seed):
+        print(f"running {name} ...", file=sys.stderr, flush=True)
+        results.append(check())
     if args.json:
         print(
             json.dumps(
@@ -407,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-all", help="run the full verification battery")
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--jobs", type=int, default=0)
     add_json(p)
     p.set_defaults(handler=cmd_verify_all)
 

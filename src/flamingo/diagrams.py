@@ -34,21 +34,6 @@ class TensorDiagram:
     def boundary(self) -> tuple[int, ...]:
         return tuple(range(1, 2 * self.n + 1))
 
-    def color(self, v: Vertex) -> str:
-        if isinstance(v, int):
-            return "black"
-        if v in self.interior_white:
-            return "white"
-        if v in self.interior_black:
-            return "black"
-        raise ValueError(f"unknown vertex {v!r}")
-
-    def incident_weight(self, v: Vertex) -> int:
-        return sum(w for a, b, w in self.edges if v in (a, b))
-
-    def degree(self, v: Vertex) -> int:
-        return sum(1 for a, b, _ in self.edges if v in (a, b))
-
 
 def build_tensor_diagram(partition: OrderedSetPartition, r: int) -> TensorDiagram:
     """The diagram whose white vertex w_i fans out to the tail range and to

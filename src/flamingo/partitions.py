@@ -26,10 +26,6 @@ class BlockTooSmall(ValueError):
 # Permutations in one-line notation.
 
 
-def perm_identity(n: int) -> tuple[int, ...]:
-    return tuple(range(1, n + 1))
-
-
 def is_permutation(w: Sequence[int]) -> bool:
     return sorted(w) == list(range(1, len(w) + 1))
 

@@ -532,24 +532,26 @@ def rotation_orbit(partition: OrderedSetPartition) -> list[OrderedSetPartition]:
     return seen
 
 
-def run_all(n_max: int | None = None) -> list[CheckResult]:
-    """The full acceptance battery, optionally clamped to sizes <= n_max."""
+def battery(n_max: int, seed: int) -> list[tuple[str, Callable[[], CheckResult]]]:
+    """The checks behind ``flamingo verify-all`` in their fixed order: each
+    check's name with a call that runs it, every sweep clamped to sizes
+    <= n_max and the random draws seeded with seed.
 
-    def clamp(default: int) -> int:
-        return default if n_max is None else min(default, n_max)
-
+    Each call looks its ``check_*`` function up in this module when it runs,
+    so a wrapper installed later with setattr is the one called.
+    """
     return [
-        check_running_example(),
-        check_three_row_example(),
-        check_depth_one_enumeration(),
-        check_gc_equivalence(n_max=clamp(7)),
-        check_recurrence(n_max=clamp(7)),
-        check_specht_membership(n_max=clamp(7)),
-        check_equivariance(n_max=clamp(6)),
-        check_independence(n_max=clamp(8)),
-        check_hook_basis(n_max=clamp(8)),
-        check_orbit_rank(),
-        check_conjecture(n_max=clamp(8)),
-        check_diagrams(n_max=clamp(8)),
-        check_sign_properties(exhaustive_n=clamp(5)),
+        ("running-example-depth-2", lambda: check_running_example()),
+        ("three-row-example-depth-3", lambda: check_three_row_example()),
+        ("depth-one-enumeration", lambda: check_depth_one_enumeration()),
+        ("grassmann-cayley-equivalence", lambda: check_gc_equivalence(n_max=min(7, n_max))),
+        ("recurrence-identities", lambda: check_recurrence(n_max=min(7, n_max))),
+        ("specht-membership", lambda: check_specht_membership(n_max=min(7, n_max))),
+        ("column-equivariance", lambda: check_equivariance(n_max=min(6, n_max))),
+        ("noncrossing-independence", lambda: check_independence(n_max=min(8, n_max))),
+        ("hook-basis", lambda: check_hook_basis(n_max=min(8, n_max))),
+        ("rotation-orbit-rank", lambda: check_orbit_rank()),
+        ("independence-conjecture", lambda: check_conjecture(n_max=min(8, n_max))),
+        ("tensor-diagram-validation", lambda: check_diagrams(n_max=min(8, n_max))),
+        ("sign-properties", lambda: check_sign_properties(seed=seed, exhaustive_n=min(5, n_max))),
     ]

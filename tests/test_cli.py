@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from flamingo import verification
 from flamingo.cli import main
 from flamingo.polynomials import MatrixPolynomial
 
@@ -160,6 +161,41 @@ class TestVerifyAll:
         assert len(doc) == 13
         assert all(entry["ok"] for entry in doc)
 
+    def test_registry_holds_every_check_once(self, monkeypatch):
+        calls = []
+        for name in dir(verification):
+            if name.startswith("check_"):
+                monkeypatch.setattr(
+                    verification, name, lambda *a, _name=name, **kw: calls.append(_name)
+                )
+        for _, check in verification.battery(3, 2024):
+            check()
+        checks = sorted(name for name in dir(verification) if name.startswith("check_"))
+        assert sorted(calls) == checks
+        assert len(calls) == 13
+
+    def test_json_names_follow_registry(self, capsys):
+        code, out, err = run_cli(capsys, "verify-all", "--n-max", "3", "--json")
+        names = [name for name, _ in verification.battery(3, 2024)]
+        assert code == 0
+        assert [entry["name"] for entry in json.loads(out)] == names
+        assert err.splitlines() == [f"running {name} ..." for name in names]
+
+    def test_checks_are_looked_up_when_called(self, capsys, monkeypatch):
+        # perfbench/verify_all.py times the battery by wrapping each check_*
+        # function after import; the CLI must call the wrapped functions.
+        original = verification.check_orbit_rank
+        calls = []
+
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(verification, "check_orbit_rank", wrapper)
+        code, _, _ = run_cli(capsys, "verify-all", "--n-max", "3", "--json")
+        assert code == 0
+        assert len(calls) == 1
+
 
 class TestEntryPoint:
     def test_module_invocation(self):
@@ -194,6 +230,15 @@ class TestEntryPoint:
         ("hook-basis", "--n", "0", "--d", "1"),
         ("specht-check", "--partition", "1 2|3", "--r", "2"),
         ("independence", "--family", "nc", "--n", "4", "--d", "0", "--r", "1"),
+        pytest.param(
+            ("independence", "--family", "nc", "--n", "4", "--d", "3", "--r", "2"),
+            id="independence-nc-n-below-rd",
+        ),
+        pytest.param(
+            ("independence", "--family", "orbit", "--partition", "1 2|3", "--r", "2"),
+            id="independence-orbit-block-below-r",
+        ),
+        ("orbit-rank", "--partition", "1 2|3", "--r", "2"),
     ],
     ids=lambda argv: argv[0],
 )
