@@ -14,9 +14,8 @@ import sys
 from dataclasses import dataclass
 
 from flamingo.invariants import jellyfish_invariant
-from flamingo.partitions import enumerate_unordered_partitions
+from flamingo.partitions import enumerate_unordered_partitions, rotation_orbit
 from flamingo.specht import exact_rank
-from flamingo.verification import rotation_orbit
 
 
 @dataclass(frozen=True)

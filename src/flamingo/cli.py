@@ -17,11 +17,16 @@ from . import verification
 from .diagrams import build_tensor_diagram, export
 from .grassmann import compare_up_to_sign, gc_jellyfish, phi_star, predicted_global_sign
 from .invariants import jellyfish_invariant
-from .partitions import OrderedSetPartition, enumerate_noncrossing, parse_partition
-from .relations import conjecture_report, recurrence_left, recurrence_terms, verify_recurrence
-from .specht import SpechtShape, exact_rank, hook_family, membership_test, spanning_rank
+from .partitions import OrderedSetPartition, enumerate_noncrossing, parse_partition, rotation_orbit
+from .relations import (
+    conjecture_family,
+    conjecture_report,
+    recurrence_left,
+    recurrence_terms,
+    verify_recurrence,
+)
+from .specht import SpechtShape, exact_rank, hook_family, membership_test
 from .tableaux import enumerate_tableaux
-from .verification import rotation_orbit
 
 
 class UsageError(Exception):
@@ -162,8 +167,7 @@ def cmd_independence(args) -> int:
     else:
         if args.n is None or args.d is None or args.r is None:
             raise UsageError("--family conjecture needs --n, --d, --r")
-        from .relations import conjecture_family
-
+        _fits(args.n, args.d, args.r)
         try:
             family = conjecture_family(args.n, args.d, args.r)
         except ValueError as exc:
@@ -220,8 +224,11 @@ def cmd_diagram(args) -> int:
     diagram = build_tensor_diagram(partition, args.r)
     text = export(diagram, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -260,6 +267,7 @@ def cmd_hook_basis(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
+    _fits(args.n, args.d, args.r)
     try:
         size, rank = conjecture_report(args.n, args.d, args.r)
     except ValueError as exc:
@@ -279,6 +287,8 @@ def cmd_orbit_rank(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
+    if args.n_max < 3:
+        raise UsageError(f"--n-max must be at least 3, got {args.n_max}")
     results = []
     for name, check in verification.battery(args.n_max, args.seed):
         print(f"running {name} ...", file=sys.stderr, flush=True)

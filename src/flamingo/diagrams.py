@@ -15,9 +15,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from .partitions import BlockTooSmall, FlamingoContext, OrderedSetPartition
+from .partitions import FlamingoContext, OrderedSetPartition
 
 Vertex = int | str
 Edge = tuple[Vertex, Vertex, int]
@@ -39,9 +39,7 @@ def build_tensor_diagram(partition: OrderedSetPartition, r: int) -> TensorDiagra
     """The diagram whose white vertex w_i fans out to the tail range and to
     block i shifted by n, with u_i collecting the tentacle range and b_i
     balancing the weights so every interior sum is n."""
-    ctx = FlamingoContext.from_partition(partition, r)
-    if not ctx.admissible:
-        raise BlockTooSmall(f"every block must have at least {r} elements")
+    ctx = FlamingoContext.from_admissible(partition, r)
     n, d = partition.n, partition.d
     S = ctx.tentacle_rows
     E = ctx.tail_rows

@@ -20,12 +20,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .partitions import (
-    BlockTooSmall,
-    FlamingoContext,
-    OrderedSetPartition,
-    word_inversions,
-)
+from .partitions import FlamingoContext, OrderedSetPartition, word_inversions
 from .polynomials import (
     MatrixPolynomial,
     add_minor_product,
@@ -260,9 +255,7 @@ def gc_jellyfish(partition: OrderedSetPartition, r: int) -> PlueckerExpression:
     tentacle wedge onto each of the first d - 1 shifted blocks, wedge the
     results, then close with the last shifted block.  Terms are degree-d
     products of Pluecker coordinates."""
-    ctx = FlamingoContext.from_partition(partition, r)
-    if not ctx.admissible:
-        raise BlockTooSmall(f"every block must have at least {r} elements")
+    ctx = FlamingoContext.from_admissible(partition, r)
     n = partition.n
     S = ctx.tentacle_rows
     E = ctx.tail_rows
@@ -319,9 +312,7 @@ def predicted_global_sign(partition: OrderedSetPartition, r: int) -> int:
     expansion to the tableau sum: built from the top-justified tableau's
     reading word and the tentacle counts.  Reported by experiment scripts,
     never asserted."""
-    ctx = FlamingoContext.from_partition(partition, r)
-    if not ctx.admissible:
-        raise BlockTooSmall(f"every block must have at least {r} elements")
+    ctx = FlamingoContext.from_admissible(partition, r)
     word = top_justified_tableau(partition, r).reading_word()
     cross = sum(
         ctx.tentacle_counts[i] * (ctx.nu - len(partition.blocks[i]))

@@ -13,9 +13,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 class BlockTooSmall(ValueError):
@@ -319,6 +318,18 @@ def rotate(partition: OrderedSetPartition) -> OrderedSetPartition:
     return act_elements(long_cycle(partition.n), partition)
 
 
+def rotation_orbit(partition: OrderedSetPartition) -> list[OrderedSetPartition]:
+    """Distinct canonical forms of the rotation iterates."""
+    seen = []
+    current = partition
+    for _ in range(partition.n):
+        canon = current.canonical()
+        if canon not in seen:
+            seen.append(canon)
+        current = rotate(current)
+    return seen
+
+
 def reflect(partition: OrderedSetPartition) -> OrderedSetPartition:
     """Apply the order-reversing map j -> n + 1 - j."""
     return act_elements(longest_permutation(partition.n), partition)
@@ -391,6 +402,14 @@ class FlamingoContext:
             raise ValueError("r must be at least 1")
         counts = tuple(len(b) - r for b in partition.blocks)
         return cls(partition.n, partition.d, r, counts)
+
+    @classmethod
+    def from_admissible(cls, partition: OrderedSetPartition, r: int) -> "FlamingoContext":
+        """The context, when every block holds at least r elements."""
+        ctx = cls.from_partition(partition, r)
+        if not ctx.admissible:
+            raise BlockTooSmall(f"every block must have at least {r} elements")
+        return ctx
 
     @property
     def nu(self) -> int:

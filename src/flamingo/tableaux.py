@@ -16,13 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from .partitions import (
-    BlockTooSmall,
-    FlamingoContext,
-    OrderedSetPartition,
-    perm_inverse,
-    word_inversions,
-)
+from .partitions import FlamingoContext, OrderedSetPartition, permute_blocks, word_inversions
 from .polynomials import MatrixPolynomial, minor
 
 
@@ -35,8 +29,6 @@ class JellyfishTableau:
 
     def __post_init__(self) -> None:
         ctx = self.context
-        if not ctx.admissible:
-            raise BlockTooSmall(f"every block must have at least {self.r} elements")
         if len(self.assignment) != ctx.nu - self.r:
             raise ValueError("assignment must cover rows r+1 .. nu")
         for i in range(1, ctx.d + 1):
@@ -45,7 +37,7 @@ class JellyfishTableau:
 
     @cached_property
     def context(self) -> FlamingoContext:
-        return FlamingoContext.from_partition(self.partition, self.r)
+        return FlamingoContext.from_admissible(self.partition, self.r)
 
     def column_rows(self, i: int) -> tuple[int, ...]:
         """Sorted row indices occupied by column i (1-based)."""
@@ -85,8 +77,6 @@ class JellyfishTableau:
     def permute_columns(self, sigma: Sequence[int]) -> "JellyfishTableau":
         """The tableau for the block-reordered partition in which each
         column keeps its rows; column i moves to position sigma(i)."""
-        from .partitions import permute_blocks
-
         new_partition = permute_blocks(sigma, self.partition)
         new_assignment = tuple(sigma[c - 1] for c in self.assignment)
         return JellyfishTableau(new_partition, self.r, new_assignment)
@@ -104,9 +94,7 @@ class JellyfishTableau:
 
 def tableau_count(partition: OrderedSetPartition, r: int) -> int:
     """|J_r(pi)| = (nu - r)! / prod((|pi_i| - r)!)."""
-    ctx = FlamingoContext.from_partition(partition, r)
-    if not ctx.admissible:
-        raise BlockTooSmall(f"every block must have at least {r} elements")
+    ctx = FlamingoContext.from_admissible(partition, r)
     total = math.factorial(ctx.nu - r)
     for c in ctx.tentacle_counts:
         total //= math.factorial(c)
@@ -117,9 +105,7 @@ def iter_tableaux(partition: OrderedSetPartition, r: int) -> Iterator[JellyfishT
     """All tableaux, choosing the deep rows of column 1 first, then column 2
     from what remains, and so on; each choice runs in ascending combination
     order."""
-    ctx = FlamingoContext.from_partition(partition, r)
-    if not ctx.admissible:
-        raise BlockTooSmall(f"every block must have at least {r} elements")
+    ctx = FlamingoContext.from_admissible(partition, r)
     deep_rows = list(ctx.tentacle_rows)
     assignment: dict[int, int] = {}
 
@@ -149,9 +135,7 @@ def enumerate_tableaux(partition: OrderedSetPartition, r: int) -> list[Jellyfish
 def top_justified_tableau(partition: OrderedSetPartition, r: int) -> JellyfishTableau:
     """The tableau filling deep rows greedily: column 1 takes the first
     nu_1 rows below r, column 2 the next nu_2, and so on."""
-    ctx = FlamingoContext.from_partition(partition, r)
-    if not ctx.admissible:
-        raise BlockTooSmall(f"every block must have at least {r} elements")
+    ctx = FlamingoContext.from_admissible(partition, r)
     assignment = []
     for i, count in enumerate(ctx.tentacle_counts, start=1):
         assignment.extend([i] * count)

@@ -3,20 +3,29 @@ acceptance suite.
 
 Each check returns a CheckResult carrying a stable name, a boolean, and a
 human-readable detail string with instance counts, so failures are
-diagnosable from the summary line alone.  Scope parameters default to the
-full advertised ranges; ``n_max`` trims every sweep for faster smoke runs.
+diagnosable from the summary line alone.  Sweeps cover the full
+advertised ranges; ``n_max`` trims them for faster smoke runs.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import random
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .diagrams import boundary_degrees, build_tensor_diagram, validate
-from .grassmann import delta_to_minor, phi, resolved_global_sign
+from .grassmann import (
+    PlueckerExpression,
+    delta_to_minor,
+    gc_jellyfish,
+    phi,
+    phi_star,
+    resolved_global_sign,
+)
 from .invariants import jellyfish_invariant, verify_equivariance
 from .partitions import (
     FlamingoContext,
@@ -26,7 +35,7 @@ from .partitions import (
     long_cycle,
     longest_permutation,
     perm_sign,
-    rotate,
+    rotation_orbit,
     simple_transposition,
 )
 from .polynomials import MatrixPolynomial, integer_determinant, minor
@@ -50,6 +59,7 @@ THREE_ROW_PARTITION = OrderedSetPartition.from_blocks(
     [(2, 3, 6, 7, 12), (1, 8, 10), (4, 5, 9, 11)]
 )
 ORBIT_PARTITION = OrderedSetPartition.from_blocks([(1, 2, 3, 5), (4, 6)])
+DEPTHS = (1, 2, 3)
 
 # Signed minor-product expansions copied from the worked examples: each term
 # is (sign, row sets per column).
@@ -88,10 +98,20 @@ class CheckResult:
         return f"[{status}] {self.name}: {self.detail} ({self.seconds:.2f}s)"
 
 
-def _timed(name: str, fn: Callable[[], tuple[bool, str]]) -> CheckResult:
-    start = time.perf_counter()
-    ok, detail = fn()
-    return CheckResult(name, ok, detail, time.perf_counter() - start)
+def _check(name: str) -> Callable[[Callable[..., tuple[bool, str]]], Callable[..., CheckResult]]:
+    """Turn a check body returning (ok, detail) into a check returning the
+    timed CheckResult under ``name``."""
+
+    def decorate(body: Callable[..., tuple[bool, str]]) -> Callable[..., CheckResult]:
+        @functools.wraps(body)
+        def timed(*args, **kwargs) -> CheckResult:
+            start = time.perf_counter()
+            ok, detail = body(*args, **kwargs)
+            return CheckResult(name, ok, detail, time.perf_counter() - start)
+
+        return timed
+
+    return decorate
 
 
 def signed_minor_expansion(
@@ -116,65 +136,57 @@ def partitions_up_to(n_max: int, r: int) -> Iterator[OrderedSetPartition]:
 # -- the thirteen checks ----------------------------------------------------
 
 
-def check_running_example() -> CheckResult:
-    def run():
-        tableaux = enumerate_tableaux(RUNNING_PARTITION, 2)
-        if len(tableaux) != 6:
-            return False, f"expected 6 tableaux, got {len(tableaux)}"
-        inversions = [t.inversion_number() for t in tableaux]
-        if inversions != RUNNING_R2_INVERSIONS:
-            return False, f"inversions {inversions}"
-        expected = signed_minor_expansion(RUNNING_PARTITION, RUNNING_R2_TERMS)
-        if jellyfish_invariant(RUNNING_PARTITION, 2) != expected:
-            return False, "depth-2 invariant differs from the six-term expansion"
-        if not jellyfish_invariant(RUNNING_PARTITION, 3).is_zero:
-            return False, "depth-3 invariant should vanish"
-        return True, "6 tableaux, inversions 8,7,6,8,7,8, exact six-term match, depth 3 vanishes"
-
-    return _timed("running-example-depth-2", run)
+@_check("running-example-depth-2")
+def check_running_example() -> tuple[bool, str]:
+    tableaux = enumerate_tableaux(RUNNING_PARTITION, 2)
+    if len(tableaux) != 6:
+        return False, f"expected 6 tableaux, got {len(tableaux)}"
+    inversions = [t.inversion_number() for t in tableaux]
+    if inversions != RUNNING_R2_INVERSIONS:
+        return False, f"inversions {inversions}"
+    expected = signed_minor_expansion(RUNNING_PARTITION, RUNNING_R2_TERMS)
+    if jellyfish_invariant(RUNNING_PARTITION, 2) != expected:
+        return False, "depth-2 invariant differs from the six-term expansion"
+    if not jellyfish_invariant(RUNNING_PARTITION, 3).is_zero:
+        return False, "depth-3 invariant should vanish"
+    return True, "6 tableaux, inversions 8,7,6,8,7,8, exact six-term match, depth 3 vanishes"
 
 
-def check_three_row_example() -> CheckResult:
-    def run():
-        tableaux = enumerate_tableaux(THREE_ROW_PARTITION, 3)
-        if len(tableaux) != 3:
-            return False, f"expected 3 tableaux, got {len(tableaux)}"
-        inversions = [t.inversion_number() for t in tableaux]
-        if inversions != THREE_ROW_INVERSIONS:
-            return False, f"inversions {inversions}"
-        expected = signed_minor_expansion(THREE_ROW_PARTITION, THREE_ROW_TERMS)
-        if jellyfish_invariant(THREE_ROW_PARTITION, 3) != expected:
-            return False, "depth-3 invariant differs from the three-term expansion"
-        return True, "3 tableaux with signs -,+,- and exact expansion match"
-
-    return _timed("three-row-example-depth-3", run)
+@_check("three-row-example-depth-3")
+def check_three_row_example() -> tuple[bool, str]:
+    tableaux = enumerate_tableaux(THREE_ROW_PARTITION, 3)
+    if len(tableaux) != 3:
+        return False, f"expected 3 tableaux, got {len(tableaux)}"
+    inversions = [t.inversion_number() for t in tableaux]
+    if inversions != THREE_ROW_INVERSIONS:
+        return False, f"inversions {inversions}"
+    expected = signed_minor_expansion(THREE_ROW_PARTITION, THREE_ROW_TERMS)
+    if jellyfish_invariant(THREE_ROW_PARTITION, 3) != expected:
+        return False, "depth-3 invariant differs from the three-term expansion"
+    return True, "3 tableaux with signs -,+,- and exact expansion match"
 
 
-def check_depth_one_enumeration() -> CheckResult:
-    def run():
-        if tableau_count(RUNNING_PARTITION, 1) != 140:
-            return False, "count formula disagrees with 140"
-        tableaux = enumerate_tableaux(RUNNING_PARTITION, 1)
-        if len(tableaux) != 140:
-            return False, f"enumerated {len(tableaux)} tableaux"
-        by_rows = {
-            tuple(t.column_rows(i) for i in range(1, 4)): t.inversion_number()
-            for t in tableaux
-        }
-        for rows, inv in RUNNING_R1_SAMPLES:
-            if by_rows.get(rows) != inv:
-                return False, f"tableau with rows {rows} has inversions {by_rows.get(rows)}, expected {inv}"
-        return True, "140 tableaux; the four sampled fillings carry inversions 12,13,12,9"
-
-    return _timed("depth-one-enumeration", run)
+@_check("depth-one-enumeration")
+def check_depth_one_enumeration() -> tuple[bool, str]:
+    if tableau_count(RUNNING_PARTITION, 1) != 140:
+        return False, "count formula disagrees with 140"
+    tableaux = enumerate_tableaux(RUNNING_PARTITION, 1)
+    if len(tableaux) != 140:
+        return False, f"enumerated {len(tableaux)} tableaux"
+    by_rows = {
+        tuple(t.column_rows(i) for i in range(1, 4)): t.inversion_number()
+        for t in tableaux
+    }
+    for rows, inv in RUNNING_R1_SAMPLES:
+        if by_rows.get(rows) != inv:
+            return False, f"tableau with rows {rows} has inversions {by_rows.get(rows)}, expected {inv}"
+    return True, "140 tableaux; the four sampled fillings carry inversions 12,13,12,9"
 
 
 def _running_example_term_bijection() -> str | None:
     """Match each term of the cap-and-wedge expansion of the ten-element
     example with its tableau, requiring equal signed minor products term by
     term and the reversed emission order.  None when everything agrees."""
-    from .grassmann import PlueckerExpression, gc_jellyfish, phi_star
-
     partition, r, n = RUNNING_PARTITION, 2, RUNNING_PARTITION.n
     tableaux = enumerate_tableaux(partition, r)
     by_rows = {
@@ -205,26 +217,24 @@ def _running_example_term_bijection() -> str | None:
     return None
 
 
-def check_gc_equivalence(n_max: int = 7, r_values: Sequence[int] = (1, 2, 3)) -> CheckResult:
-    def run():
-        checked = 0
-        for r in r_values:
-            for partition in partitions_up_to(n_max, r):
-                if resolved_global_sign(partition, r) is None:
-                    return False, f"no global sign for {partition} at depth {r}"
-                checked += 1
-        sign = resolved_global_sign(RUNNING_PARTITION, 2)
-        if sign != 1:
-            return False, f"running example resolved sign {sign}, expected +1"
-        mismatch = _running_example_term_bijection()
-        if mismatch:
-            return False, mismatch
-        return True, (
-            f"{checked} partitions match up to one global sign each; running example "
-            "sign +1 with terms in reverse tableau order"
-        )
-
-    return _timed("grassmann-cayley-equivalence", run)
+@_check("grassmann-cayley-equivalence")
+def check_gc_equivalence(n_max: int = 7) -> tuple[bool, str]:
+    checked = 0
+    for r in DEPTHS:
+        for partition in partitions_up_to(n_max, r):
+            if resolved_global_sign(partition, r) is None:
+                return False, f"no global sign for {partition} at depth {r}"
+            checked += 1
+    sign = resolved_global_sign(RUNNING_PARTITION, 2)
+    if sign != 1:
+        return False, f"running example resolved sign {sign}, expected +1"
+    mismatch = _running_example_term_bijection()
+    if mismatch:
+        return False, mismatch
+    return True, (
+        f"{checked} partitions match up to one global sign each; running example "
+        "sign +1 with terms in reverse tableau order"
+    )
 
 
 def _abc_instances(n: int, r: int, prefix_min: int) -> Iterator[tuple[list, set, set, set]]:
@@ -252,284 +262,233 @@ def _abc_instances(n: int, r: int, prefix_min: int) -> Iterator[tuple[list, set,
 
 
 def _ordered_partitions_of(elements: list[int], min_size: int) -> Iterator[list[tuple[int, ...]]]:
+    """Ordered partitions of the sorted ``elements`` into blocks of size
+    >= min_size; the empty list has one, with no blocks."""
     if not elements:
         yield []
         return
-    rest = elements[1:]
-    first = elements[0]
-    # first element opens each block exactly once to avoid double counting
-    # ordered arrangements of the same underlying blocks
-    for k in range(len(rest) + 1):
-        for members in itertools.combinations(rest, k):
-            block = (first,) + members
-            if len(block) < min_size:
+    for d in range(1, len(elements) // min_size + 1):
+        for partition in enumerate_ordered_partitions(len(elements), d, min_size):
+            yield [tuple(elements[x - 1] for x in block) for block in partition.blocks]
+
+
+@_check("recurrence-identities")
+def check_recurrence(n_max: int = 7) -> tuple[bool, str]:
+    checked = 0
+    for n in range(3, n_max + 1):
+        for r in DEPTHS:
+            if r > n - 2:
                 continue
-            remaining = [x for x in rest if x not in members]
-            for tail in _ordered_partitions_of(remaining, min_size):
-                for pos in range(len(tail) + 1):
-                    yield tail[:pos] + [block] + tail[pos:]
+            for prefix, A, B, C in _abc_instances(n, r, prefix_min=r):
+                if not verify_recurrence(prefix, A, B, C, r):
+                    return False, f"failed at n={n}, r={r}, prefix={prefix}, A={A}, B={B}, C={C}"
+                checked += 1
+    three = 0
+    for n in range(3, min(n_max, 6) + 1):
+        ground = list(range(1, n + 1))
+        for c in ground:
+            rest = [x for x in ground if x != c]
+            for mask in range(1, 2 ** len(rest) - 1):
+                A = {x for i, x in enumerate(rest) if mask >> i & 1}
+                B = set(rest) - A
+                if not verify_three_term(A, B, {c}):
+                    return False, f"three-term failed at A={A}, B={B}, C={{{c}}}"
+                three += 1
+    return True, f"{checked} recurrence instances and {three} three-term splits hold exactly"
 
 
-def check_recurrence(n_max: int = 7, r_values: Sequence[int] = (1, 2, 3)) -> CheckResult:
-    def run():
-        checked = 0
-        for n in range(3, n_max + 1):
-            for r in r_values:
-                if r > n - 2:
+@_check("specht-membership")
+def check_specht_membership(n_max: int = 7) -> tuple[bool, str]:
+    shapes = 0
+    members = 0
+    for n in range(1, n_max + 1):
+        for r in DEPTHS:
+            for d in range(1, n // r + 1):
+                shape = SpechtShape(n, d, r)
+                if spanning_rank(shape) != shape.dimension():
+                    return False, f"spanning rank mismatch for shape {shape.lam}"
+                shapes += 1
+                for partition in enumerate_ordered_partitions(n, d, r):
+                    if not membership_test(jellyfish_invariant(partition, r), shape):
+                        return False, f"{partition} falls outside its module at depth {r}"
+                    members += 1
+    return True, f"{shapes} spanning ranks match dimensions; {members} invariants are members"
+
+
+@_check("column-equivariance")
+def check_equivariance(n_max: int = 6) -> tuple[bool, str]:
+    checked = 0
+    for n in range(2, n_max + 1):
+        generators = [simple_transposition(n, i) for i in range(1, n)]
+        generators.append(long_cycle(n))
+        generators.append(longest_permutation(n))
+        if perm_sign(long_cycle(n)) != (-1) ** (n - 1):
+            return False, "long cycle sign is off"
+        if perm_sign(longest_permutation(n)) != (-1) ** (n * (n - 1) // 2):
+            return False, "reversal sign is off"
+        for r in DEPTHS:
+            for d in range(1, n // r + 1):
+                for partition in enumerate_ordered_partitions(n, d, r):
+                    for w in generators:
+                        if not verify_equivariance(w, partition, r):
+                            return False, f"equivariance failed for w={w}, {partition}, r={r}"
+                        checked += 1
+    return True, f"{checked} (w, partition, depth) identities hold with exact signs"
+
+
+@_check("noncrossing-independence")
+def check_independence(n_max: int = 8) -> tuple[bool, str]:
+    families = 0
+    for n in range(2, n_max + 1):
+        for r in range(2, n + 1):
+            for d in range(1, n // r + 1):
+                family = enumerate_noncrossing(n, d, r)
+                if not family:
                     continue
-                for prefix, A, B, C in _abc_instances(n, r, prefix_min=r):
-                    if not verify_recurrence(prefix, A, B, C, r):
-                        return False, f"failed at n={n}, r={r}, prefix={prefix}, A={A}, B={B}, C={C}"
-                    checked += 1
-        three = 0
-        for n in range(3, min(n_max, 6) + 1):
-            ground = list(range(1, n + 1))
-            for c in ground:
-                rest = [x for x in ground if x != c]
-                for mask in range(1, 2 ** len(rest) - 1):
-                    A = {x for i, x in enumerate(rest) if mask >> i & 1}
-                    B = set(rest) - A
-                    if not verify_three_term(A, B, {c}):
-                        return False, f"three-term failed at A={A}, B={B}, C={{{c}}}"
-                    three += 1
-        return True, f"{checked} recurrence instances and {three} three-term splits hold exactly"
-
-    return _timed("recurrence-identities", run)
+                invariants = [jellyfish_invariant(p, r) for p in family]
+                profile = exact_rank(invariants)
+                if profile.rank != len(family):
+                    return False, f"rank {profile.rank} < {len(family)} at (n,d,r)=({n},{d},{r})"
+                leads = {inv.leading_term()[0] for inv in invariants}
+                if len(leads) != len(family):
+                    return False, f"leading monomials collide at (n,d,r)=({n},{d},{r})"
+                families += 1
+    return True, f"{families} noncrossing families independent by rank and by leading monomials"
 
 
-def check_specht_membership(n_max: int = 7, r_values: Sequence[int] = (1, 2, 3)) -> CheckResult:
-    def run():
-        shapes = 0
-        members = 0
-        for n in range(1, n_max + 1):
-            for r in r_values:
-                for d in range(1, n // r + 1):
-                    shape = SpechtShape(n, d, r)
-                    if spanning_rank(shape) != shape.dimension():
-                        return False, f"spanning rank mismatch for shape {shape.lam}"
-                    shapes += 1
-                    for partition in enumerate_ordered_partitions(n, d, r):
-                        if not membership_test(jellyfish_invariant(partition, r), shape):
-                            return False, f"{partition} falls outside its module at depth {r}"
-                        members += 1
-        return True, f"{shapes} spanning ranks match dimensions; {members} invariants are members"
-
-    return _timed("specht-membership", run)
+@_check("hook-basis")
+def check_hook_basis(n_max: int = 8) -> tuple[bool, str]:
+    cases = 0
+    for n in range(1, n_max + 1):
+        for d in range(1, n + 1):
+            if not verify_hook_basis(n, d):
+                return False, f"hook basis fails at (n,d)=({n},{d})"
+            cases += 1
+    return True, f"{cases} (n,d) hook families are bases of their modules"
 
 
-def check_equivariance(n_max: int = 6, r_values: Sequence[int] = (1, 2, 3)) -> CheckResult:
-    def run():
-        checked = 0
-        for n in range(2, n_max + 1):
-            generators = [simple_transposition(n, i) for i in range(1, n)]
-            generators.append(long_cycle(n))
-            generators.append(longest_permutation(n))
-            if perm_sign(long_cycle(n)) != (-1) ** (n - 1):
-                return False, "long cycle sign is off"
-            if perm_sign(longest_permutation(n)) != (-1) ** (n * (n - 1) // 2):
-                return False, "reversal sign is off"
-            for r in r_values:
-                for d in range(1, n // r + 1):
-                    for partition in enumerate_ordered_partitions(n, d, r):
-                        for w in generators:
-                            if not verify_equivariance(w, partition, r):
-                                return False, f"equivariance failed for w={w}, {partition}, r={r}"
-                            checked += 1
-        return True, f"{checked} (w, partition, depth) identities hold with exact signs"
-
-    return _timed("column-equivariance", run)
+@_check("rotation-orbit-rank")
+def check_orbit_rank() -> tuple[bool, str]:
+    orbit = rotation_orbit(ORBIT_PARTITION)
+    if len(orbit) != 6:
+        return False, f"orbit size {len(orbit)}"
+    profile = exact_rank([jellyfish_invariant(p, 2) for p in orbit])
+    if profile.rank != 5:
+        return False, f"rank {profile.rank}"
+    return True, "rotation orbit of size 6 spans a 5-dimensional space"
 
 
-def check_independence(n_max: int = 8) -> CheckResult:
-    def run():
-        families = 0
-        for n in range(2, n_max + 1):
-            for r in range(2, n + 1):
-                for d in range(1, n // r + 1):
-                    family = enumerate_noncrossing(n, d, r)
-                    if not family:
-                        continue
-                    invariants = [jellyfish_invariant(p, r) for p in family]
-                    profile = exact_rank(invariants)
-                    if profile.rank != len(family):
-                        return False, f"rank {profile.rank} < {len(family)} at (n,d,r)=({n},{d},{r})"
-                    leads = {inv.leading_term()[0] for inv in invariants}
-                    if len(leads) != len(family):
-                        return False, f"leading monomials collide at (n,d,r)=({n},{d},{r})"
-                    families += 1
-        return True, f"{families} noncrossing families independent by rank and by leading monomials"
-
-    return _timed("noncrossing-independence", run)
-
-
-def check_hook_basis(n_max: int = 8) -> CheckResult:
-    def run():
-        cases = 0
-        for n in range(1, n_max + 1):
-            for d in range(1, n + 1):
-                if not verify_hook_basis(n, d):
-                    return False, f"hook basis fails at (n,d)=({n},{d})"
-                cases += 1
-        return True, f"{cases} (n,d) hook families are bases of their modules"
-
-    return _timed("hook-basis", run)
-
-
-def check_orbit_rank() -> CheckResult:
-    def run():
-        orbit = rotation_orbit(ORBIT_PARTITION)
-        if len(orbit) != 6:
-            return False, f"orbit size {len(orbit)}"
-        profile = exact_rank([jellyfish_invariant(p, 2) for p in orbit])
-        if profile.rank != 5:
-            return False, f"rank {profile.rank}"
-        return True, "rotation orbit of size 6 spans a 5-dimensional space"
-
-    return _timed("rotation-orbit-rank", run)
-
-
-def check_conjecture(n_max: int = 8, r4_cases: Sequence[tuple[int, int]] = ((8, 2),)) -> CheckResult:
-    def run():
-        agree = 0
-        for n in range(3, n_max + 1):
-            for d in range(1, n // 3 + 1):
-                family = conjecture_family(n, d, 3)
-                reference = enumerate_noncrossing(n, d, 3)
-                if [p.blocks for p in family] != [p.blocks for p in reference]:
-                    return False, f"depth-3 family differs from noncrossing at (n,d)=({n},{d})"
-                size, rank = conjecture_report(n, d, 3)
-                if size != rank:
-                    return False, f"depth-3 dependence at (n,d)=({n},{d}): {size} vs rank {rank}"
-                agree += 1
-        reports = []
-        for n, d in r4_cases:
-            if n > n_max:
-                continue
-            size, rank = conjecture_report(n, d, 4)
-            reports.append(f"(n={n},d={d}): size={size} rank={rank}")
+@_check("independence-conjecture")
+def check_conjecture(n_max: int = 8) -> tuple[bool, str]:
+    agree = 0
+    for n in range(3, n_max + 1):
+        for d in range(1, n // 3 + 1):
+            family = conjecture_family(n, d, 3)
+            reference = enumerate_noncrossing(n, d, 3)
+            if [p.blocks for p in family] != [p.blocks for p in reference]:
+                return False, f"depth-3 family differs from noncrossing at (n,d)=({n},{d})"
+            size, rank = conjecture_report(n, d, 3)
             if size != rank:
-                return False, "; ".join(reports)
-        return True, f"{agree} depth-3 families equal noncrossing and are independent; depth 4: " + "; ".join(reports)
-
-    return _timed("independence-conjecture", run)
-
-
-def check_diagrams(n_max: int = 8, r_values: Sequence[int] = (1, 2, 3)) -> CheckResult:
-    def run():
-        built = 0
-        for r in r_values:
-            for partition in partitions_up_to(n_max, r):
-                diagram = build_tensor_diagram(partition, r)
-                problems = validate(diagram)
-                if problems:
-                    return False, f"{partition} at depth {r}: {problems[0]}"
-                ctx = FlamingoContext.from_partition(partition, r)
-                degrees = boundary_degrees(diagram)
-                d = partition.d
-                for v in range(1, r + 1):
-                    if degrees[v] != 0:
-                        return False, f"boundary {v} should be unused for {partition}"
-                for v in ctx.tentacle_rows:
-                    if degrees[v] != d - 1:
-                        return False, f"boundary {v} degree {degrees[v]} != d-1 for {partition}"
-                for v in ctx.tail_rows:
-                    if degrees[v] != d:
-                        return False, f"boundary {v} degree {degrees[v]} != d for {partition}"
-                for v in range(partition.n + 1, 2 * partition.n + 1):
-                    if degrees[v] != 1:
-                        return False, f"boundary {v} degree {degrees[v]} != 1 for {partition}"
-                built += 1
-        return True, f"{built} diagrams validate with the expected boundary profile"
-
-    return _timed("tensor-diagram-validation", run)
+                return False, f"depth-3 dependence at (n,d)=({n},{d}): {size} vs rank {rank}"
+            agree += 1
+    depth_four = ""
+    n, d = 8, 2
+    if n <= n_max:
+        size, rank = conjecture_report(n, d, 4)
+        depth_four = f"(n={n},d={d}): size={size} rank={rank}"
+        if size != rank:
+            return False, depth_four
+    return True, f"{agree} depth-3 families equal noncrossing and are independent; depth 4: {depth_four}"
 
 
-def check_sign_properties(
-    cases: int = 500,
-    seed: int = 2024,
-    exhaustive_n: int = 5,
-    panel_n: Sequence[int] = (6, 7, 8),
-    panel_size: int = 3,
-) -> CheckResult:
-    def run():
-        rng = random.Random(seed)
-        for _ in range(cases):
-            n = rng.randint(1, 8)
-            m = rng.randint(0, n)
-            I = tuple(sorted(rng.sample(range(1, n + 1), m)))
-            J = tuple(sorted(rng.sample(range(1, n + 1), m)))
-            matrix = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-            big = phi(matrix)
-            K = sorted(set(range(1, n + 1)) - set(I)) + [j + n for j in J]
-            direct = integer_determinant([[big[row][k - 1] for k in K] for row in range(n)])
-            sign, I2, J2 = delta_to_minor(K, n)
-            if (I2, J2) != (I, J):
-                return False, f"index split failed for K={K}"
-            value = sign * minor(I, J, n).evaluate(matrix)
-            if direct != value:
-                return False, f"translation sign failed for n={n}, I={I}, J={J}"
-        swap_checked = 0
-        arrangement_checked = 0
-        for r in (1, 2, 3):
-            panels: list[OrderedSetPartition] = []
-            for n in range(r, exhaustive_n + 1):
-                for d in range(1, n // r + 1):
-                    panels.extend(enumerate_ordered_partitions(n, d, r))
-            for n in panel_n:
-                for d in (2, 3):
-                    if n < r * d:
-                        continue
-                    pool = enumerate_ordered_partitions(n, d, r)
-                    panels.extend(pool[:panel_size])
-                    panels.append(pool[len(pool) // 2])
-            if r <= 2:
-                panels.append(RUNNING_PARTITION)
-            if r == 3:
-                panels.append(THREE_ROW_PARTITION)
-            for partition in panels:
-                d = partition.d
-                tableaux = enumerate_tableaux(partition, r)
-                for sigma in itertools.permutations(range(1, d + 1)):
-                    sgn = perm_sign(sigma) ** r
-                    for t in tableaux:
-                        if t.permute_columns(sigma).sign() != sgn * t.sign():
-                            return False, f"column-swap sign fails for {partition}, sigma={sigma}"
-                        swap_checked += 1
-                for t in tableaux[: max(1, len(tableaux) // 4)]:
-                    base = t.sign()
-                    orders_pool = [list(itertools.permutations(block)) for block in partition.blocks]
-                    total_arrangements = 1
-                    for p in orders_pool:
-                        total_arrangements *= len(p)
-                    if total_arrangements <= 64:
-                        chosen = itertools.product(*orders_pool)
-                    else:
-                        chosen = (
-                            tuple(rng.sample(block, len(block)) for block in partition.blocks)
-                            for _ in range(64)
-                        )
-                    for orders in chosen:
-                        if column_arrangement_sign(t, orders) != base:
-                            return False, f"column arrangement sign varies for {partition}"
-                        arrangement_checked += 1
-        return True, (
-            f"{cases} translation signs verified numerically; {swap_checked} column swaps and "
-            f"{arrangement_checked} within-column arrangements keep their signs"
-        )
-
-    return _timed("sign-properties", run)
+@_check("tensor-diagram-validation")
+def check_diagrams(n_max: int = 8) -> tuple[bool, str]:
+    built = 0
+    for r in DEPTHS:
+        for partition in partitions_up_to(n_max, r):
+            diagram = build_tensor_diagram(partition, r)
+            problems = validate(diagram)
+            if problems:
+                return False, f"{partition} at depth {r}: {problems[0]}"
+            ctx = FlamingoContext.from_partition(partition, r)
+            degrees = boundary_degrees(diagram)
+            d = partition.d
+            for v in range(1, r + 1):
+                if degrees[v] != 0:
+                    return False, f"boundary {v} should be unused for {partition}"
+            for v in ctx.tentacle_rows:
+                if degrees[v] != d - 1:
+                    return False, f"boundary {v} degree {degrees[v]} != d-1 for {partition}"
+            for v in ctx.tail_rows:
+                if degrees[v] != d:
+                    return False, f"boundary {v} degree {degrees[v]} != d for {partition}"
+            for v in range(partition.n + 1, 2 * partition.n + 1):
+                if degrees[v] != 1:
+                    return False, f"boundary {v} degree {degrees[v]} != 1 for {partition}"
+            built += 1
+    return True, f"{built} diagrams validate with the expected boundary profile"
 
 
-def rotation_orbit(partition: OrderedSetPartition) -> list[OrderedSetPartition]:
-    """Distinct canonical forms of the rotation iterates."""
-    seen = []
-    current = partition
-    for _ in range(partition.n):
-        canon = current.canonical()
-        if canon not in seen:
-            seen.append(canon)
-        current = rotate(current)
-    return seen
+@_check("sign-properties")
+def check_sign_properties(seed: int = 2024, exhaustive_n: int = 5) -> tuple[bool, str]:
+    rng = random.Random(seed)
+    for _ in range(500):
+        n = rng.randint(1, 8)
+        m = rng.randint(0, n)
+        I = tuple(sorted(rng.sample(range(1, n + 1), m)))
+        J = tuple(sorted(rng.sample(range(1, n + 1), m)))
+        matrix = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        big = phi(matrix)
+        K = sorted(set(range(1, n + 1)) - set(I)) + [j + n for j in J]
+        direct = integer_determinant([[big[row][k - 1] for k in K] for row in range(n)])
+        sign, I2, J2 = delta_to_minor(K, n)
+        if (I2, J2) != (I, J):
+            return False, f"index split failed for K={K}"
+        value = sign * minor(I, J, n).evaluate(matrix)
+        if direct != value:
+            return False, f"translation sign failed for n={n}, I={I}, J={J}"
+    swap_checked = 0
+    arrangement_checked = 0
+    for r in (1, 2, 3):
+        panels = list(partitions_up_to(exhaustive_n, r))
+        for n in (6, 7, 8):
+            for d in (2, 3):
+                if n < r * d:
+                    continue
+                pool = enumerate_ordered_partitions(n, d, r)
+                panels.extend(pool[:3])
+                panels.append(pool[len(pool) // 2])
+        if r <= 2:
+            panels.append(RUNNING_PARTITION)
+        if r == 3:
+            panels.append(THREE_ROW_PARTITION)
+        for partition in panels:
+            d = partition.d
+            tableaux = enumerate_tableaux(partition, r)
+            for sigma in itertools.permutations(range(1, d + 1)):
+                sgn = perm_sign(sigma) ** r
+                for t in tableaux:
+                    if t.permute_columns(sigma).sign() != sgn * t.sign():
+                        return False, f"column-swap sign fails for {partition}, sigma={sigma}"
+                    swap_checked += 1
+            for t in tableaux[: max(1, len(tableaux) // 4)]:
+                base = t.sign()
+                orders_pool = [list(itertools.permutations(block)) for block in partition.blocks]
+                if math.prod(len(p) for p in orders_pool) <= 64:
+                    chosen = itertools.product(*orders_pool)
+                else:
+                    chosen = (
+                        tuple(rng.sample(block, len(block)) for block in partition.blocks)
+                        for _ in range(64)
+                    )
+                for orders in chosen:
+                    if column_arrangement_sign(t, orders) != base:
+                        return False, f"column arrangement sign varies for {partition}"
+                    arrangement_checked += 1
+    return True, (
+        f"500 translation signs verified numerically; {swap_checked} column swaps and "
+        f"{arrangement_checked} within-column arrangements keep their signs"
+    )
 
 
 def battery(n_max: int, seed: int) -> list[tuple[str, Callable[[], CheckResult]]]:

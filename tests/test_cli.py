@@ -146,6 +146,18 @@ class TestDiagram:
         doc = json.loads(target.read_text())
         assert doc["n"] == 4
 
+    def test_missing_out_directory_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "d.dot"
+        code, out, err = run_cli(
+            capsys,
+            "diagram", "--partition", "1 2|3 4", "--r", "1",
+            "--format", "dot", "--out", str(target),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert not target.exists()
+
 
 class TestVerifyAll:
     def test_small_battery(self, capsys):
@@ -239,6 +251,12 @@ class TestEntryPoint:
             id="independence-orbit-block-below-r",
         ),
         ("orbit-rank", "--partition", "1 2|3", "--r", "2"),
+        ("conjecture", "--n", "4", "--d", "3", "--r", "3"),
+        pytest.param(
+            ("independence", "--family", "conjecture", "--n", "4", "--d", "3", "--r", "3"),
+            id="independence-conjecture-n-below-rd",
+        ),
+        ("verify-all", "--n-max", "2"),
     ],
     ids=lambda argv: argv[0],
 )

@@ -19,6 +19,9 @@ from flamingo.relations import (
     verify_recurrence,
     verify_three_term,
 )
+from flamingo.verification import _ordered_partitions_of
+
+from oracles import brute_ordered_partitions
 
 
 class TestRecurrence:
@@ -70,6 +73,19 @@ class TestRecurrence:
         if len(C) != r:
             return
         assert verify_recurrence([], A, B, C, r)
+
+    @pytest.mark.parametrize("min_size", [1, 2, 3])
+    def test_sweep_prefixes_are_every_ordered_partition_once(self, min_size):
+        # the recurrence sweep's prefixes over the leftover elements
+        elements = [2, 3, 5, 7, 8]
+        ours = list(_ordered_partitions_of(elements, min_size))
+        expected = [
+            [tuple(elements[x - 1] for x in block) for block in blocks]
+            for d in range(1, len(elements) + 1)
+            for blocks in brute_ordered_partitions(len(elements), d, min_size)
+        ]
+        assert sorted(ours) == sorted(expected)
+        assert list(_ordered_partitions_of([], min_size)) == [[]]
 
 
 class TestCrossingResolution:
