@@ -9,13 +9,14 @@ Randomized numeric spot checks accept --seed and default to a fixed one.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Sequence
 
 from . import verification
 from .diagrams import build_tensor_diagram, export
-from .grassmann import compare_up_to_sign, gc_jellyfish, phi_star, predicted_global_sign
+from .grassmann import predicted_global_sign, resolved_global_sign
 from .invariants import jellyfish_invariant
 from .partitions import OrderedSetPartition, enumerate_noncrossing, parse_partition, rotation_orbit
 from .relations import (
@@ -25,7 +26,7 @@ from .relations import (
     recurrence_terms,
     verify_recurrence,
 )
-from .specht import SpechtShape, exact_rank, hook_family, membership_test
+from .specht import SpechtShape, exact_rank, hook_basis, hook_family, membership_test
 from .tableaux import enumerate_tableaux
 
 
@@ -205,9 +206,7 @@ def cmd_specht_check(args) -> int:
 
 def cmd_gc_compare(args) -> int:
     partition = _filled(_partition(args.partition), args.r)
-    sign = compare_up_to_sign(
-        phi_star(gc_jellyfish(partition, args.r)), jellyfish_invariant(partition, args.r)
-    )
+    sign = resolved_global_sign(partition, args.r)
     predicted = predicted_global_sign(partition, args.r)
     if args.json:
         print(json.dumps({"sign": sign, "predicted": predicted}))
@@ -237,33 +236,16 @@ def cmd_diagram(args) -> int:
 
 
 def cmd_hook_basis(args) -> int:
-    from math import comb
-
     _hook_sizes(args.n, args.d)
-    family = hook_family(args.n, args.d)
-    shape = SpechtShape(args.n, args.d, 1)
-    invariants = [jellyfish_invariant(p, 1) for p in family]
-    profile = exact_rank(invariants)
-    dim = shape.dimension()
-    members = all(membership_test(q, shape) for q in invariants)
-    ok = profile.rank == dim == comb(args.n - 1, args.d - 1) and members
+    report = hook_basis(args.n, args.d)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "n": args.n,
-                    "d": args.d,
-                    "family": len(family),
-                    "rank": profile.rank,
-                    "dimension": dim,
-                    "members": members,
-                    "basis": ok,
-                }
-            )
-        )
+        print(json.dumps({**dataclasses.asdict(report), "basis": report.basis}))
     else:
-        print(f"family={len(family)} rank={profile.rank} dimension={dim} basis={'true' if ok else 'false'}")
-    return 0 if ok else 1
+        print(
+            f"family={report.family} rank={report.rank} dimension={report.dimension} "
+            f"basis={'true' if report.basis else 'false'}"
+        )
+    return 0 if report.basis else 1
 
 
 def cmd_conjecture(args) -> int:

@@ -20,13 +20,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+from .invariants import jellyfish_invariant
 from .partitions import FlamingoContext, OrderedSetPartition, word_inversions
 from .polynomials import (
     MatrixPolynomial,
     add_minor_product,
     column_scatter,
     extend_minor_product,
-    integer_determinant,
 )
 from .tableaux import top_justified_tableau
 
@@ -233,22 +233,6 @@ class PlueckerExpression:
             and self.terms == other.terms
         )
 
-    def evaluate(self, matrix: Sequence[Sequence[int]]) -> int:
-        """Value on an n x 2n integer matrix, each factor a column-submatrix
-        determinant."""
-        if len(matrix) != self.n or any(len(row) != 2 * self.n for row in matrix):
-            raise ValueError(f"need an {self.n} x {2 * self.n} matrix")
-        total = 0
-        for factors, c in self.terms.items():
-            value = c
-            for K in factors:
-                sub = [[matrix[i][k - 1] for k in K] for i in range(self.n)]
-                value *= integer_determinant(sub)
-                if value == 0:
-                    break
-            total += value
-        return total
-
 
 def gc_jellyfish(partition: OrderedSetPartition, r: int) -> PlueckerExpression:
     """Fully expanded cap-and-wedge realization of the invariant: cap the
@@ -327,8 +311,6 @@ def predicted_global_sign(partition: OrderedSetPartition, r: int) -> int:
 def resolved_global_sign(partition: OrderedSetPartition, r: int) -> int | None:
     """The actual sign with phi_star(gc_jellyfish) = sign * invariant, or
     None if the two disagree beyond sign (never observed)."""
-    from .invariants import jellyfish_invariant
-
     return compare_up_to_sign(
         phi_star(gc_jellyfish(partition, r)), jellyfish_invariant(partition, r)
     )

@@ -1,5 +1,8 @@
 """Ordered set partitions of [n], crossing tests, and symmetric group actions.
 
+Every enumeration of set partitions in the package goes through the one
+recursion :func:`block_tuples`.
+
 Conventions used throughout the package:
 
 * Ground sets are ``[n] = {1, 2, ..., n}``.
@@ -14,7 +17,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class BlockTooSmall(ValueError):
@@ -176,6 +179,45 @@ def parse_partition(text: str) -> OrderedSetPartition:
     return OrderedSetPartition.from_blocks(blocks)
 
 
+def block_tuples(
+    elements: Sequence[int], d: int, r: int, canonical: bool = False
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Yield the blocks of every ordered partition of the increasing
+    ``elements`` into d blocks of size at least r, in lexicographic order of
+    the block-assignment word; nothing when there are fewer than r * d
+    elements.  A generator, so no list of every partition is held.
+
+    With ``canonical`` an element may open only the first empty block, so
+    each set partition appears once, with its blocks ascending by minimum.
+    """
+    if len(elements) < r * d:
+        return
+    blocks: list[list[int]] = [[] for _ in range(d)]
+    size = len(elements)
+
+    def rec(i: int, deficit: int, reach: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+        # deficit: elements still owed to blocks below size r.  The element
+        # at i may join blocks[:reach]: all d blocks when ordered, else the
+        # nonempty ones and the first empty one.
+        e = elements[i]
+        remaining = size - i - 1
+        for b in range(reach):
+            block = blocks[b]
+            left = deficit - (len(block) < r)
+            if left <= remaining:
+                block.append(e)
+                if remaining:
+                    yield from rec(i + 1, left, reach + (b + 1 == reach < d))
+                else:
+                    yield tuple(map(tuple, blocks))
+                block.pop()
+
+    if size:
+        yield from rec(0, r * d, min(d, 1) if canonical else d)
+    else:
+        yield ()  # no elements: one partition, into d = 0 blocks
+
+
 def enumerate_ordered_partitions(n: int, d: int, r: int) -> list[OrderedSetPartition]:
     """All ordered set partitions of [n] into d blocks of size at least r.
 
@@ -184,26 +226,7 @@ def enumerate_ordered_partitions(n: int, d: int, r: int) -> list[OrderedSetParti
     """
     if n < 1 or d < 1 or r < 1:
         raise ValueError("n, d, r must all be at least 1")
-    if n < r * d:
-        return []
-    out: list[OrderedSetPartition] = []
-    blocks: list[list[int]] = [[] for _ in range(d)]
-
-    def rec(e: int, deficit: int) -> None:
-        if e > n:
-            out.append(OrderedSetPartition(n, tuple(tuple(b) for b in blocks)))
-            return
-        remaining = n - e
-        for b in range(d):
-            need = max(0, r - len(blocks[b]))
-            new_deficit = deficit - (1 if need > 0 else 0)
-            if new_deficit <= remaining:
-                blocks[b].append(e)
-                rec(e + 1, new_deficit)
-                blocks[b].pop()
-
-    rec(1, r * d)
-    return out
+    return [OrderedSetPartition(n, blocks) for blocks in block_tuples(range(1, n + 1), d, r)]
 
 
 def enumerate_unordered_partitions(n: int, d: int, r: int) -> list[OrderedSetPartition]:
@@ -211,38 +234,18 @@ def enumerate_unordered_partitions(n: int, d: int, r: int) -> list[OrderedSetPar
     representative each (blocks ascending by minimum)."""
     if n < 1 or d < 1 or r < 1:
         raise ValueError("n, d, r must all be at least 1")
-    if n < r * d:
-        return []
-    out: list[OrderedSetPartition] = []
-    blocks: list[list[int]] = []
+    return [
+        OrderedSetPartition(n, blocks)
+        for blocks in block_tuples(range(1, n + 1), d, r, canonical=True)
+    ]
 
-    def demand() -> int:
-        # elements still required to bring every block (existing and unopened)
-        # up to size r
-        return sum(max(0, r - len(b)) for b in blocks) + (d - len(blocks)) * r
 
-    def rec(e: int) -> None:
-        if e > n:
-            if len(blocks) == d and demand() == 0:
-                out.append(OrderedSetPartition(n, tuple(tuple(b) for b in blocks)))
-            return
-        remaining = n - e + 1
-        # element e either joins an existing block ...
-        for b in blocks:
-            b.append(e)
-            if demand() <= remaining - 1:
-                rec(e + 1)
-            b.pop()
-        # ... or opens a new block with e as its minimum, which keeps the
-        # blocks ordered by minima automatically
-        if len(blocks) < d:
-            blocks.append([e])
-            if demand() <= remaining - 1:
-                rec(e + 1)
-            blocks.pop()
-
-    rec(1)
-    return out
+def partitions_up_to(n_max: int, r: int) -> Iterator[OrderedSetPartition]:
+    """Every ordered partition of [n] into blocks of size at least r, for
+    n = r .. n_max, by n and then by the number of blocks."""
+    for n in range(max(r, 1), n_max + 1):
+        for d in range(1, n // r + 1):
+            yield from enumerate_ordered_partitions(n, d, r)
 
 
 def _blocks_cross(x: Sequence[int], y: Sequence[int]) -> bool:

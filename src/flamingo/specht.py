@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .partitions import OrderedSetPartition
+from .invariants import jellyfish_invariant
+from .partitions import OrderedSetPartition, enumerate_unordered_partitions
 from .polynomials import MatrixPolynomial, Monomial, minor, monomial_key
 
 
@@ -74,47 +75,17 @@ class SpechtShape:
         return syt_count(self.lam)
 
 
-def _column_set_tuples(n: int, sizes: Sequence[int]) -> list[tuple[tuple[int, ...], ...]]:
-    """Partitions of [n] into sets of the given sizes; tuples of equal-size
-    sets are canonicalized by requiring increasing minima within a size run."""
-    out: list[tuple[tuple[int, ...], ...]] = []
-
-    def rec(chosen: list[tuple[int, ...]], remaining: tuple[int, ...]) -> None:
-        if len(chosen) == len(sizes):
-            out.append(tuple(chosen))
-            return
-        i = len(chosen)
-        size = sizes[i]
-        pool = remaining
-        if i > 0 and sizes[i - 1] == size:
-            # same size class: fix the smallest remaining element into this
-            # set so equal-size sets appear once, in order of their minima
-            first = pool[0]
-            for rest in itertools.combinations(pool[1:], size - 1):
-                block = (first,) + rest
-                chosen.append(block)
-                rec(chosen, tuple(x for x in pool if x not in block))
-                chosen.pop()
-        else:
-            for block in itertools.combinations(pool, size):
-                chosen.append(block)
-                rec(chosen, tuple(x for x in pool if x not in block))
-                chosen.pop()
-
-    rec([], tuple(range(1, n + 1)))
-    return out
-
-
 def spanning_set(shape: SpechtShape) -> list[MatrixPolynomial]:
-    """Products of top-justified minors over all column-set tuples of sizes
-    mu, equal-size classes deduplicated."""
-    sizes = shape.mu
+    """Products of top-justified minors, one per set partition of [n] into
+    blocks of sizes mu: the partitions into d blocks of size at least r whose
+    largest block has nu elements (every other block then has r)."""
     gens = []
-    for sets in _column_set_tuples(shape.n, sizes):
-        poly = MatrixPolynomial.one(shape.n)
-        for size, cols in zip(sizes, sets):
-            poly = poly * minor(range(1, size + 1), cols, shape.n)
-        gens.append(poly)
+    for partition in enumerate_unordered_partitions(shape.n, shape.d, shape.r):
+        if max(partition.block_sizes()) == shape.nu:
+            poly = MatrixPolynomial.one(shape.n)
+            for cols in partition.blocks:
+                poly = poly * minor(range(1, len(cols) + 1), cols, shape.n)
+            gens.append(poly)
     return gens
 
 
@@ -191,7 +162,6 @@ class SpanChecker:
 @dataclass(frozen=True)
 class RankProfile:
     rows: int
-    cols: int
     rank: int
     pivot_monomials: tuple[Monomial, ...]
 
@@ -199,13 +169,9 @@ class RankProfile:
 def exact_rank(polys: Sequence[MatrixPolynomial]) -> RankProfile:
     """Rank over the rationals of the coefficient matrix whose rows are the
     polynomials and whose columns are their monomials in term order."""
-    universe: set[Monomial] = set()
-    checker = SpanChecker()
-    for p in polys:
-        universe.update(p.terms)
-        checker.insert(p)
+    checker = SpanChecker(polys)
     pivots = tuple(sorted(checker.pivots, key=monomial_key, reverse=True))
-    return RankProfile(len(polys), len(universe), checker.rank, pivots)
+    return RankProfile(len(polys), checker.rank, pivots)
 
 
 @lru_cache(maxsize=64)
@@ -238,18 +204,35 @@ def hook_family(n: int, d: int) -> list[OrderedSetPartition]:
     return out
 
 
-def verify_hook_basis(n: int, d: int) -> bool:
-    """Check that the interval-partition invariants at depth 1 form a basis:
-    full rank C(n-1, d-1) equal to the module dimension, every member inside
-    the module."""
-    from .invariants import jellyfish_invariant
+@dataclass(frozen=True)
+class HookBasis:
+    """The depth-1 invariants of ``hook_family(n, d)`` measured against the
+    module of shape (d, 1^(n-d)): family size, exact rank, module dimension,
+    and whether every member lies inside the module."""
 
+    n: int
+    d: int
+    family: int
+    rank: int
+    dimension: int
+    members: bool
+
+    @property
+    def basis(self) -> bool:
+        """Full rank C(n-1, d-1) equal to the module dimension, every member inside."""
+        expected = math.comb(self.n - 1, self.d - 1)
+        return self.family == self.rank == self.dimension == expected and self.members
+
+
+def hook_basis(n: int, d: int) -> HookBasis:
     shape = SpechtShape(n, d, 1)
-    family = hook_family(n, d)
-    expected = math.comb(n - 1, d - 1)
-    if len(family) != expected or shape.dimension() != expected:
-        return False
-    invariants = [jellyfish_invariant(p, 1) for p in family]
-    if exact_rank(invariants).rank != expected:
-        return False
-    return all(membership_test(q, shape) for q in invariants)
+    invariants = [jellyfish_invariant(p, 1) for p in hook_family(n, d)]
+    rank = exact_rank(invariants).rank
+    members = all(membership_test(q, shape) for q in invariants)
+    return HookBasis(n, d, len(invariants), rank, shape.dimension(), members)
+
+
+def verify_hook_basis(n: int, d: int) -> bool:
+    """Check that the interval-partition invariants at depth 1 form a basis
+    of their module."""
+    return hook_basis(n, d).basis

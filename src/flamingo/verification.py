@@ -20,6 +20,7 @@ from typing import Callable, Iterator, Sequence
 from .diagrams import boundary_degrees, build_tensor_diagram, validate
 from .grassmann import (
     PlueckerExpression,
+    delta_index_set,
     delta_to_minor,
     gc_jellyfish,
     phi,
@@ -30,10 +31,12 @@ from .invariants import jellyfish_invariant, verify_equivariance
 from .partitions import (
     FlamingoContext,
     OrderedSetPartition,
+    block_tuples,
     enumerate_noncrossing,
     enumerate_ordered_partitions,
     long_cycle,
     longest_permutation,
+    partitions_up_to,
     perm_sign,
     rotation_orbit,
     simple_transposition,
@@ -127,12 +130,6 @@ def signed_minor_expansion(
     return total
 
 
-def partitions_up_to(n_max: int, r: int) -> Iterator[OrderedSetPartition]:
-    for n in range(max(r, 1), n_max + 1):
-        for d in range(1, n // r + 1):
-            yield from enumerate_ordered_partitions(n, d, r)
-
-
 # -- the thirteen checks ----------------------------------------------------
 
 
@@ -198,11 +195,7 @@ def _running_example_term_bijection() -> str | None:
         return f"{len(gc.terms)} gc terms for {len(tableaux)} tableaux"
     emitted: list[int] = []
     for factors, coeff in gc.terms.items():
-        rows_by_block: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for K in factors:
-            block = tuple(j - n for j in K if j > n)
-            inside = {j for j in K if j <= n}
-            rows_by_block[block] = tuple(x for x in range(1, n + 1) if x not in inside)
+        rows_by_block = {J: I for _, I, J in (delta_to_minor(K, n) for K in factors)}
         cols = tuple(rows_by_block.get(b, ()) for b in partition.blocks)
         pos = by_rows.get(cols)
         if pos is None:
@@ -264,12 +257,9 @@ def _abc_instances(n: int, r: int, prefix_min: int) -> Iterator[tuple[list, set,
 def _ordered_partitions_of(elements: list[int], min_size: int) -> Iterator[list[tuple[int, ...]]]:
     """Ordered partitions of the sorted ``elements`` into blocks of size
     >= min_size; the empty list has one, with no blocks."""
-    if not elements:
-        yield []
-        return
-    for d in range(1, len(elements) // min_size + 1):
-        for partition in enumerate_ordered_partitions(len(elements), d, min_size):
-            yield [tuple(elements[x - 1] for x in block) for block in partition.blocks]
+    for d in range(len(elements) // min_size + 1):
+        for blocks in block_tuples(elements, d, min_size):
+            yield list(blocks)
 
 
 @_check("recurrence-identities")
@@ -391,7 +381,7 @@ def check_conjecture(n_max: int = 8) -> tuple[bool, str]:
             if size != rank:
                 return False, f"depth-3 dependence at (n,d)=({n},{d}): {size} vs rank {rank}"
             agree += 1
-    depth_four = ""
+    depth_four = "not run at this --n-max"
     n, d = 8, 2
     if n <= n_max:
         size, rank = conjecture_report(n, d, 4)
@@ -439,7 +429,7 @@ def check_sign_properties(seed: int = 2024, exhaustive_n: int = 5) -> tuple[bool
         J = tuple(sorted(rng.sample(range(1, n + 1), m)))
         matrix = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
         big = phi(matrix)
-        K = sorted(set(range(1, n + 1)) - set(I)) + [j + n for j in J]
+        K = delta_index_set(I, J, n)
         direct = integer_determinant([[big[row][k - 1] for k in K] for row in range(n)])
         sign, I2, J2 = delta_to_minor(K, n)
         if (I2, J2) != (I, J):

@@ -1,5 +1,6 @@
-"""Static checks over the package source: every imported name is used, and
-no check rests on ``assert`` (which ``python -O`` strips)."""
+"""Static checks over the package source: every imported name is used,
+every import sits at the top of its module, and no check rests on
+``assert`` (which ``python -O`` strips)."""
 
 import ast
 import pathlib
@@ -56,4 +57,16 @@ def test_every_import_is_used(path):
 def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_function_local_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    top = {id(node) for node in tree.body}
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+    ]
     assert lines == []

@@ -100,10 +100,14 @@ class TestEnumeration:
     def test_empty_when_too_small(self):
         assert enumerate_ordered_partitions(3, 2, 2) == []
 
-    def test_unordered_are_canonical_and_complete(self):
-        unordered = enumerate_unordered_partitions(6, 2, 2)
+    @pytest.mark.parametrize(
+        "n,d,r",
+        [(n, d, r) for n in range(1, 8) for d in range(1, n + 1) for r in (1, 2, 3)],
+    )
+    def test_unordered_are_canonical_and_complete(self, n, d, r):
+        unordered = enumerate_unordered_partitions(n, d, r)
         assert all(p.canonical() == p for p in unordered)
-        ordered = {p.canonical() for p in enumerate_ordered_partitions(6, 2, 2)}
+        ordered = {p.canonical() for p in enumerate_ordered_partitions(n, d, r)}
         assert set(unordered) == ordered
         assert len(unordered) == len(ordered)
 

@@ -19,7 +19,7 @@ from flamingo.relations import (
     verify_recurrence,
     verify_three_term,
 )
-from flamingo.verification import _ordered_partitions_of
+from flamingo.verification import _ordered_partitions_of, check_conjecture
 
 from oracles import brute_ordered_partitions
 
@@ -155,3 +155,8 @@ class TestConjecture:
     def test_depth_four_rank_matches(self):
         size, rank = conjecture_report(8, 2, 4)
         assert size == rank == 11
+
+    def test_check_says_when_depth_four_is_not_run(self):
+        result = check_conjecture(n_max=6)
+        assert result.ok
+        assert result.detail.endswith("depth 4: not run at this --n-max")

@@ -120,6 +120,11 @@ class TestSpanningSet:
         for poly in spanning_set(shape):
             assert poly.n == 4
 
+    def test_each_product_appears_once(self):
+        gens = spanning_set(SpechtShape(7, 3, 2))
+        assert len(gens) == 105
+        assert len({frozenset(p.terms.items()) for p in gens}) == 105
+
     def test_spanning_rank_equals_dimension_small(self):
         for n, d, r in [(4, 2, 1), (4, 2, 2), (5, 2, 2), (6, 3, 1), (6, 2, 3)]:
             shape = SpechtShape(n, d, r)
