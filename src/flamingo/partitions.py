@@ -122,6 +122,16 @@ class OrderedSetPartition:
             raise ValueError(f"blocks do not cover [n]; missing {missing}")
 
     @classmethod
+    def _trusted(cls, n: int, blocks: tuple[tuple[int, ...], ...]) -> "OrderedSetPartition":
+        """Adopt ``blocks`` without the checks of ``__post_init__``.  The
+        caller guarantees them: nonempty sorted blocks of ints in [1, n],
+        pairwise disjoint and covering [n]."""
+        self = cls.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "blocks", blocks)
+        return self
+
+    @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]], n: int | None = None) -> "OrderedSetPartition":
         tidy = tuple(tuple(sorted(block)) for block in blocks)
         size = sum(len(b) for b in tidy)
@@ -226,7 +236,9 @@ def enumerate_ordered_partitions(n: int, d: int, r: int) -> list[OrderedSetParti
     """
     if n < 1 or d < 1 or r < 1:
         raise ValueError("n, d, r must all be at least 1")
-    return [OrderedSetPartition(n, blocks) for blocks in block_tuples(range(1, n + 1), d, r)]
+    return [
+        OrderedSetPartition._trusted(n, blocks) for blocks in block_tuples(range(1, n + 1), d, r)
+    ]
 
 
 def enumerate_unordered_partitions(n: int, d: int, r: int) -> list[OrderedSetPartition]:
@@ -235,7 +247,7 @@ def enumerate_unordered_partitions(n: int, d: int, r: int) -> list[OrderedSetPar
     if n < 1 or d < 1 or r < 1:
         raise ValueError("n, d, r must all be at least 1")
     return [
-        OrderedSetPartition(n, blocks)
+        OrderedSetPartition._trusted(n, blocks)
         for blocks in block_tuples(range(1, n + 1), d, r, canonical=True)
     ]
 

@@ -5,9 +5,11 @@ mu = (nu, r^(d-1)) with nu = n - (d-1)r.  The module is realized inside the
 polynomial ring in matrix entries as the span of products of top-justified
 minors, one minor per column set, with column-set sizes given by mu.
 
-All linear algebra is exact: integer coefficient rows, fraction-free
-cross-multiplication pivoting with gcd cleanup, monomial columns ordered
-by the custom term order so pivot monomials are leading monomials.
+All linear algebra is exact: a reduced row echelon of integer rows, kept
+by fraction-free cross-multiplication with gcd cleanup, over monomial
+columns in the custom term order.  Each pivot monomial leads its own row
+and occurs in no other, so membership is one pass over the pivots a
+polynomial touches, with no leading-term search.
 """
 
 from __future__ import annotations
@@ -103,11 +105,25 @@ def _gcd_normalize(terms: dict[Monomial, int]) -> dict[Monomial, int]:
     return terms
 
 
-class SpanChecker:
-    """Incremental integer row echelon keyed by leading monomial.
+def _subtract(terms: dict[Monomial, int], factor: int, row: dict[Monomial, int]) -> None:
+    """terms -= factor * row in place, dropping cancelled monomials."""
+    for m, c in row.items():
+        value = terms.get(m, 0) - factor * c
+        if value:
+            terms[m] = value
+        else:
+            del terms[m]
 
-    Rows are reduced with exact cross-multiplication (no divisions beyond
-    a gcd cleanup), so membership and rank are exact over the rationals.
+
+class SpanChecker:
+    """Incremental reduced integer row echelon, one row per pivot monomial.
+
+    Each row has gcd 1 and its pivot as leading monomial, and every pivot
+    occurs in its own row only.  So the pivot coefficients of a polynomial p
+    name exactly the rows to subtract: with L the lcm of those rows' pivot
+    coefficients a_m, ``L*p - sum (L/a_m) p[m] row_m`` holds no pivot
+    monomial, and it is empty exactly when p lies in the span.  Membership
+    is that one pass; rank and membership are exact over the rationals.
     """
 
     def __init__(self, polys: Iterable[MatrixPolynomial] = ()):  # noqa: D401
@@ -120,26 +136,15 @@ class SpanChecker:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def _reduce(self, terms: dict[Monomial, int]) -> dict[Monomial, int]:
-        while terms:
-            lead = max(terms, key=monomial_key)
-            row = self.pivots.get(lead)
-            if row is None:
-                return terms
-            a = row[lead]
-            b = terms[lead]
-            new = {}
-            for m, c in terms.items():
-                value = a * c - b * row.get(m, 0)
-                if value:
-                    new[m] = value
-            for m, c in row.items():
-                if m not in terms:
-                    value = -b * c
-                    if value:
-                        new[m] = value
-            terms = _gcd_normalize(new)
-        return terms
+    def _residue(self, terms: dict[Monomial, int]) -> dict[Monomial, int]:
+        pivots = self.pivots
+        touched = [(m, c) for m, c in terms.items() if m in pivots]
+        scale = math.lcm(*(pivots[m][m] for m, _ in touched))
+        out = {m: scale * c for m, c in terms.items()}
+        for m, c in touched:
+            row = pivots[m]
+            _subtract(out, scale // row[m] * c, row)
+        return out
 
     def insert(self, p: MatrixPolynomial) -> bool:
         """Add a polynomial to the span; True when it increased the rank."""
@@ -147,16 +152,26 @@ class SpanChecker:
             self.n = p.n
         elif self.n != p.n:
             raise ValueError("mixed column counts")
-        residue = self._reduce(_gcd_normalize(dict(p.terms)))
+        residue = _gcd_normalize(self._residue(p.terms))
         if not residue:
             return False
-        self.pivots[max(residue, key=monomial_key)] = residue
+        lead = max(residue, key=monomial_key)
+        a = residue[lead]
+        # Every monomial of the residue lies below each pivot whose row holds
+        # ``lead``, so clearing ``lead`` there keeps each row's leading term.
+        for m, row in self.pivots.items():
+            b = row.get(lead)
+            if b:
+                new = {mono: a * c for mono, c in row.items()}
+                _subtract(new, b, residue)
+                self.pivots[m] = _gcd_normalize(new)
+        self.pivots[lead] = residue
         return True
 
     def contains(self, p: MatrixPolynomial) -> bool:
         if self.n is not None and p.n != self.n:
             raise ValueError("mixed column counts")
-        return not self._reduce(_gcd_normalize(dict(p.terms)))
+        return not self._residue(p.terms)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd
+
+from flamingo.polynomials import monomial_key
 
 
 def det_leibniz(matrix: list[list[int]]) -> int:
@@ -96,6 +98,60 @@ def rational_rank(polys) -> int:
         if rank == len(rows):
             break
     return rank
+
+
+class LeadingTermSpan:
+    """Row echelon keyed by leading monomial, reduced by leading terms only.
+
+    The span checker the package used before it kept its echelon reduced:
+    every reduction step rescans the remaining terms for the leading one.
+    Kept as the reference for membership and rank.
+    """
+
+    def __init__(self, polys=()):
+        self.pivots: dict = {}
+        for p in polys:
+            self.insert(p)
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    @staticmethod
+    def _gcd_normalize(terms: dict) -> dict:
+        g = 0
+        for c in terms.values():
+            g = gcd(g, c)
+        return {m: c // g for m, c in terms.items()} if g > 1 else terms
+
+    def _reduce(self, terms: dict) -> dict:
+        while terms:
+            lead = max(terms, key=monomial_key)
+            row = self.pivots.get(lead)
+            if row is None:
+                return terms
+            a = row[lead]
+            b = terms[lead]
+            new = {}
+            for m, c in terms.items():
+                value = a * c - b * row.get(m, 0)
+                if value:
+                    new[m] = value
+            for m, c in row.items():
+                if m not in terms:
+                    new[m] = -b * c
+            terms = self._gcd_normalize(new)
+        return terms
+
+    def insert(self, p) -> bool:
+        residue = self._reduce(self._gcd_normalize(dict(p.terms)))
+        if not residue:
+            return False
+        self.pivots[max(residue, key=monomial_key)] = residue
+        return True
+
+    def contains(self, p) -> bool:
+        return not self._reduce(self._gcd_normalize(dict(p.terms)))
 
 
 def random_int_matrix(rng, height: int, width: int, lo: int = -4, hi: int = 4):

@@ -100,6 +100,18 @@ class TestEnumeration:
     def test_empty_when_too_small(self):
         assert enumerate_ordered_partitions(3, 2, 2) == []
 
+    def test_enumerators_build_valid_partitions(self):
+        # The enumerators skip validation; every partition must survive it.
+        for n in range(1, 8):
+            for d in range(1, n + 1):
+                for r in (1, 2, 3):
+                    for enumerate_partitions in (
+                        enumerate_ordered_partitions,
+                        enumerate_unordered_partitions,
+                    ):
+                        built = enumerate_partitions(n, d, r)
+                        assert built == [OrderedSetPartition(p.n, p.blocks) for p in built]
+
     @pytest.mark.parametrize(
         "n,d,r",
         [(n, d, r) for n in range(1, 8) for d in range(1, n + 1) for r in (1, 2, 3)],

@@ -1,10 +1,13 @@
+import copy
+import math
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flamingo.invariants import jellyfish_invariant
-from flamingo.partitions import enumerate_noncrossing, parse_partition
-from flamingo.polynomials import MatrixPolynomial, minor
+from flamingo.partitions import enumerate_noncrossing, enumerate_ordered_partitions, parse_partition
+from flamingo.polynomials import MatrixPolynomial, minor, monomial_key
 from flamingo.specht import (
     RankProfile,
     SpanChecker,
@@ -19,7 +22,7 @@ from flamingo.specht import (
     verify_hook_basis,
 )
 
-from oracles import rational_rank, syt_count_by_corners
+from oracles import LeadingTermSpan, rational_rank, syt_count_by_corners
 
 
 class TestShapes:
@@ -167,3 +170,73 @@ class TestHookBasis:
     @pytest.mark.parametrize("n,d", [(4, 2), (5, 2), (5, 3), (6, 3), (7, 4)])
     def test_basis_verified(self, n, d):
         assert verify_hook_basis(n, d)
+
+
+SHAPES_UP_TO_6 = [
+    SpechtShape(n, d, r) for n in range(1, 7) for r in (1, 2, 3) for d in range(1, n // r + 1)
+]
+
+
+def _perturbed(p: MatrixPolynomial) -> MatrixPolynomial:
+    """p with its first coefficient raised by one."""
+    terms = dict(p.terms)
+    terms[next(iter(terms))] += 1
+    return MatrixPolynomial(p.n, terms)
+
+
+class TestReducedEchelon:
+    @pytest.mark.parametrize("shape", SHAPES_UP_TO_6, ids=lambda s: f"{s.n}-{s.d}-{s.r}")
+    def test_membership_matches_references(self, shape):
+        """Every invariant of the shape and a perturbed copy of each: the
+        same verdict as the leading-term echelon, and, once per invariant up
+        to sign, as the rank over the rationals."""
+        gens = spanning_set(shape)
+        reference = LeadingTermSpan(gens)
+        rank = spanning_rank(shape)
+        assert rank == reference.rank == shape.dimension()
+        up_to_sign = {}
+        for partition in enumerate_ordered_partitions(shape.n, shape.d, shape.r):
+            invariant = jellyfish_invariant(partition, shape.r)
+            for p in (invariant, _perturbed(invariant)):
+                assert membership_test(p, shape) == reference.contains(p)
+            if frozenset((m, -c) for m, c in invariant.terms.items()) not in up_to_sign:
+                up_to_sign.setdefault(frozenset(invariant.terms.items()), invariant)
+        for invariant in up_to_sign.values():
+            for p in (invariant, _perturbed(invariant)):
+                assert membership_test(p, shape) == (rational_rank(gens + [p]) == rank)
+
+    def test_reduced_form_under_random_inserts(self):
+        """After every insert: each pivot occurs in its own row only and
+        leads it, the rank is the rational rank, and contains(q) holds
+        exactly when inserting q would leave the rank unchanged.  Non-unit
+        coefficients make some pivot coefficient exceed 1, so the lcm D of
+        the pivot coefficients exceeds 1 in at least one run."""
+        monomials = st.tuples(*[st.integers(min_value=0, max_value=2)] * 3)
+        coefficients = st.integers(min_value=-4, max_value=4).filter(bool)
+        polys = st.builds(
+            lambda terms: MatrixPolynomial(3, terms),
+            st.dictionaries(monomials, coefficients, max_size=5),
+        )
+        largest_d = []
+
+        @settings(derandomize=True, max_examples=100)
+        @given(st.lists(st.tuples(polys, polys), min_size=1, max_size=8))
+        def run(steps):
+            checker = SpanChecker()
+            inserted = []
+            for p, noise in steps:
+                checker.insert(p)
+                inserted.append(p)
+                for m, row in checker.pivots.items():
+                    assert max(row, key=monomial_key) == m
+                    assert not any(other in row for other in checker.pivots if other != m)
+                assert checker.rank == rational_rank(inserted)
+                member = sum(inserted[1:], inserted[0] * 3)
+                for q in (member, member + noise):
+                    trial = copy.deepcopy(checker)
+                    assert checker.contains(q) == (not trial.insert(q))
+                    assert checker.contains(q) == (rational_rank(inserted + [q]) == checker.rank)
+            largest_d.append(math.lcm(*(row[m] for m, row in checker.pivots.items())))
+
+        run()
+        assert max(largest_d) > 1
