@@ -24,6 +24,7 @@ from .invariants import jellyfish_invariant
 from .partitions import FlamingoContext, OrderedSetPartition, word_inversions
 from .polynomials import (
     MatrixPolynomial,
+    add_into,
     add_minor_product,
     column_scatter,
     extend_minor_product,
@@ -136,12 +137,7 @@ class Extensor:
 
     def __add__(self, other: "Extensor") -> "Extensor":
         terms = dict(self.terms)
-        for key, c in other.terms.items():
-            new = terms.get(key, 0) + c
-            if new:
-                terms[key] = new
-            else:
-                terms.pop(key, None)
+        add_into(terms, other.terms)
         return Extensor(terms)
 
     def scale(self, c: int) -> "Extensor":
@@ -250,14 +246,12 @@ def gc_jellyfish(partition: OrderedSetPartition, r: int) -> PlueckerExpression:
         piece = cap(v_S, Extensor.basis(E + blocks_shifted[i]), n)
         result = result.wedge(piece)
     result = result.wedge(Extensor.basis(E + blocks_shifted[-1]))
-    expr = PlueckerExpression(n)
+    terms: dict = {}
     for (idx, factors), c in result.terms.items():
         if len(idx) != n:
             raise ValueError("closing wedge did not reach top degree")
-        all_factors = tuple(sorted(factors + (idx,)))
-        expr.terms[all_factors] = expr.terms.get(all_factors, 0) + c
-    expr.terms = {fac: c for fac, c in expr.terms.items() if c}
-    return expr
+        add_into(terms, {tuple(sorted(factors + (idx,))): c})
+    return PlueckerExpression(n, terms)
 
 
 def phi_star(expr: PlueckerExpression) -> MatrixPolynomial:

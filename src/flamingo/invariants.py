@@ -39,7 +39,7 @@ from .partitions import (
     permute_blocks,
     word_inversions,
 )
-from .polynomials import MatrixPolynomial, add_minor_product, column_scatter, extend_minor_product
+from .polynomials import MatrixPolynomial, add_into, add_minor_product, column_scatter, extend_minor_product
 
 
 @lru_cache(maxsize=16384)
@@ -87,9 +87,10 @@ def act_on_polynomial(w: Sequence[int], p: MatrixPolynomial) -> MatrixPolynomial
 
 def verify_equivariance(w: Sequence[int], partition: OrderedSetPartition, r: int) -> bool:
     """Check w . [pi]_r == sgn(w) [w . pi]_r exactly."""
-    lhs = act_on_polynomial(w, jellyfish_invariant(partition, r))
-    rhs = jellyfish_invariant(act_elements(w, partition), r) * perm_sign(w)
-    return lhs == rhs
+    # substitute_columns returns a fresh dict, so it is ours to change
+    acc = act_on_polynomial(w, jellyfish_invariant(partition, r)).terms
+    add_into(acc, jellyfish_invariant(act_elements(w, partition), r).terms, -perm_sign(w))
+    return not acc
 
 
 def verify_rotation(partition: OrderedSetPartition, r: int) -> bool:
@@ -106,10 +107,10 @@ def verify_reflection(partition: OrderedSetPartition, r: int) -> bool:
 
 def verify_block_reorder(sigma: Sequence[int], partition: OrderedSetPartition, r: int) -> bool:
     """Check [pi]_r == sgn(sigma)^r [sigma(pi)]_r exactly."""
-    lhs = jellyfish_invariant(partition, r)
+    acc = dict(jellyfish_invariant(partition, r).terms)
     sign = perm_sign(sigma) ** r
-    rhs = jellyfish_invariant(permute_blocks(sigma, partition), r) * sign
-    return lhs == rhs
+    add_into(acc, jellyfish_invariant(permute_blocks(sigma, partition), r).terms, -sign)
+    return not acc
 
 
 def invariant_cache_clear() -> None:

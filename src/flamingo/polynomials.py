@@ -9,6 +9,13 @@ here is exact.
 Products in this package always combine factors with disjoint column
 support; multiplying two monomials that share a column raises
 :class:`ColumnCollision` rather than silently squaring a variable.
+
+The constructor and ``from_json_dict`` validate input from outside.  The
+ring operations and ``substitute_columns`` combine operands that are
+already valid, so they adopt their results through
+``MatrixPolynomial._trusted``.  :func:`add_into` is the one accumulate: it
+adds a signed multiple of a term dict into another in place, for any
+hashable keys, and every identity check is "the signed sum is empty".
 """
 
 from __future__ import annotations
@@ -50,6 +57,19 @@ def term_compare(m1: Monomial, m2: Monomial) -> int:
         raise ValueError("monomials over different column counts")
     k1, k2 = monomial_key(m1), monomial_key(m2)
     return (k1 > k2) - (k1 < k2)
+
+
+def add_into(acc: dict, terms: Mapping, factor: int = 1) -> None:
+    """acc += factor * terms in place; keys whose coefficient cancels to 0
+    leave ``acc``.  Keys may be any hashable, and a zero factor leaves
+    ``acc`` unchanged."""
+    get = acc.get
+    for key, c in terms.items():
+        new = get(key, 0) + factor * c
+        if new:
+            acc[key] = new
+        else:
+            acc.pop(key, None)
 
 
 def monomial_multiply(m1: Monomial, m2: Monomial) -> Monomial:
@@ -132,16 +152,11 @@ class MatrixPolynomial:
         if self.n != other.n:
             raise ValueError("column-count mismatch")
         terms = dict(self.terms)
-        for m, c in other.terms.items():
-            new = terms.get(m, 0) + c
-            if new:
-                terms[m] = new
-            else:
-                terms.pop(m, None)
-        return MatrixPolynomial(self.n, terms, max(self.k, other.k))
+        add_into(terms, other.terms)
+        return MatrixPolynomial._trusted(self.n, terms, max(self.k, other.k))
 
     def __neg__(self) -> "MatrixPolynomial":
-        return MatrixPolynomial(self.n, {m: -c for m, c in self.terms.items()}, self.k)
+        return MatrixPolynomial._trusted(self.n, {m: -c for m, c in self.terms.items()}, self.k)
 
     def __sub__(self, other: "MatrixPolynomial") -> "MatrixPolynomial":
         return self.__add__(-other)
@@ -150,21 +165,16 @@ class MatrixPolynomial:
         if isinstance(other, int):
             if other == 0:
                 return MatrixPolynomial.zero(self.n, self.k)
-            return MatrixPolynomial(self.n, {m: c * other for m, c in self.terms.items()}, self.k)
+            return MatrixPolynomial._trusted(self.n, {m: c * other for m, c in self.terms.items()}, self.k)
         if not isinstance(other, MatrixPolynomial):
             return NotImplemented
         if self.n != other.n:
             raise ValueError("column-count mismatch")
         terms: dict[Monomial, int] = {}
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = monomial_multiply(m1, m2)
-                new = terms.get(m, 0) + c1 * c2
-                if new:
-                    terms[m] = new
-                else:
-                    terms.pop(m, None)
-        return MatrixPolynomial(self.n, terms, max(self.k, other.k))
+            # m1 * m2 determines m2, so the products for one m1 are distinct keys
+            add_into(terms, {monomial_multiply(m1, m2): c2 for m2, c2 in other.terms.items()}, c1)
+        return MatrixPolynomial._trusted(self.n, terms, max(self.k, other.k))
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -227,7 +237,7 @@ class MatrixPolynomial:
                 if row:
                     new[w[j] - 1] = row
             terms[tuple(new)] = c
-        return MatrixPolynomial(self.n, terms, self.k)
+        return MatrixPolynomial._trusted(self.n, terms, self.k)
 
     # -- presentation -------------------------------------------------
 

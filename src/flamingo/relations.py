@@ -24,7 +24,7 @@ from .partitions import (
     is_noncrossing,
     transposition_distance_to_noncrossing,
 )
-from .polynomials import MatrixPolynomial
+from .polynomials import add_into
 from .specht import exact_rank
 
 
@@ -89,13 +89,12 @@ def verify_recurrence(
     C: Iterable[int],
     r: int,
 ) -> bool:
-    """Exact polynomial check of the 2^r + 1 term identity."""
-    left = jellyfish_invariant(recurrence_left(prefix, A, B, C), r)
-    n = left.n
-    total = MatrixPolynomial.zero(n)
+    """Exact polynomial check of the 2^r + 1 term identity: the left side
+    minus the signed right-hand invariants is empty."""
+    acc = dict(jellyfish_invariant(recurrence_left(prefix, A, B, C), r).terms)
     for sign, partition in recurrence_terms(prefix, A, B, C, r):
-        total = total + jellyfish_invariant(partition, r) * sign
-    return left == total
+        add_into(acc, jellyfish_invariant(partition, r).terms, -sign)
+    return not acc
 
 
 def verify_three_term(A: Iterable[int], B: Iterable[int], C: Iterable[int]) -> bool:
@@ -108,12 +107,10 @@ def verify_three_term(A: Iterable[int], B: Iterable[int], C: Iterable[int]) -> b
     def two_block(x: set, y: set) -> OrderedSetPartition:
         return OrderedSetPartition(n, (tuple(sorted(x)), tuple(sorted(y))))
 
-    total = (
-        jellyfish_invariant(two_block(A | B, C), 1)
-        + jellyfish_invariant(two_block(A | C, B), 1)
-        + jellyfish_invariant(two_block(B | C, A), 1)
-    )
-    return total.is_zero
+    acc: dict = {}
+    for x, y in ((A | B, C), (A | C, B), (B | C, A)):
+        add_into(acc, jellyfish_invariant(two_block(x, y), 1).terms)
+    return not acc
 
 
 # -- crossing resolution at depth 1 -----------------------------------------
@@ -165,12 +162,12 @@ def resolve_crossing_r1(
         (-1, partition.replace_blocks({i: Q | {c}, j: P - {c}})),
     ]
     if verify:
-        target = jellyfish_invariant(partition, 1)
+        target = jellyfish_invariant(partition, 1).terms
         for resolution in (first, second):
-            total = MatrixPolynomial.zero(partition.n)
+            acc = dict(target)
             for sign, q in resolution:
-                total = total + jellyfish_invariant(q, 1) * sign
-            if total != target:
+                add_into(acc, jellyfish_invariant(q, 1).terms, -sign)
+            if acc:
                 raise AssertionError("crossing resolution failed to reproduce the invariant")
     return first, second
 
@@ -187,12 +184,7 @@ def expand_to_noncrossing(
             return support
         coeff = support.pop(crossing)
         first, _ = resolve_crossing_r1(crossing, verify=False)
-        for sign, q in first:
-            new = support.get(q, 0) + sign * coeff
-            if new:
-                support[q] = new
-            else:
-                support.pop(q, None)
+        add_into(support, {q: sign for sign, q in first}, coeff)
     raise RuntimeError("crossing expansion did not settle within the step budget")
 
 

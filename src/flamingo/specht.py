@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 from .invariants import jellyfish_invariant
 from .partitions import OrderedSetPartition, enumerate_unordered_partitions
-from .polynomials import MatrixPolynomial, Monomial, minor, monomial_key
+from .polynomials import MatrixPolynomial, Monomial, add_into, minor, monomial_key
 
 
 # -- shapes -----------------------------------------------------------------
@@ -105,16 +105,6 @@ def _gcd_normalize(terms: dict[Monomial, int]) -> dict[Monomial, int]:
     return terms
 
 
-def _subtract(terms: dict[Monomial, int], factor: int, row: dict[Monomial, int]) -> None:
-    """terms -= factor * row in place, dropping cancelled monomials."""
-    for m, c in row.items():
-        value = terms.get(m, 0) - factor * c
-        if value:
-            terms[m] = value
-        else:
-            del terms[m]
-
-
 class SpanChecker:
     """Incremental reduced integer row echelon, one row per pivot monomial.
 
@@ -143,7 +133,7 @@ class SpanChecker:
         out = {m: scale * c for m, c in terms.items()}
         for m, c in touched:
             row = pivots[m]
-            _subtract(out, scale // row[m] * c, row)
+            add_into(out, row, -(scale // row[m] * c))
         return out
 
     def insert(self, p: MatrixPolynomial) -> bool:
@@ -163,7 +153,7 @@ class SpanChecker:
             b = row.get(lead)
             if b:
                 new = {mono: a * c for mono, c in row.items()}
-                _subtract(new, b, residue)
+                add_into(new, residue, -b)
                 self.pivots[m] = _gcd_normalize(new)
         self.pivots[lead] = residue
         return True

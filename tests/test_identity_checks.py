@@ -1,0 +1,205 @@
+"""The exact identity checks, each an in-place signed sum that must come out
+empty, against the generic ring operations (``+``, ``*``, ``==``) and
+against deliberately flipped signs."""
+
+import itertools
+
+import pytest
+
+from flamingo import invariants, relations
+from flamingo.invariants import verify_block_reorder, verify_equivariance
+from flamingo.partitions import (
+    OrderedSetPartition,
+    act_elements,
+    enumerate_ordered_partitions,
+    is_noncrossing,
+    parse_partition,
+    permute_blocks,
+)
+from flamingo.polynomials import MatrixPolynomial
+from flamingo.relations import resolve_crossing_r1, verify_recurrence, verify_three_term
+from flamingo.verification import _abc_instances
+
+
+def _partitions(n_max, depths):
+    for n in range(1, n_max + 1):
+        for r in depths:
+            for d in range(1, n // r + 1):
+                for partition in enumerate_ordered_partitions(n, d, r):
+                    yield partition, r
+
+
+# -- the generic formulas the signed sums replace -----------------------------
+#
+# Each reads ``jellyfish_invariant`` and ``perm_sign`` through the module the
+# check under test reads them from, so a monkeypatch breaks both alike.
+
+
+def generic_recurrence(prefix, A, B, C, r):
+    left = relations.jellyfish_invariant(relations.recurrence_left(prefix, A, B, C), r)
+    total = MatrixPolynomial.zero(left.n)
+    for sign, partition in relations.recurrence_terms(prefix, A, B, C, r):
+        total = total + relations.jellyfish_invariant(partition, r) * sign
+    return left == total
+
+
+def generic_three_term(A, B, C, n):
+    def inv(x, y):
+        return relations.jellyfish_invariant(OrderedSetPartition(n, (tuple(sorted(x)), tuple(sorted(y)))), 1)
+
+    return (inv(A | B, C) + inv(A | C, B) + inv(B | C, A)).is_zero
+
+
+def generic_resolutions_hold(partition):
+    first, second = resolve_crossing_r1(partition, verify=False)
+    target = relations.jellyfish_invariant(partition, 1)
+    for resolution in (first, second):
+        total = MatrixPolynomial.zero(partition.n)
+        for sign, q in resolution:
+            total = total + relations.jellyfish_invariant(q, 1) * sign
+        if total != target:
+            return False
+    return True
+
+
+def generic_equivariance(w, partition, r):
+    lhs = invariants.act_on_polynomial(w, invariants.jellyfish_invariant(partition, r))
+    rhs = invariants.jellyfish_invariant(act_elements(w, partition), r) * invariants.perm_sign(w)
+    return lhs == rhs
+
+
+def generic_block_reorder(sigma, partition, r):
+    lhs = invariants.jellyfish_invariant(partition, r)
+    sign = invariants.perm_sign(sigma) ** r
+    return lhs == invariants.jellyfish_invariant(permute_blocks(sigma, partition), r) * sign
+
+
+def _resolution_check_passes(partition):
+    try:
+        resolve_crossing_r1(partition)
+    except AssertionError:
+        return False
+    return True
+
+
+@pytest.fixture(params=[False, True], ids=["exact", "broken"])
+def broken(request, monkeypatch):
+    """When broken, [pi]_r is negated whenever n lies in pi's last block, for
+    the checks and the generic formulas alike; some instances then fail."""
+    if request.param:
+        original = invariants.jellyfish_invariant
+
+        def flipped(partition, r):
+            poly = original(partition, r)
+            return -poly if partition.n in partition.blocks[-1] else poly
+
+        monkeypatch.setattr(relations, "jellyfish_invariant", flipped)
+        monkeypatch.setattr(invariants, "jellyfish_invariant", flipped)
+    return request.param
+
+
+def _assert_agree(outcomes, broken):
+    """Every (check, generic) pair agrees; all hold unless broken, and
+    breaking makes some fail."""
+    assert outcomes
+    assert all(check == generic for check, generic in outcomes)
+    assert all(check for check, _ in outcomes) is not broken
+
+
+class TestAgreesWithGenericSum:
+    def test_every_recurrence_instance(self, broken):
+        outcomes = [
+            (verify_recurrence(prefix, A, B, C, r), generic_recurrence(prefix, A, B, C, r))
+            for n in range(3, 6)
+            for r in (1, 2, 3)
+            if r <= n - 2
+            for prefix, A, B, C in _abc_instances(n, r, prefix_min=r)
+        ]
+        _assert_agree(outcomes, broken)
+
+    def test_every_three_term_split(self, broken):
+        outcomes = []
+        for n in range(3, 6):
+            ground = set(range(1, n + 1))
+            for c in ground:
+                rest = sorted(ground - {c})
+                for size in range(1, len(rest)):
+                    for A in map(set, itertools.combinations(rest, size)):
+                        B = set(rest) - A
+                        outcomes.append((verify_three_term(A, B, {c}), generic_three_term(A, B, {c}, n)))
+        _assert_agree(outcomes, broken)
+
+    def test_both_resolutions_of_every_crossing_partition(self, broken):
+        outcomes = [
+            (_resolution_check_passes(p), generic_resolutions_hold(p))
+            for p, _ in _partitions(5, (1,))
+            if not is_noncrossing(p)
+        ]
+        _assert_agree(outcomes, broken)
+
+    def test_every_equivariance_instance(self, broken):
+        outcomes = [
+            (verify_equivariance(w, p, r), generic_equivariance(w, p, r))
+            for p, r in _partitions(4, (1, 2, 3))
+            for w in itertools.permutations(range(1, p.n + 1))
+        ]
+        _assert_agree(outcomes, broken)
+
+    def test_every_block_reorder(self, broken):
+        outcomes = [
+            (verify_block_reorder(sigma, p, r), generic_block_reorder(sigma, p, r))
+            for p, r in _partitions(5, (1, 2))
+            for sigma in itertools.permutations(range(1, p.d + 1))
+        ]
+        _assert_agree(outcomes, broken)
+
+
+class TestFlippedSignFails:
+    def test_recurrence(self, monkeypatch):
+        original = relations.recurrence_terms
+
+        def flip_first(*args):
+            (sign, partition), *rest = original(*args)
+            return [(-sign, partition)] + rest
+
+        args = ([], {1, 2}, {3, 4}, {5, 6}, 2)
+        assert verify_recurrence(*args)
+        monkeypatch.setattr(relations, "recurrence_terms", flip_first)
+        assert not verify_recurrence(*args)
+
+    def test_three_term(self, monkeypatch):
+        original = relations.jellyfish_invariant
+        C = (5,)
+
+        def flip_last_c(partition, r):
+            poly = original(partition, r)
+            return -poly if partition.blocks[-1] == C else poly
+
+        assert verify_three_term({1, 2}, {3, 4}, set(C))
+        monkeypatch.setattr(relations, "jellyfish_invariant", flip_last_c)
+        assert not verify_three_term({1, 2}, {3, 4}, set(C))
+
+    def test_crossing_resolution_raises(self, monkeypatch):
+        p = parse_partition("1 3|2 4")
+        original = relations.jellyfish_invariant
+        monkeypatch.setattr(
+            relations, "jellyfish_invariant", lambda q, r: -original(q, r) if q == p else original(q, r)
+        )
+        with pytest.raises(AssertionError):
+            resolve_crossing_r1(p)
+
+    def test_equivariance(self, monkeypatch):
+        p = parse_partition("1 3|2 4")
+        w = (2, 1, 3, 4)
+        assert invariants.jellyfish_invariant(p, 1) and invariants.perm_sign(w) == -1
+        assert verify_equivariance(w, p, 1)
+        original = invariants.perm_sign
+        monkeypatch.setattr(invariants, "perm_sign", lambda v: -original(v))
+        assert not verify_equivariance(w, p, 1)
+
+    def test_block_reorder(self, monkeypatch):
+        p = parse_partition("1 2 5|3 4 6")
+        assert verify_block_reorder((2, 1), p, 1)
+        original = invariants.perm_sign
+        monkeypatch.setattr(invariants, "perm_sign", lambda v: -original(v))
+        assert not verify_block_reorder((2, 1), p, 1)

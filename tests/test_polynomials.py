@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from flamingo.partitions import parse_partition
 from flamingo.polynomials import (
     ColumnCollision,
     MatrixPolynomial,
+    add_into,
     integer_determinant,
     minor,
     monomial_key,
@@ -191,3 +193,97 @@ class TestLeadingTerm:
         lead, _ = p.leading_term()
         for m in p.terms:
             assert term_compare(m, lead) <= 0
+
+
+# keys of three unrelated kinds: monomials, strings and frozensets
+_KEYS = st.one_of(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.text(alphabet="ab", max_size=2),
+    st.frozensets(st.integers(1, 3), max_size=2),
+)
+_TERMS = st.dictionaries(_KEYS, st.integers(-3, 3).filter(bool), max_size=6)
+
+
+class TestAddInto:
+    @given(_TERMS, _TERMS, st.integers(-3, 3))
+    def test_matches_naive_sum(self, a, b, factor):
+        acc = dict(a)
+        b_before = dict(b)
+        add_into(acc, b, factor)
+        naive = {key: a.get(key, 0) + factor * b.get(key, 0) for key in a.keys() | b.keys()}
+        assert acc == {key: c for key, c in naive.items() if c}
+        assert b == b_before
+
+    @given(_TERMS, _TERMS)
+    def test_zero_factor_leaves_acc_unchanged(self, a, b):
+        acc = dict(a)
+        add_into(acc, b, 0)
+        assert acc == a
+
+    @given(_TERMS, st.integers(1, 3))
+    def test_full_cancellation_empties(self, a, factor):
+        acc = {key: factor * c for key, c in a.items()}
+        add_into(acc, a, -factor)
+        assert acc == {}
+
+    def test_partition_keys(self):
+        p, q = parse_partition("1 3|2 4"), parse_partition("1 2|3 4")
+        acc = {p: 1}
+        add_into(acc, {p: 1, q: 2}, -1)
+        assert acc == {q: -2}
+
+
+def _polys(n, cols=None):
+    """Polynomials over n columns, nonzero rows only in ``cols`` (0-based;
+    all columns when None), some declared k, zero coefficients included."""
+    rows = st.integers(0, 3)
+    monomial = st.tuples(*[rows if cols is None or j in cols else st.just(0) for j in range(n)])
+    terms = st.dictionaries(monomial, st.integers(-3, 3), max_size=5)
+    return st.builds(MatrixPolynomial, st.just(n), terms, st.integers(0, 4))
+
+
+class TestValidationBoundary:
+    def test_rejects_wrong_length_monomial(self):
+        with pytest.raises(ValueError):
+            MatrixPolynomial(3, {(1, 0): 1})
+
+    def test_rejects_negative_row(self):
+        with pytest.raises(ValueError):
+            MatrixPolynomial(2, {(-1, 0): 1})
+
+    @pytest.mark.parametrize("coeff", [1.0, "1", None])
+    def test_rejects_non_int_coefficient(self, coeff):
+        with pytest.raises(TypeError):
+            MatrixPolynomial(2, {(1, 0): coeff})
+
+    def test_drops_zero_coefficients(self):
+        p = MatrixPolynomial(2, {(3, 0): 0, (0, 1): 2})
+        assert p.terms == {(0, 1): 2}
+        assert p.k == 1
+
+    def test_from_json_rejects_duplicate_monomial(self):
+        doc = {"n": 2, "terms": [{"rows": [1, 0], "coeff": "1"}, {"rows": [1, 0], "coeff": "2"}]}
+        with pytest.raises(ValueError):
+            MatrixPolynomial.from_json_dict(doc)
+
+    @given(st.data())
+    def test_ring_results_pass_the_constructor_unchanged(self, data):
+        n = data.draw(st.integers(1, 4))
+        left = data.draw(st.sets(st.integers(0, n - 1)))
+        p, q = data.draw(_polys(n)), data.draw(_polys(n))
+        a, b = data.draw(_polys(n, left)), data.draw(_polys(n, set(range(n)) - left))
+        c = data.draw(st.integers(-3, 3))
+        w = data.draw(st.permutations(range(1, n + 1)))
+        results = [
+            (p + q, max(p.k, q.k)),
+            (p - q, max(p.k, q.k)),
+            (-p, p.k),
+            (p * c, p.k),
+            (c * p, p.k),
+            (a * b, max(a.k, b.k)),
+            (p.substitute_columns(w), p.k),
+        ]
+        for result, k in results:
+            assert (result.n, result.k) == (n, k)
+            again = MatrixPolynomial(result.n, result.terms, result.k)
+            assert (again.terms, again.k) == (result.terms, result.k)
