@@ -23,10 +23,10 @@ from typing import Iterable, Mapping, Sequence
 from .invariants import jellyfish_invariant
 from .partitions import FlamingoContext, OrderedSetPartition, word_inversions
 from .polynomials import (
+    ColumnCollision,
     MatrixPolynomial,
     add_into,
     add_minor_product,
-    column_scatter,
     extend_minor_product,
 )
 from .tableaux import top_justified_tableau
@@ -264,14 +264,17 @@ def phi_star(expr: PlueckerExpression) -> MatrixPolynomial:
     acc: dict = {}
     k = 0
     for factors, c in expr.terms.items():
-        minors = [delta_to_minor(K, n) for K in factors]
-        scatter = column_scatter([J for _, _, J in minors], n)
-        rows = [I for _, I, _ in minors] or [()]
-        partial = [((), c)]
-        for I in rows[:-1]:
-            partial = extend_minor_product(partial, I)
-        add_minor_product(acc, scatter, partial, rows[-1], math.prod(sign for sign, _, _ in minors))
-        k = max([k] + [I[-1] for I in rows if I])
+        # a term without factors is its coefficient times the empty minor
+        minors = [delta_to_minor(K, n) for K in factors] or [(1, (), ())]
+        used = [j for _, _, J in minors for j in J]
+        if len(set(used)) < len(used):
+            raise ColumnCollision("two factors of a product share a column")
+        partial = [(0, c)]
+        for _, I, J in minors[:-1]:
+            partial = extend_minor_product(partial, I, J, n)
+        _, I, J = minors[-1]
+        add_minor_product(acc, partial, I, J, n, math.prod(sign for sign, _, _ in minors))
+        k = max([k] + [I[-1] for _, I, _ in minors if I])
     return MatrixPolynomial._trusted(n, acc, k)
 
 

@@ -39,7 +39,7 @@ from .partitions import (
     permute_blocks,
     word_inversions,
 )
-from .polynomials import MatrixPolynomial, add_into, add_minor_product, column_scatter, extend_minor_product
+from .polynomials import MatrixPolynomial, add_into, add_minor_product, extend_minor_product
 
 
 @lru_cache(maxsize=16384)
@@ -54,7 +54,6 @@ def _invariant_cached(partition: OrderedSetPartition, r: int) -> MatrixPolynomia
     # rows 1..r of the reading word; the deep rows follow, one entry each
     head_word = [block[t] for t in range(r) for block in blocks]
     entry: dict[int, int] = {}  # deep row -> its entry along the current path
-    scatter = column_scatter(blocks, partition.n)
     acc: dict = {}
 
     def walk(i: int, remaining: list[int], partial: list) -> None:
@@ -63,13 +62,13 @@ def _invariant_cached(partition: OrderedSetPartition, r: int) -> MatrixPolynomia
                 entry[row] = element
             if i < last:
                 rest = [row for row in remaining if row not in chosen]
-                walk(i + 1, rest, extend_minor_product(partial, top + chosen))
+                walk(i + 1, rest, extend_minor_product(partial, top + chosen, blocks[i], partition.n))
             else:
                 word = head_word + [entry[row] for row in deep_rows]
                 sign = -1 if word_inversions(word) % 2 else 1
-                add_minor_product(acc, scatter, partial, top + chosen, sign)
+                add_minor_product(acc, partial, top + chosen, blocks[i], partition.n, sign)
 
-    walk(0, list(deep_rows), [((), 1)])
+    walk(0, list(deep_rows), [(0, 1)])
     return MatrixPolynomial._trusted(partition.n, acc, ctx.nu)
 
 

@@ -1,13 +1,19 @@
 """Exact sparse polynomials in matrix entries x[i][j].
 
-A monomial is multilinear in the columns: it assigns to each column j of an
-n-column matrix at most one row index, encoded as a length-n tuple whose
-entry at position j - 1 is the row (1-based) or 0 when column j is absent.
+A monomial is multilinear in the columns: for each column j of an n-column
+matrix it holds at most one variable x[row][j], with 1 <= row <= n.  It is
+packed into an int with bit ``n*n - 1 - variable_position(row, j, n)`` set
+for each of its variables, so integer order is the term order and ``max``
+picks the leading monomial (the packed exponent vectors of Monagan and
+Pearce).  A row above n has no bit, so every entry point rejects it.
+Tuples appear only at I/O: the constructor and ``from_json_dict`` take,
+and ``to_json_dict`` and ``__str__`` show, a monomial as the length-n tuple
+of the row paired with each column, 0 for an absent column.
 Coefficients are arbitrary-precision signed integers, so every computation
 here is exact.
 
 Products in this package always combine factors with disjoint column
-support; multiplying two monomials that share a column raises
+support; multiplying two polynomials whose supports share a column raises
 :class:`ColumnCollision` rather than silently squaring a variable.
 
 The constructor and ``from_json_dict`` validate input from outside.  The
@@ -20,13 +26,12 @@ hashable keys, and every identity check is "the signed sum is empty".
 
 from __future__ import annotations
 
-import itertools
+import functools
 import json
 import operator
-from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-Monomial = tuple[int, ...]
+Monomial = int
 
 
 class ColumnCollision(ValueError):
@@ -44,19 +49,26 @@ def variable_position(row: int, col: int, n: int) -> int:
     return (row - 1) * n + (col - 1)
 
 
-def monomial_key(m: Monomial) -> tuple[int, ...]:
-    """Sort key increasing with the term order; max() picks the leading monomial."""
-    n = len(m)
-    positions = sorted(variable_position(row, j + 1, n) for j, row in enumerate(m) if row)
-    return tuple(-p for p in positions)
+def _bit(row: int, col: int, n: int) -> int:
+    return n * n - 1 - variable_position(row, col, n)
 
 
-def term_compare(m1: Monomial, m2: Monomial) -> int:
-    """-1, 0, or 1 as m1 is below, equal to, or above m2 in the term order."""
-    if len(m1) != len(m2):
-        raise ValueError("monomials over different column counts")
-    k1, k2 = monomial_key(m1), monomial_key(m2)
-    return (k1 > k2) - (k1 < k2)
+def _bits(m: Monomial) -> Iterator[int]:
+    """The set bits of a packed monomial, most significant first."""
+    while m:
+        b = m.bit_length() - 1
+        m ^= 1 << b
+        yield b
+
+
+def _unpack(m: Monomial, n: int) -> tuple[int, ...]:
+    """The row paired with each column, 0 for a column m does not use;
+    each bit is read back by inverting ``_bit``."""
+    rows = [0] * n
+    for b in _bits(m):
+        row, offset = divmod(n * n - 1 - b, n)
+        rows[n - 1 - offset if row == 1 else offset] = row + 1
+    return tuple(rows)
 
 
 def add_into(acc: dict, terms: Mapping, factor: int = 1) -> None:
@@ -72,27 +84,18 @@ def add_into(acc: dict, terms: Mapping, factor: int = 1) -> None:
             acc.pop(key, None)
 
 
-def monomial_multiply(m1: Monomial, m2: Monomial) -> Monomial:
-    out = list(m1)
-    for j, row in enumerate(m2):
-        if row:
-            if out[j]:
-                raise ColumnCollision(f"column {j + 1} used by both factors")
-            out[j] = row
-    return tuple(out)
-
-
 class MatrixPolynomial:
     """Sparse exact polynomial over the entries of a k-row, n-column matrix.
 
     Treat instances as immutable; all arithmetic returns fresh objects.
     ``k`` is advisory: it is the larger of the declared row count and the
-    rows actually appearing in the terms.
+    rows actually appearing in the terms.  ``terms`` maps packed monomials
+    to their coefficients.
     """
 
     __slots__ = ("n", "k", "terms")
 
-    def __init__(self, n: int, terms: Mapping[Monomial, int] | None = None, k: int = 0):
+    def __init__(self, n: int, terms: Mapping[tuple[int, ...], int] | None = None, k: int = 0):
         if n < 0:
             raise ValueError("n must be nonnegative")
         clean: dict[Monomial, int] = {}
@@ -104,12 +107,14 @@ class MatrixPolynomial:
                 raise TypeError("coefficients must be int")
             if c == 0:
                 continue
-            for row in m:
-                if row < 0:
-                    raise ValueError("row indices must be nonnegative")
-                if row > max_row:
-                    max_row = row
-            clean[tuple(m)] = c
+            bits = 0
+            for j, row in enumerate(m):
+                if not 0 <= row <= n:
+                    raise ValueError(f"row indices must lie in [0, {n}]")
+                if row:
+                    bits |= 1 << _bit(row, j + 1, n)
+                    max_row = max(max_row, row)
+            clean[bits] = c
         self.n = n
         self.k = max(k, max_row)
         self.terms = clean
@@ -119,9 +124,9 @@ class MatrixPolynomial:
     @classmethod
     def _trusted(cls, n: int, terms: dict[Monomial, int], k: int) -> "MatrixPolynomial":
         """Adopt ``terms`` without copying or checking it.  The caller
-        guarantees what ``__init__`` would enforce: every key a length-n
-        tuple of nonnegative ints, every coefficient a nonzero int, and no
-        row above ``k``."""
+        guarantees what ``__init__`` would enforce: every key a packed
+        monomial over n columns with at most one variable per column,
+        every coefficient a nonzero int, and no row above ``k``."""
         self = cls.__new__(cls)
         self.n = n
         self.k = k
@@ -138,11 +143,9 @@ class MatrixPolynomial:
 
     @classmethod
     def variable(cls, row: int, col: int, n: int) -> "MatrixPolynomial":
-        if not 1 <= col <= n or row < 1:
+        if not 1 <= col <= n or not 1 <= row <= n:
             raise ValueError("variable indices out of range")
-        m = [0] * n
-        m[col - 1] = row
-        return cls(n, {tuple(m): 1})
+        return cls._trusted(n, {1 << _bit(row, col, n): 1}, row)
 
     # -- ring structure -----------------------------------------------
 
@@ -170,10 +173,17 @@ class MatrixPolynomial:
             return NotImplemented
         if self.n != other.n:
             raise ValueError("column-count mismatch")
+        if self.terms and other.terms:
+            # some pair of terms shares a column exactly when the column
+            # supports do; unpacking a union of monomials marks each column it uses
+            mine, theirs = (_unpack(functools.reduce(operator.or_, p.terms), self.n) for p in (self, other))
+            for j, (a, b) in enumerate(zip(mine, theirs)):
+                if a and b:
+                    raise ColumnCollision(f"column {j + 1} used by both factors")
         terms: dict[Monomial, int] = {}
         for m1, c1 in self.terms.items():
-            # m1 * m2 determines m2, so the products for one m1 are distinct keys
-            add_into(terms, {monomial_multiply(m1, m2): c2 for m2, c2 in other.terms.items()}, c1)
+            # m1 | m2 determines m2, so the products for one m1 are distinct keys
+            add_into(terms, {m1 | m2: c2 for m2, c2 in other.terms.items()}, c1)
         return MatrixPolynomial._trusted(self.n, terms, max(self.k, other.k))
 
     def __rmul__(self, other):
@@ -202,12 +212,12 @@ class MatrixPolynomial:
         """Largest monomial in the term order, with its coefficient."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms, key=monomial_key)
+        m = max(self.terms)
         return m, self.terms[m]
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         """Terms from largest to smallest monomial."""
-        return sorted(self.terms.items(), key=lambda mc: monomial_key(mc[0]), reverse=True)
+        return sorted(self.terms.items(), reverse=True)
 
     def evaluate(self, matrix: Sequence[Sequence[int]]) -> int:
         """Value at an integer matrix with at least k rows and exactly n columns."""
@@ -215,29 +225,40 @@ class MatrixPolynomial:
             raise ValueError(f"need at least {self.k} rows, got {len(matrix)}")
         if matrix and any(len(row) != self.n for row in matrix):
             raise ValueError(f"every row must have {self.n} entries")
+        n = self.n
+        entry = [0] * (n * n)  # bit -> the matrix entry of its variable
+        for row in range(1, min(self.k, n) + 1):
+            for col in range(1, n + 1):
+                entry[_bit(row, col, n)] = matrix[row - 1][col - 1]
         total = 0
         for m, c in self.terms.items():
             value = c
-            for j, row in enumerate(m):
-                if row:
-                    value *= matrix[row - 1][j]
-                    if value == 0:
-                        break
+            for b in _bits(m):
+                value *= entry[b]
+                if value == 0:
+                    break
             total += value
         return total
 
     def substitute_columns(self, w: Sequence[int]) -> "MatrixPolynomial":
         """Replace each variable x[a][j] by x[a][w(j)], w a permutation of [n]."""
-        if sorted(w) != list(range(1, self.n + 1)):
+        n = self.n
+        if sorted(w) != list(range(1, n + 1)):
             raise ValueError("w must be a permutation of the columns")
-        terms: dict[Monomial, int] = {}
+        moved = [0] * (n * n)  # bit -> its variable's image, as a one-bit mask
+        for row in range(1, min(self.k, n) + 1):
+            bits = [_bit(row, col, n) for col in range(1, n + 1)]
+            for b, to in zip(bits, w):
+                moved[b] = 1 << bits[to - 1]
+        terms = {}
         for m, c in self.terms.items():
-            new = [0] * self.n
-            for j, row in enumerate(m):
-                if row:
-                    new[w[j] - 1] = row
-            terms[tuple(new)] = c
-        return MatrixPolynomial._trusted(self.n, terms, self.k)
+            image = 0
+            while m:
+                b = m.bit_length() - 1
+                m ^= 1 << b
+                image |= moved[b]
+            terms[image] = c
+        return MatrixPolynomial._trusted(n, terms, self.k)
 
     # -- presentation -------------------------------------------------
 
@@ -246,7 +267,7 @@ class MatrixPolynomial:
             return "0"
         pieces = []
         for m, c in self.sorted_terms():
-            vars_part = " ".join(f"x[{row},{j + 1}]" for j, row in enumerate(m) if row)
+            vars_part = " ".join(f"x[{row},{j + 1}]" for j, row in enumerate(_unpack(m, self.n)) if row)
             mag = abs(c)
             body = vars_part if vars_part else "1"
             if mag != 1 or not vars_part:
@@ -265,7 +286,7 @@ class MatrixPolynomial:
             "n": self.n,
             "k": self.k,
             "terms": [
-                {"rows": list(m), "coeff": str(c)} for m, c in self.sorted_terms()
+                {"rows": list(_unpack(m, self.n)), "coeff": str(c)} for m, c in self.sorted_terms()
             ],
         }
 
@@ -274,7 +295,7 @@ class MatrixPolynomial:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "MatrixPolynomial":
-        terms: dict[Monomial, int] = {}
+        terms: dict[tuple[int, ...], int] = {}
         for t in data["terms"]:
             m = tuple(int(x) for x in t["rows"])
             c = int(t["coeff"])
@@ -288,21 +309,28 @@ class MatrixPolynomial:
         return cls.from_json_dict(json.loads(text))
 
 
-@lru_cache(maxsize=None)
-def _minor_terms(rows: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Terms of the minor on the given increasing rows and any len(rows)
-    increasing columns: for each term, the row paired with each column in
-    column order, and the term's sign."""
-    out = []
-    for perm in itertools.permutations(range(len(rows))):
-        inversions = sum(
-            1 for a in range(len(perm)) for b in range(a + 1, len(perm)) if perm[a] > perm[b]
-        )
-        paired = [0] * len(rows)
-        for t, p in enumerate(perm):
-            paired[p] = rows[t]
-        out.append((tuple(paired), -1 if inversions % 2 else 1))
-    return tuple(out)
+# -- products of minors over disjoint columns --------------------------------
+#
+# A product of minors, one per column set, is carried as a list of partial
+# terms (packed monomial, coefficient).  Column sets are disjoint, so
+# multiplying in the next minor ORs each head with each of its terms; the
+# intermediate products build no MatrixPolynomial and share every prefix of
+# blocks.
+
+
+@functools.lru_cache(maxsize=None)
+def _minor_terms(rows: tuple[int, ...], cols: tuple[int, ...], n: int) -> tuple[tuple[Monomial, int], ...]:
+    """Terms of the minor on the given increasing rows and columns of an
+    n-column matrix, as (packed monomial, sign), expanded along the rows in
+    turn, so the terms follow the permutations in lexicographic order."""
+    partial = [(0, 1, cols)]
+    for row in rows:
+        partial = [
+            (bits | 1 << _bit(row, col, n), -sign if t % 2 else sign, rest[:t] + rest[t + 1 :])
+            for bits, sign, rest in partial
+            for t, col in enumerate(rest)
+        ]
+    return tuple((bits, sign) for bits, sign, _ in partial)
 
 
 def minor(rows: Iterable[int], cols: Iterable[int], n: int) -> MatrixPolynomial:
@@ -315,78 +343,41 @@ def minor(rows: Iterable[int], cols: Iterable[int], n: int) -> MatrixPolynomial:
     J = tuple(sorted(set(cols)))
     if len(I) != len(J):
         raise ValueError(f"minor needs |rows| = |cols|, got {len(I)} and {len(J)}")
-    if I and I[0] < 1:
-        raise ValueError("row indices start at 1")
+    if I and (I[0] < 1 or I[-1] > n):
+        raise ValueError(f"row indices must lie in [1, {n}]")
     if J and (J[0] < 1 or J[-1] > n):
         raise ValueError(f"column indices must lie in [1, {n}]")
     if not I:
         return MatrixPolynomial.one(n)
-    scatter = column_scatter([J], n)
-    return MatrixPolynomial(n, {scatter(paired): c for paired, c in _minor_terms(I)}, k=I[-1])
-
-
-# -- products of minors over disjoint columns --------------------------------
-#
-# A product of minors, one per column set, is carried as a list of partial
-# terms (rows, coefficient): ``rows`` lists the row paired with each column,
-# block after block and each block's columns in increasing order.  Only the
-# finished terms are scattered into monomials, so the intermediate products
-# build no MatrixPolynomial and share every prefix of blocks.
-
-
-def column_scatter(col_sets: Sequence[Sequence[int]], n: int) -> Callable[[tuple[int, ...]], Monomial]:
-    """The map from rows listed block by block, each block's columns in
-    increasing order, to the length-n monomial; columns in no block read 0.
-
-    Raises ColumnCollision when two column sets share a column.
-    """
-    position = [-1] * n
-    offset = 0
-    for cols in col_sets:
-        for j in sorted(cols):
-            if position[j - 1] >= 0:
-                raise ColumnCollision(f"column {j} used by both factors")
-            position[j - 1] = offset
-            offset += 1
-    if -1 in position:
-        # every uncovered column reads a 0 appended after the listed rows
-        position = [offset if p < 0 else p for p in position]
-        pick = _picker(position)
-        return lambda rows: pick(rows + (0,))
-    return _picker(position)
-
-
-def _picker(position: list[int]) -> Callable[[tuple[int, ...]], Monomial]:
-    if len(position) >= 2:
-        return operator.itemgetter(*position)
-    return lambda rows: tuple(rows[p] for p in position)
+    return MatrixPolynomial._trusted(n, dict(_minor_terms(I, J, n)), I[-1])
 
 
 def extend_minor_product(
-    partial: list[tuple[tuple[int, ...], int]], rows: tuple[int, ...]
-) -> list[tuple[tuple[int, ...], int]]:
+    partial: list[tuple[Monomial, int]], rows: tuple[int, ...], cols: tuple[int, ...], n: int
+) -> list[tuple[Monomial, int]]:
     """Multiply partial terms by the minor on the given increasing rows and
-    the next block of columns."""
-    terms = _minor_terms(rows)
-    return [(head + tail, c * s) for head, c in partial for tail, s in terms]
+    columns, which no head uses."""
+    terms = _minor_terms(rows, cols, n)
+    return [(head | tail, c * s) for head, c in partial for tail, s in terms]
 
 
 def add_minor_product(
     acc: dict[Monomial, int],
-    scatter: Callable[[tuple[int, ...]], Monomial],
-    partial: list[tuple[tuple[int, ...], int]],
+    partial: list[tuple[Monomial, int]],
     rows: tuple[int, ...],
+    cols: tuple[int, ...],
+    n: int,
     coeff: int,
 ) -> None:
-    """Add coeff times the partial terms times the minor on ``rows`` and the
-    last block of columns into ``acc``, in place; monomials whose
-    coefficient cancels to 0 leave ``acc``."""
-    terms = _minor_terms(rows)
+    """Add coeff times the partial terms times the minor on the given rows
+    and columns into ``acc``, in place; monomials whose coefficient cancels
+    to 0 leave ``acc``."""
+    terms = _minor_terms(rows, cols, n)
     get = acc.get
     for head, c in partial:
         c *= coeff
         for tail, s in terms:
-            m = scatter(head + tail)
+            m = head | tail
             new = get(m, 0) + (c if s > 0 else -c)
             if new:
                 acc[m] = new

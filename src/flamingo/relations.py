@@ -32,6 +32,8 @@ def _ground_set(prefix: Sequence[Iterable[int]], *sets: Iterable[int]) -> int:
     seen: set[int] = set()
     for block in list(prefix) + list(sets):
         for x in block:
+            if not isinstance(x, int):
+                raise ValueError(f"element {x!r} is not an int")
             if x in seen:
                 raise ValueError(f"element {x} appears twice")
             seen.add(x)
@@ -62,7 +64,8 @@ def recurrence_terms(
     over subsets S of C; requires nonempty A, B, C with |C| = r.
 
     Undersized blocks are retained: their invariants vanish, which is how
-    the identity absorbs degenerate terms.
+    the identity absorbs degenerate terms.  The input is validated once,
+    and the partitions are built unchecked.
     """
     A, B, C = set(A), set(B), set(C)
     if not A or not B or not C:
@@ -70,15 +73,14 @@ def recurrence_terms(
     if len(C) != r:
         raise ValueError(f"need |C| = r, got |C| = {len(C)}, r = {r}")
     n = _ground_set(prefix, A, B, C)
-    head = [tuple(sorted(b)) for b in prefix]
+    head = tuple(tuple(sorted(b)) for b in prefix)
+    if not all(head):
+        raise ValueError("empty block")
     out = []
-    C_sorted = sorted(C)
     for size in range(r + 1):
-        for S in itertools.combinations(C_sorted, size):
-            Sset = set(S)
-            blocks = head + [tuple(sorted(A | Sset)), tuple(sorted(B | (C - Sset)))]
-            sign = -1 if size % 2 else 1
-            out.append((sign, OrderedSetPartition(n, tuple(blocks))))
+        for S in itertools.combinations(sorted(C), size):
+            blocks = head + (tuple(sorted(A.union(S))), tuple(sorted(B | C.difference(S))))
+            out.append((-1 if size % 2 else 1, OrderedSetPartition._trusted(n, blocks)))
     return out
 
 
@@ -91,8 +93,13 @@ def verify_recurrence(
 ) -> bool:
     """Exact polynomial check of the 2^r + 1 term identity: the left side
     minus the signed right-hand invariants is empty."""
-    acc = dict(jellyfish_invariant(recurrence_left(prefix, A, B, C), r).terms)
-    for sign, partition in recurrence_terms(prefix, A, B, C, r):
+    A, B, C = set(A), set(B), set(C)
+    terms = recurrence_terms(prefix, A, B, C, r)
+    # the terms share n and the sorted prefix blocks with the left side
+    n, head = terms[0][1].n, terms[0][1].blocks[:-2]
+    left = OrderedSetPartition._trusted(n, head + (tuple(sorted(A | B)), tuple(sorted(C))))
+    acc = dict(jellyfish_invariant(left, r).terms)
+    for sign, partition in terms:
         add_into(acc, jellyfish_invariant(partition, r).terms, -sign)
     return not acc
 
@@ -103,13 +110,10 @@ def verify_three_term(A: Iterable[int], B: Iterable[int], C: Iterable[int]) -> b
     if len(C) != 1 or not A or not B:
         raise ValueError("need nonempty A, B and a singleton C")
     n = _ground_set([], A, B, C)
-
-    def two_block(x: set, y: set) -> OrderedSetPartition:
-        return OrderedSetPartition(n, (tuple(sorted(x)), tuple(sorted(y))))
-
     acc: dict = {}
     for x, y in ((A | B, C), (A | C, B), (B | C, A)):
-        add_into(acc, jellyfish_invariant(two_block(x, y), 1).terms)
+        partition = OrderedSetPartition._trusted(n, (tuple(sorted(x)), tuple(sorted(y))))
+        add_into(acc, jellyfish_invariant(partition, 1).terms)
     return not acc
 
 

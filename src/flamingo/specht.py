@@ -6,10 +6,10 @@ polynomial ring in matrix entries as the span of products of top-justified
 minors, one minor per column set, with column-set sizes given by mu.
 
 All linear algebra is exact: a reduced row echelon of integer rows, kept
-by fraction-free cross-multiplication with gcd cleanup, over monomial
-columns in the custom term order.  Each pivot monomial leads its own row
-and occurs in no other, so membership is one pass over the pivots a
-polynomial touches, with no leading-term search.
+by fraction-free cross-multiplication with gcd cleanup, over packed
+monomial columns, whose integer order is the term order.  Each pivot
+monomial leads its own row and occurs in no other, so membership is one
+pass over the pivots a polynomial touches, with no leading-term search.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 from .invariants import jellyfish_invariant
 from .partitions import OrderedSetPartition, enumerate_unordered_partitions
-from .polynomials import MatrixPolynomial, Monomial, add_into, minor, monomial_key
+from .polynomials import MatrixPolynomial, Monomial, add_into, minor
 
 
 # -- shapes -----------------------------------------------------------------
@@ -145,7 +145,7 @@ class SpanChecker:
         residue = _gcd_normalize(self._residue(p.terms))
         if not residue:
             return False
-        lead = max(residue, key=monomial_key)
+        lead = max(residue)
         a = residue[lead]
         # Every monomial of the residue lies below each pivot whose row holds
         # ``lead``, so clearing ``lead`` there keeps each row's leading term.
@@ -175,7 +175,7 @@ def exact_rank(polys: Sequence[MatrixPolynomial]) -> RankProfile:
     """Rank over the rationals of the coefficient matrix whose rows are the
     polynomials and whose columns are their monomials in term order."""
     checker = SpanChecker(polys)
-    pivots = tuple(sorted(checker.pivots, key=monomial_key, reverse=True))
+    pivots = tuple(sorted(checker.pivots, reverse=True))
     return RankProfile(len(polys), checker.rank, pivots)
 
 

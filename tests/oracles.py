@@ -11,7 +11,22 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd
 
-from flamingo.polynomials import monomial_key
+from flamingo.polynomials import variable_position
+
+
+def monomial_key(m: tuple[int, ...]) -> tuple[int, ...]:
+    """Sort key of a row-tuple monomial, increasing with the term order:
+    the negated term-order positions of its variables, most significant
+    first, so max() picks the leading monomial."""
+    n = len(m)
+    positions = sorted(variable_position(row, j + 1, n) for j, row in enumerate(m) if row)
+    return tuple(-p for p in positions)
+
+
+def tuple_terms(poly) -> dict[tuple[int, ...], int]:
+    """The terms of a polynomial keyed by row tuples, read from its JSON
+    form, so nothing here depends on how the package encodes monomials."""
+    return {tuple(t["rows"]): int(t["coeff"]) for t in poly.to_json_dict()["terms"]}
 
 
 def det_leibniz(matrix: list[list[int]]) -> int:
@@ -105,7 +120,8 @@ class LeadingTermSpan:
 
     The span checker the package used before it kept its echelon reduced:
     every reduction step rescans the remaining terms for the leading one.
-    Kept as the reference for membership and rank.
+    Kept as the reference for membership and rank; it works on row tuples
+    ordered by ``monomial_key``.
     """
 
     def __init__(self, polys=()):
@@ -144,14 +160,14 @@ class LeadingTermSpan:
         return terms
 
     def insert(self, p) -> bool:
-        residue = self._reduce(self._gcd_normalize(dict(p.terms)))
+        residue = self._reduce(self._gcd_normalize(tuple_terms(p)))
         if not residue:
             return False
         self.pivots[max(residue, key=monomial_key)] = residue
         return True
 
     def contains(self, p) -> bool:
-        return not self._reduce(self._gcd_normalize(dict(p.terms)))
+        return not self._reduce(self._gcd_normalize(tuple_terms(p)))
 
 
 def random_int_matrix(rng, height: int, width: int, lo: int = -4, hi: int = 4):
@@ -161,7 +177,7 @@ def random_int_matrix(rng, height: int, width: int, lo: int = -4, hi: int = 4):
 def evaluate_poly(poly, matrix) -> int:
     """Direct term-by-term evaluation, bypassing the package evaluator."""
     total = 0
-    for monomial, coeff in poly.terms.items():
+    for monomial, coeff in tuple_terms(poly).items():
         prod = coeff
         for col, row in enumerate(monomial):
             if row:

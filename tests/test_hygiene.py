@@ -70,3 +70,47 @@ def test_no_function_local_imports(path):
         if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
     ]
     assert lines == []
+
+
+# The memo caches that perfbench/harness.py::_caches clears before every
+# round.  A cache under any other name would stay warm from one round to
+# the next, and the benchmark would read the saved work as a gain.
+CLEARED_CACHES = ["_invariant_cached", "_minor_terms", "_span_checker"]
+CACHE_DECORATORS = {"lru_cache", "cache"}
+
+
+def _cache_uses(tree: ast.Module) -> list[ast.AST]:
+    """Every reference to ``functools.lru_cache`` or ``functools.cache``,
+    by attribute or by a name imported from functools."""
+    aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        for alias in node.names
+        if alias.name in CACHE_DECORATORS
+    }
+    return [
+        node
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id in aliases)
+        or (
+            isinstance(node, ast.Attribute)
+            and node.attr in CACHE_DECORATORS
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "functools"
+        )
+    ]
+
+
+def test_every_cache_is_one_the_benchmark_clears():
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        decorating = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for decorator in node.decorator_list:
+                    decorating[id(getattr(decorator, "func", decorator))] = node.name
+        for use in _cache_uses(tree):
+            found.append(decorating.get(id(use), f"{path.name} line {use.lineno}"))
+    assert sorted(found) == CLEARED_CACHES

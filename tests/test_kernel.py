@@ -32,7 +32,7 @@ def factor_by_factor(expr):
 def assert_same(p, q):
     assert p == q
     assert p.k == q.k
-    rebuilt = MatrixPolynomial(p.n, p.terms, p.k)
+    rebuilt = MatrixPolynomial.from_json_dict(p.to_json_dict())
     assert rebuilt == p and rebuilt.k == p.k
 
 

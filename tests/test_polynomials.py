@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flamingo.partitions import parse_partition
@@ -12,13 +12,16 @@ from flamingo.polynomials import (
     add_into,
     integer_determinant,
     minor,
-    monomial_key,
-    monomial_multiply,
-    term_compare,
     variable_position,
 )
 
-from oracles import det_leibniz, evaluate_poly, random_int_matrix
+from oracles import det_leibniz, evaluate_poly, monomial_key, random_int_matrix, tuple_terms
+
+
+def packed(m):
+    """The package's encoding of the row-tuple monomial m."""
+    [key] = MatrixPolynomial(len(m), {m: 1}).terms
+    return key
 
 
 class TestTermOrder:
@@ -44,24 +47,113 @@ class TestTermOrder:
 
     def test_term_compare_prefix(self):
         # (1,1,0) uses a strict subset of (1,1,2)'s variables, so it is smaller
-        assert term_compare((1, 1, 0), (1, 1, 2)) == -1
-        assert term_compare((1, 1, 2), (1, 1, 0)) == 1
-        assert term_compare((1, 1, 2), (1, 1, 2)) == 0
+        assert packed((1, 1, 0)) < packed((1, 1, 2))
+        assert packed((1, 1, 2)) == packed((1, 1, 2))
 
     def test_monomial_key_sorts_like_compare(self):
         monomials = [(1, 2, 0), (2, 1, 0), (0, 1, 2), (1, 1, 2), (1, 1, 0)]
-        by_key = sorted(monomials, key=monomial_key)
-        for small, large in zip(by_key, by_key[1:]):
-            assert term_compare(small, large) == -1
+        assert sorted(monomials, key=packed) == sorted(monomials, key=monomial_key)
+
+
+def _monomials(n):
+    """Row-tuple monomials over n columns, rows in [0, n]."""
+    return st.tuples(*[st.integers(0, n)] * n)
+
+
+@st.composite
+def _monomial_pairs(draw):
+    """Two monomials over one n <= 8: independent, equal, the empty
+    monomial and another, or the second a prefix extension of the first
+    (some of its absent columns filled in)."""
+    n = draw(st.integers(0, 8))
+    m1 = draw(_monomials(n))
+    kind = draw(st.sampled_from(["independent", "equal", "extension", "empty"]))
+    if kind == "independent":
+        return m1, draw(_monomials(n))
+    if kind == "equal":
+        return m1, m1
+    if kind == "empty":
+        return (0,) * n, m1
+    fill = draw(_monomials(n))
+    return m1, tuple(row or extra for row, extra in zip(m1, fill))
+
+
+class TestPackedMonomials:
+    @settings(derandomize=True, max_examples=400)
+    @given(_monomial_pairs())
+    def test_integer_order_is_the_term_order(self, pair):
+        m1, m2 = pair
+        k1, k2 = monomial_key(m1), monomial_key(m2)
+        p1, p2 = packed(m1), packed(m2)
+        assert (p1 < p2, p1 == p2, p1 > p2) == (k1 < k2, k1 == k2, k1 > k2)
+
+    @settings(derandomize=True, max_examples=200)
+    @given(st.integers(0, 8).flatmap(_monomials), st.integers(-5, 5).filter(bool))
+    def test_packing_round_trips(self, m, c):
+        p = MatrixPolynomial(len(m), {m: c})
+        assert tuple_terms(p) == {m: c}
+        assert MatrixPolynomial.from_json_dict(p.to_json_dict()).terms == p.terms
+
+    def test_empty_monomial_is_zero_and_smallest(self):
+        assert packed((0, 0, 0)) == 0
+        assert packed((0, 0, 0)) < packed((0, 0, 3))
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            pytest.param(lambda: MatrixPolynomial(2, {(3, 0): 1}), "row indices", id="init-row-above-n"),
+            pytest.param(
+                lambda: MatrixPolynomial.from_json_dict({"n": 2, "terms": [{"rows": [0, 3], "coeff": "1"}]}),
+                "row indices",
+                id="json-row-above-n",
+            ),
+            pytest.param(
+                lambda: MatrixPolynomial.from_json_dict({"n": 2, "terms": [{"rows": [-1, 0], "coeff": "1"}]}),
+                "row indices",
+                id="json-negative-row",
+            ),
+            pytest.param(
+                lambda: MatrixPolynomial.from_json_dict({"n": 2, "terms": [{"rows": [1], "coeff": "1"}]}),
+                "length",
+                id="json-wrong-length",
+            ),
+            pytest.param(lambda: MatrixPolynomial.variable(3, 1, 2), "out of range", id="variable-row-above-n"),
+            pytest.param(lambda: MatrixPolynomial.variable(-1, 1, 2), "out of range", id="variable-negative-row"),
+            pytest.param(lambda: MatrixPolynomial.variable(1, 3, 2), "out of range", id="variable-column-above-n"),
+            pytest.param(lambda: minor((1, 3), (1, 2), 2), "row indices", id="minor-row-above-n"),
+            pytest.param(lambda: minor((-1, 1), (1, 2), 2), "row indices", id="minor-negative-row"),
+        ],
+    )
+    def test_rejects_rows_outside_0_to_n(self, build, message):
+        # the constructor's negative-row and wrong-length cases are in
+        # TestValidationBoundary; the message shows the range check fired,
+        # not an accident of packing (a row above n has a negative bit)
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 class TestArithmetic:
     def test_monomial_multiply_disjoint(self):
-        assert monomial_multiply((1, 0, 0), (0, 2, 0)) == (1, 2, 0)
+        product = MatrixPolynomial(3, {(1, 0, 0): 1}) * MatrixPolynomial(3, {(0, 2, 0): 1})
+        assert product == MatrixPolynomial(3, {(1, 2, 0): 1})
 
     def test_monomial_multiply_collision(self):
         with pytest.raises(ColumnCollision):
-            monomial_multiply((1, 0), (2, 0))
+            MatrixPolynomial(2, {(1, 0): 1}) * MatrixPolynomial(2, {(2, 0): 1})
+
+    def test_collision_of_one_pair_among_many(self):
+        # only x[1,2] * x[2,2] collides; every other pair is disjoint
+        p = MatrixPolynomial(4, {(1, 0, 0, 0): 1, (0, 1, 0, 0): 1})
+        q = MatrixPolynomial(4, {(0, 0, 2, 0): 1, (0, 2, 0, 0): 1})
+        with pytest.raises(ColumnCollision):
+            p * q
+        with pytest.raises(ColumnCollision):
+            q * p
+
+    def test_zero_factor_never_collides(self):
+        p = MatrixPolynomial.variable(1, 1, 2)
+        assert (p * MatrixPolynomial.zero(2)).is_zero
+        assert (MatrixPolynomial.zero(2) * p).is_zero
 
     def test_product_collision_propagates(self):
         p = MatrixPolynomial.variable(1, 1, 2)
@@ -76,11 +168,11 @@ class TestArithmetic:
 
     def test_scalar_multiplication(self):
         p = MatrixPolynomial.variable(2, 3, 3)
-        assert (3 * p).terms == {(0, 0, 2): 3}
+        assert 3 * p == MatrixPolynomial(3, {(0, 0, 2): 3})
         assert (p * 0).is_zero
 
     def test_k_tracks_observed_rows(self):
-        p = MatrixPolynomial(3, {(0, 4, 1): 1}, k=2)
+        p = MatrixPolynomial(4, {(0, 4, 1, 0): 1}, k=2)
         assert p.k == 4
 
     def test_equality_ignores_k(self):
@@ -173,14 +265,14 @@ class TestSerialization:
         assert MatrixPolynomial.from_json(p.to_json()) == p
 
     def test_round_trip_preserves_k(self):
-        p = MatrixPolynomial(2, {(3, 0): 1}, k=5)
+        p = MatrixPolynomial(2, {(2, 0): 1}, k=5)
         q = MatrixPolynomial.from_json(p.to_json())
         assert q.k == 5
 
     def test_big_coefficients_survive(self):
         big = 10**40
         p = MatrixPolynomial(2, {(1, 0): big})
-        assert MatrixPolynomial.from_json(p.to_json()).terms[(1, 0)] == big
+        assert MatrixPolynomial.from_json(p.to_json()) == MatrixPolynomial(2, {(1, 0): big})
 
 
 class TestLeadingTerm:
@@ -190,9 +282,9 @@ class TestLeadingTerm:
 
     def test_leading_term_is_maximal(self):
         p = minor((1, 2), (1, 2), 2)
-        lead, _ = p.leading_term()
-        for m in p.terms:
-            assert term_compare(m, lead) <= 0
+        lead, c = p.leading_term()
+        [lead_rows] = tuple_terms(MatrixPolynomial._trusted(p.n, {lead: c}, p.k))
+        assert lead_rows == max(tuple_terms(p), key=monomial_key)
 
 
 # keys of three unrelated kinds: monomials, strings and frozensets
@@ -236,7 +328,7 @@ class TestAddInto:
 def _polys(n, cols=None):
     """Polynomials over n columns, nonzero rows only in ``cols`` (0-based;
     all columns when None), some declared k, zero coefficients included."""
-    rows = st.integers(0, 3)
+    rows = st.integers(0, n)
     monomial = st.tuples(*[rows if cols is None or j in cols else st.just(0) for j in range(n)])
     terms = st.dictionaries(monomial, st.integers(-3, 3), max_size=5)
     return st.builds(MatrixPolynomial, st.just(n), terms, st.integers(0, 4))
@@ -258,7 +350,7 @@ class TestValidationBoundary:
 
     def test_drops_zero_coefficients(self):
         p = MatrixPolynomial(2, {(3, 0): 0, (0, 1): 2})
-        assert p.terms == {(0, 1): 2}
+        assert p == MatrixPolynomial(2, {(0, 1): 2})
         assert p.k == 1
 
     def test_from_json_rejects_duplicate_monomial(self):
@@ -285,5 +377,5 @@ class TestValidationBoundary:
         ]
         for result, k in results:
             assert (result.n, result.k) == (n, k)
-            again = MatrixPolynomial(result.n, result.terms, result.k)
+            again = MatrixPolynomial.from_json_dict(result.to_json_dict())
             assert (again.terms, again.k) == (result.terms, result.k)

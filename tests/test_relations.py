@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from flamingo import relations
 from flamingo.invariants import jellyfish_invariant
-from flamingo.partitions import is_noncrossing, parse_partition
+from flamingo.partitions import OrderedSetPartition, is_noncrossing, parse_partition
 from flamingo.polynomials import MatrixPolynomial
 from flamingo.relations import (
     conjecture_family,
@@ -19,7 +20,7 @@ from flamingo.relations import (
     verify_recurrence,
     verify_three_term,
 )
-from flamingo.verification import _ordered_partitions_of, check_conjecture
+from flamingo.verification import DEPTHS, _abc_instances, _ordered_partitions_of, check_conjecture
 
 from oracles import brute_ordered_partitions
 
@@ -86,6 +87,71 @@ class TestRecurrence:
         ]
         assert sorted(ours) == sorted(expected)
         assert list(_ordered_partitions_of([], min_size)) == [[]]
+
+
+ENTRY_POINTS = {
+    "verify_recurrence": lambda prefix, A, B, C, r: verify_recurrence(prefix, A, B, C, r),
+    "recurrence_terms": lambda prefix, A, B, C, r: recurrence_terms(prefix, A, B, C, r),
+    "recurrence_left": lambda prefix, A, B, C, r: recurrence_left(prefix, A, B, C),
+    "verify_three_term": lambda prefix, A, B, C, r: verify_three_term(A, B, C),
+}
+EVERY = tuple(ENTRY_POINTS)
+WITH_R = ("verify_recurrence", "recurrence_terms", "verify_three_term")
+
+# (name, (prefix, A, B, C, r), the entry points that reject it).  The left
+# side takes no r and needs only A union B nonempty; the three-term relation
+# has no prefix and needs |C| = 1.
+INVALID = [
+    ("repeated-element", ([], {1, 2}, {2, 3}, {4}, 1), EVERY),
+    ("gap", ([], {1}, {2}, {4}, 1), EVERY),
+    ("non-int-element", ([], {1.0}, {2}, {3}, 1), EVERY),
+    ("empty-prefix-block", ([()], {1}, {2}, {3}, 1), EVERY[:3]),
+    ("c-size-not-r", ([], {1}, {2}, {3, 4}, 1), WITH_R),
+    ("empty-a", ([], set(), {1, 2}, {3}, 1), WITH_R),
+    ("empty-b", ([], {1, 2}, set(), {3}, 1), WITH_R),
+    ("empty-c", ([], {1}, {2}, set(), 0), EVERY),
+]
+
+
+@pytest.mark.parametrize(
+    "entry, instance",
+    [pytest.param(entry, instance, id=f"{name}-{entry}") for name, instance, entries in INVALID for entry in entries],
+)
+def test_invalid_instance_is_rejected(entry, instance):
+    with pytest.raises(ValueError):
+        ENTRY_POINTS[entry](*instance)
+
+
+def test_built_partitions_equal_their_validated_rebuilds(monkeypatch):
+    """Every partition the identity checks build unchecked, over every
+    recurrence instance and three-term split at n <= 5, equals the
+    partition ``OrderedSetPartition.from_blocks`` validates and rebuilds."""
+    built = []
+
+    def recording(partition, r):
+        built.append(partition)
+        return jellyfish_invariant(partition, r)
+
+    monkeypatch.setattr(relations, "jellyfish_invariant", recording)
+    instances = 0
+    for n in range(3, 6):
+        for r in DEPTHS:
+            if r > n - 2:
+                continue
+            for prefix, A, B, C in _abc_instances(n, r, prefix_min=r):
+                assert verify_recurrence(prefix, A, B, C, r)
+                assert built[-(2**r + 1)] == recurrence_left(prefix, A, B, C)
+                assert built[-(2**r) :] == [q for _, q in recurrence_terms(prefix, A, B, C, r)]
+                instances += 1
+        for c in range(1, n + 1):
+            rest = [x for x in range(1, n + 1) if x != c]
+            for size in range(1, len(rest)):
+                for A in itertools.combinations(rest, size):
+                    assert verify_three_term(set(A), set(rest) - set(A), {c})
+    assert instances > 0
+    assert built
+    for partition in built:
+        assert partition == OrderedSetPartition.from_blocks(partition.blocks)
 
 
 class TestCrossingResolution:
