@@ -11,23 +11,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from flamingo.relations import conjecture_report
 
 
-@dataclass(frozen=True)
-class ScanConfig:
-    n_max: int = 8
-    r_min: int = 3
-    r_max: int = 4
-
-
-def scan(config: ScanConfig) -> int:
+def scan(args: argparse.Namespace) -> int:
     failures = 0
     print(f"{'n':>3} {'d':>3} {'r':>3} {'size':>6} {'rank':>6} verdict")
-    for n in range(config.r_min, config.n_max + 1):
-        for r in range(config.r_min, config.r_max + 1):
+    for n in range(args.r_min, args.n_max + 1):
+        for r in range(args.r_min, args.r_max + 1):
             for d in range(1, n // r + 1):
                 size, rank = conjecture_report(n, d, r)
                 verdict = "ok" if size == rank else "COUNTEREXAMPLE"
@@ -48,7 +40,7 @@ def main() -> int:
     parser.add_argument("--r-min", type=int, default=3)
     parser.add_argument("--r-max", type=int, default=4)
     args = parser.parse_args()
-    return scan(ScanConfig(n_max=args.n_max, r_min=args.r_min, r_max=args.r_max))
+    return scan(args)
 
 
 if __name__ == "__main__":

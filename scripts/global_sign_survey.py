@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from dataclasses import dataclass
 
 from flamingo.grassmann import (
     compare_up_to_sign,
@@ -26,22 +25,13 @@ from flamingo.invariants import jellyfish_invariant
 from flamingo.partitions import enumerate_ordered_partitions
 
 
-@dataclass(frozen=True)
-class SurveyConfig:
-    n_max: int = 7
-    r_max: int = 3
-    verbose: bool = False
-
-
-def survey(config: SurveyConfig) -> int:
+def survey(args: argparse.Namespace) -> int:
     mismatches: Counter[tuple[int, int, int]] = Counter()
     totals: Counter[tuple[int, int, int]] = Counter()
     shortcut: Counter[bool] = Counter()
-    for n in range(2, config.n_max + 1):
-        for r in range(1, config.r_max + 1):
-            for d in range(1, n // max(r, 1) + 1):
-                if n < r * d or d < 1:
-                    continue
+    for n in range(2, args.n_max + 1):
+        for r in range(1, args.r_max + 1):
+            for d in range(1, n // r + 1):
                 for partition in enumerate_ordered_partitions(n, d, r):
                     expr = gc_jellyfish(partition, r)
                     actual = compare_up_to_sign(phi_star(expr), jellyfish_invariant(partition, r))
@@ -54,7 +44,7 @@ def survey(config: SurveyConfig) -> int:
                     totals[key] += 1
                     if actual != predicted:
                         mismatches[key] += 1
-                        if config.verbose:
+                        if args.verbose:
                             print(
                                 f"  predicted {predicted:+d} actual {actual:+d}"
                                 f"  ({partition.text()}) r={r}",
@@ -76,7 +66,7 @@ def main() -> int:
     parser.add_argument("--r-max", type=int, default=3)
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args()
-    return survey(SurveyConfig(n_max=args.n_max, r_max=args.r_max, verbose=args.verbose))
+    return survey(args)
 
 
 if __name__ == "__main__":

@@ -11,24 +11,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from flamingo.invariants import jellyfish_invariant
 from flamingo.partitions import enumerate_unordered_partitions, rotation_orbit
 from flamingo.specht import exact_rank
 
 
-@dataclass(frozen=True)
-class OrbitConfig:
-    n_max: int = 7
-    r: int = 2
-    deficient_only: bool = False
-
-
-def scan(config: OrbitConfig) -> int:
-    r = config.r
+def scan(args: argparse.Namespace) -> int:
+    r = args.r
     print(f"{'n':>3} {'d':>3} {'orbit':>6} {'rank':>5}  representative")
-    for n in range(2 * r, config.n_max + 1):
+    for n in range(2 * r, args.n_max + 1):
         seen: set = set()
         for d in range(1, n // r + 1):
             for partition in enumerate_unordered_partitions(n, d, r):
@@ -37,7 +29,7 @@ def scan(config: OrbitConfig) -> int:
                 orbit = rotation_orbit(partition)
                 seen.update(orbit)
                 profile = exact_rank([jellyfish_invariant(p, r) for p in orbit])
-                if config.deficient_only and profile.rank == len(orbit):
+                if args.deficient_only and profile.rank == len(orbit):
                     continue
                 print(
                     f"{n:>3} {d:>3} {len(orbit):>6} {profile.rank:>5}  {partition.text()}"
@@ -52,7 +44,7 @@ def main() -> int:
     parser.add_argument("--r", type=int, default=2)
     parser.add_argument("--deficient-only", action="store_true")
     args = parser.parse_args()
-    return scan(OrbitConfig(n_max=args.n_max, r=args.r, deficient_only=args.deficient_only))
+    return scan(args)
 
 
 if __name__ == "__main__":

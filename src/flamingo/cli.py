@@ -4,6 +4,11 @@ Every subcommand prints deterministic output: identical invocations give
 byte-identical results.  Exit status 0 means success or verified, 1 means
 a verification failed, 2 means the invocation itself was unusable.
 Randomized numeric spot checks accept --seed and default to a fixed one.
+
+The front end restates no input rule of the library: arguments become
+library objects through :func:`_usage`, which turns the ``ValueError`` of
+a rejected argument into exit 2.  A ``ValueError`` from inside a rank, an
+invariant or ``verify-all`` is a fault and surfaces as a traceback.
 """
 
 from __future__ import annotations
@@ -12,82 +17,71 @@ import argparse
 import dataclasses
 import json
 import sys
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 from . import verification
 from .diagrams import build_tensor_diagram, export
 from .grassmann import predicted_global_sign, resolved_global_sign
 from .invariants import jellyfish_invariant
-from .partitions import OrderedSetPartition, enumerate_noncrossing, parse_partition, rotation_orbit
-from .relations import (
-    conjecture_family,
-    conjecture_report,
-    recurrence_left,
-    recurrence_terms,
-    verify_recurrence,
+from .partitions import (
+    FlamingoContext,
+    OrderedSetPartition,
+    enumerate_noncrossing,
+    parse_partition,
+    rotation_orbit,
 )
+from .relations import conjecture_family, recurrence_left, recurrence_terms, verify_recurrence
 from .specht import SpechtShape, exact_rank, hook_basis, hook_family, membership_test
 from .tableaux import enumerate_tableaux
+
+T = TypeVar("T")
 
 
 class UsageError(Exception):
     pass
 
 
-def _partition(text: str) -> OrderedSetPartition:
+def _usage(make: Callable[..., T], *args) -> T:
+    """``make(*args)``: a library call that makes an object out of command
+    arguments, with the ValueError it raises for arguments that break the
+    library's rules turned into a UsageError."""
     try:
-        return parse_partition(text)
+        return make(*args)
     except ValueError as exc:
-        raise UsageError(f"bad partition {text!r}: {exc}") from exc
+        raise UsageError(str(exc)) from exc
+
+
+def _filled(text: str, r: int) -> OrderedSetPartition:
+    """The partition, when every block fills the r top rows of a tableau."""
+    partition = _usage(parse_partition, text)
+    _usage(FlamingoContext.from_admissible, partition, r)
+    return partition
 
 
 def _elements(text: str) -> set[int]:
     try:
-        out = {int(x) for x in text.split()}
+        return {int(x) for x in text.split()}
     except ValueError as exc:
         raise UsageError(f"bad element list {text!r}") from exc
-    if not out:
-        raise UsageError("element list must be nonempty")
-    return out
 
 
-def _depth(r: int) -> int:
-    if r < 1:
-        raise UsageError(f"--r must be at least 1, got {r}")
-    return r
-
-
-def _filled(partition: OrderedSetPartition, r: int) -> OrderedSetPartition:
-    """The partition, when every block fills the r top rows of a tableau."""
-    _depth(r)
-    smallest = min(len(block) for block in partition.blocks)
-    if smallest < r:
-        raise UsageError(f"every block needs at least r = {r} elements, the smallest has {smallest}")
-    return partition
-
-
-def _fits(n: int, d: int, r: int) -> None:
-    if n < _depth(r) * d:
-        raise UsageError(f"need n >= r*d, got n = {n}, r*d = {r * d}")
-
-
-def _hook_sizes(n: int, d: int) -> None:
-    if not 1 <= d <= n:
-        raise UsageError(f"need 1 <= d <= n, got n = {n}, d = {d}")
-
-
-def _prefix_blocks(text: str | None) -> list[tuple[int, ...]]:
+def _prefix_blocks(text: str | None) -> list[set[int]]:
     if not text or not text.strip():
         return []
-    return [tuple(sorted(_elements(chunk))) for chunk in text.split("|")]
+    return [_elements(chunk) for chunk in text.split("|")]
+
+
+def _rank(family: Sequence[OrderedSetPartition], r: int) -> int:
+    return exact_rank([jellyfish_invariant(p, r) for p in family]).rank
 
 
 # -- subcommand handlers (return process exit codes) -------------------------
 
 
 def cmd_invariant(args) -> int:
-    partition = _partition(args.partition)
-    poly = jellyfish_invariant(partition, _depth(args.r))
+    partition = _usage(parse_partition, args.partition)
+    _usage(FlamingoContext.from_partition, partition, args.r)
+    poly = jellyfish_invariant(partition, args.r)
     if args.pretty:
         print(poly)
     else:
@@ -96,7 +90,7 @@ def cmd_invariant(args) -> int:
 
 
 def cmd_tableaux(args) -> int:
-    partition = _filled(_partition(args.partition), args.r)
+    partition = _filled(args.partition, args.r)
     tableaux = enumerate_tableaux(partition, args.r)
     if args.json:
         payload = [
@@ -121,11 +115,8 @@ def cmd_tableaux(args) -> int:
 def cmd_recurrence(args) -> int:
     prefix = _prefix_blocks(args.prefix)
     A, B, C = _elements(args.A), _elements(args.B), _elements(args.C)
-    try:
-        left = recurrence_left(prefix, A, B, C)
-        terms = recurrence_terms(prefix, A, B, C, args.r)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    left = _usage(recurrence_left, prefix, A, B, C)
+    terms = _usage(recurrence_terms, prefix, A, B, C, args.r)
     ok = verify_recurrence(prefix, A, B, C, args.r)
     if args.json:
         print(
@@ -146,55 +137,40 @@ def cmd_recurrence(args) -> int:
 
 
 def cmd_independence(args) -> int:
-    if args.family == "nc":
-        if args.n is None or args.d is None or args.r is None:
-            raise UsageError("--family nc needs --n, --d, --r")
-        if min(args.n, args.d, args.r) < 1:
-            raise UsageError("--family nc needs --n, --d, --r of at least 1")
-        _fits(args.n, args.d, args.r)
-        family = enumerate_noncrossing(args.n, args.d, args.r)
-        r = args.r
+    if args.family == "orbit":
+        if not args.partition or args.r is None:
+            raise UsageError("--family orbit needs --partition and --r")
+        family, r = rotation_orbit(_filled(args.partition, args.r)), args.r
     elif args.family == "hook":
         if args.n is None or args.d is None:
             raise UsageError("--family hook needs --n and --d")
-        _hook_sizes(args.n, args.d)
-        family = hook_family(args.n, args.d)
-        r = 1
-    elif args.family == "orbit":
-        if not args.partition or args.r is None:
-            raise UsageError("--family orbit needs --partition and --r")
-        family = rotation_orbit(_filled(_partition(args.partition), args.r))
-        r = args.r
+        family, r = _usage(hook_family, args.n, args.d), 1
     else:
         if args.n is None or args.d is None or args.r is None:
-            raise UsageError("--family conjecture needs --n, --d, --r")
-        _fits(args.n, args.d, args.r)
-        try:
-            family = conjecture_family(args.n, args.d, args.r)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        r = args.r
-    profile = exact_rank([jellyfish_invariant(p, r) for p in family])
+            raise UsageError(f"--family {args.family} needs --n, --d, --r")
+        _usage(SpechtShape, args.n, args.d, args.r)  # the family's module needs n >= r*d
+        make = enumerate_noncrossing if args.family == "nc" else conjecture_family
+        family, r = _usage(make, args.n, args.d, args.r), args.r
+    rank = _rank(family, r)
     if args.json:
         print(
             json.dumps(
                 {
                     "family": args.family,
                     "size": len(family),
-                    "rank": profile.rank,
+                    "rank": rank,
                     "members": [p.text() for p in family],
                 }
             )
         )
     else:
-        print(f"size={len(family)} rank={profile.rank}")
-    return 0 if profile.rank == len(family) else 1
+        print(f"size={len(family)} rank={rank}")
+    return 0 if rank == len(family) else 1
 
 
 def cmd_specht_check(args) -> int:
-    partition = _partition(args.partition)
-    _fits(partition.n, partition.d, args.r)
-    shape = SpechtShape(partition.n, partition.d, args.r)
+    partition = _usage(parse_partition, args.partition)
+    shape = _usage(SpechtShape, partition.n, partition.d, args.r)
     poly = jellyfish_invariant(partition, args.r)
     ok = membership_test(poly, shape)
     if args.json:
@@ -205,7 +181,7 @@ def cmd_specht_check(args) -> int:
 
 
 def cmd_gc_compare(args) -> int:
-    partition = _filled(_partition(args.partition), args.r)
+    partition = _filled(args.partition, args.r)
     sign = resolved_global_sign(partition, args.r)
     predicted = predicted_global_sign(partition, args.r)
     if args.json:
@@ -219,7 +195,7 @@ def cmd_gc_compare(args) -> int:
 
 
 def cmd_diagram(args) -> int:
-    partition = _filled(_partition(args.partition), args.r)
+    partition = _filled(args.partition, args.r)
     diagram = build_tensor_diagram(partition, args.r)
     text = export(diagram, args.format)
     if args.out:
@@ -236,7 +212,7 @@ def cmd_diagram(args) -> int:
 
 
 def cmd_hook_basis(args) -> int:
-    _hook_sizes(args.n, args.d)
+    _usage(hook_family, args.n, args.d)
     report = hook_basis(args.n, args.d)
     if args.json:
         print(json.dumps({**dataclasses.asdict(report), "basis": report.basis}))
@@ -249,11 +225,9 @@ def cmd_hook_basis(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
-    _fits(args.n, args.d, args.r)
-    try:
-        size, rank = conjecture_report(args.n, args.d, args.r)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    _usage(SpechtShape, args.n, args.d, args.r)
+    family = _usage(conjecture_family, args.n, args.d, args.r)
+    size, rank = len(family), _rank(family, args.r)
     if args.json:
         print(json.dumps({"n": args.n, "d": args.d, "r": args.r, "size": size, "rank": rank}))
     else:
@@ -262,9 +236,8 @@ def cmd_conjecture(args) -> int:
 
 
 def cmd_orbit_rank(args) -> int:
-    orbit = rotation_orbit(_filled(_partition(args.partition), args.r))
-    profile = exact_rank([jellyfish_invariant(p, args.r) for p in orbit])
-    print(f"orbit={len(orbit)} rank={profile.rank}")
+    orbit = rotation_orbit(_filled(args.partition, args.r))
+    print(f"orbit={len(orbit)} rank={_rank(orbit, args.r)}")
     return 0
 
 

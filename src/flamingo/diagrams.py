@@ -7,7 +7,9 @@ edge weights summing to n; weight-0 edges are simply absent.
 
 Boundary vertices are plain integers, interior vertices strings like
 "w1"; both appear verbatim in the JSON export, and the DOT export pins
-the boundary clockwise on a circle.
+the boundary clockwise on a circle.  ``validate`` and ``boundary_degrees``
+share one rule: an endpoint is a boundary vertex when it is an ``int``,
+not a ``bool``, in 1..2n.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ def validate(diagram: TensorDiagram) -> list[str]:
     sums = dict.fromkeys(diagram.interior_white + diagram.interior_black, 0)
 
     def shade(v: Vertex) -> str | None:
-        if isinstance(v, int):
+        if type(v) is int:
             return "black" if 1 <= v <= n2 else None
         if v in white:
             return "white"
@@ -104,11 +106,13 @@ def validate(diagram: TensorDiagram) -> list[str]:
 
 
 def boundary_degrees(diagram: TensorDiagram) -> dict[int, int]:
+    """Edges at each boundary vertex; other endpoints are not counted."""
+    n2 = 2 * diagram.n
     degrees = dict.fromkeys(diagram.boundary, 0)
     for a, b, _ in diagram.edges:
-        if isinstance(a, int):
+        if type(a) is int and 1 <= a <= n2:
             degrees[a] += 1
-        if isinstance(b, int):
+        if type(b) is int and 1 <= b <= n2:
             degrees[b] += 1
     return degrees
 

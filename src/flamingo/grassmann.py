@@ -84,9 +84,7 @@ def delta_to_minor(K: Iterable[int], n: int) -> tuple[int, tuple[int, ...], tupl
         raise ValueError("K must be a size-n subset of [2n]")
     kept = Kset & set(range(1, n + 1))
     I = tuple(sorted(set(range(1, n + 1)) - kept))
-    J = tuple(sorted(k - n for k in Kset - kept))
-    if len(I) != len(J):
-        raise ValueError("K is not a valid minor translation set")
+    J = tuple(sorted(k - n for k in Kset - kept))  # |J| = n - |kept| = |I|
     return translation_sign(I, n), I, J
 
 

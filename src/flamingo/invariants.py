@@ -73,9 +73,7 @@ def _invariant_cached(partition: OrderedSetPartition, r: int) -> MatrixPolynomia
 
 
 def jellyfish_invariant(partition: OrderedSetPartition, r: int) -> MatrixPolynomial:
-    """[pi]_r as an exact polynomial; zero when some block has size < r."""
-    if r < 1:
-        raise ValueError("r must be at least 1")
+    """[pi]_r as an exact polynomial, for r >= 1; zero when some block has size < r."""
     return _invariant_cached(partition, r)
 
 

@@ -29,7 +29,8 @@ class BlockTooSmall(ValueError):
 
 
 def is_permutation(w: Sequence[int]) -> bool:
-    return sorted(w) == list(range(1, len(w) + 1))
+    """True when ``w`` lists the ints 1..len(w) once each."""
+    return sorted(w) == list(range(1, len(w) + 1)) and all(isinstance(x, int) for x in w)
 
 
 def simple_transposition(n: int, i: int) -> tuple[int, ...]:
@@ -159,7 +160,7 @@ class OrderedSetPartition:
 
     def canonical(self) -> "OrderedSetPartition":
         """Blocks reordered ascending by their minimum element."""
-        return OrderedSetPartition(self.n, tuple(sorted(self.blocks, key=min)))
+        return OrderedSetPartition._trusted(self.n, tuple(sorted(self.blocks, key=min)))
 
     def replace_blocks(self, replacements: dict[int, Iterable[int]]) -> "OrderedSetPartition":
         """A copy with the 1-based block positions in ``replacements`` swapped out."""
@@ -174,16 +175,13 @@ def parse_partition(text: str) -> OrderedSetPartition:
 
     >>> parse_partition("2 3|1 4").blocks
     ((2, 3), (1, 4))
+
+    Only the integers are parsed here; the constructor checks the rest.
     """
-    if not text.strip():
-        raise ValueError("empty partition text")
     blocks = []
     for chunk in text.split("|"):
-        parts = chunk.split()
-        if not parts:
-            raise ValueError("empty block in partition text")
         try:
-            blocks.append(tuple(sorted(int(p) for p in parts)))
+            blocks.append([int(p) for p in chunk.split()])
         except ValueError as exc:
             raise ValueError(f"bad element in partition text: {chunk!r}") from exc
     return OrderedSetPartition.from_blocks(blocks)
@@ -318,7 +316,8 @@ def act_elements(w: Sequence[int], partition: OrderedSetPartition) -> OrderedSet
     """Apply a permutation of [n] to every element, keeping block order."""
     if len(w) != partition.n or not is_permutation(w):
         raise ValueError("w must be a permutation of [n]")
-    return OrderedSetPartition(
+    # a permutation maps a partition of [n] to one: adopt the image unchecked
+    return OrderedSetPartition._trusted(
         partition.n,
         tuple(tuple(sorted(w[x - 1] for x in block)) for block in partition.blocks),
     )
@@ -355,7 +354,7 @@ def permute_blocks(sigma: Sequence[int], partition: OrderedSetPartition) -> Orde
     if len(sigma) != partition.d or not is_permutation(sigma):
         raise ValueError("sigma must be a permutation of the block positions")
     inv = perm_inverse(sigma)
-    return OrderedSetPartition(partition.n, tuple(partition.blocks[inv[i] - 1] for i in range(partition.d)))
+    return OrderedSetPartition._trusted(partition.n, tuple(partition.blocks[j - 1] for j in inv))
 
 
 def transposition_distance_to_noncrossing(partition: OrderedSetPartition, k: int) -> bool:
@@ -414,7 +413,7 @@ class FlamingoContext:
     @classmethod
     def from_partition(cls, partition: OrderedSetPartition, r: int) -> "FlamingoContext":
         if r < 1:
-            raise ValueError("r must be at least 1")
+            raise ValueError(f"r must be at least 1, got {r}")
         counts = tuple(len(b) - r for b in partition.blocks)
         return cls(partition.n, partition.d, r, counts)
 
@@ -423,7 +422,8 @@ class FlamingoContext:
         """The context, when every block holds at least r elements."""
         ctx = cls.from_partition(partition, r)
         if not ctx.admissible:
-            raise BlockTooSmall(f"every block must have at least {r} elements")
+            smallest = r + min(ctx.tentacle_counts)
+            raise BlockTooSmall(f"every block needs at least r = {r} elements, the smallest has {smallest}")
         return ctx
 
     @property

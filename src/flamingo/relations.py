@@ -28,29 +28,12 @@ from .polynomials import add_into
 from .specht import exact_rank
 
 
-def _ground_set(prefix: Sequence[Iterable[int]], *sets: Iterable[int]) -> int:
-    seen: set[int] = set()
-    for block in list(prefix) + list(sets):
-        for x in block:
-            if not isinstance(x, int):
-                raise ValueError(f"element {x!r} is not an int")
-            if x in seen:
-                raise ValueError(f"element {x} appears twice")
-            seen.add(x)
-    n = len(seen)
-    if seen != set(range(1, n + 1)):
-        raise ValueError("blocks must cover an initial segment [n]")
-    return n
-
-
 def recurrence_left(
     prefix: Sequence[Iterable[int]], A: Iterable[int], B: Iterable[int], C: Iterable[int]
 ) -> OrderedSetPartition:
-    """(prefix | A union B | C)."""
-    A, B, C = set(A), set(B), set(C)
-    n = _ground_set(prefix, A, B, C)
-    blocks = [tuple(sorted(b)) for b in prefix] + [tuple(sorted(A | B)), tuple(sorted(C))]
-    return OrderedSetPartition(n, tuple(blocks))
+    """(prefix | A union B | C), validated by the constructor; A and B are
+    joined as a list, so an element they share is a repeat."""
+    return OrderedSetPartition.from_blocks([*prefix, [*set(A), *set(B)], set(C)])
 
 
 def recurrence_terms(
@@ -64,18 +47,15 @@ def recurrence_terms(
     over subsets S of C; requires nonempty A, B, C with |C| = r.
 
     Undersized blocks are retained: their invariants vanish, which is how
-    the identity absorbs degenerate terms.  The input is validated once,
-    and the partitions are built unchecked.
+    the identity absorbs degenerate terms.  The input is validated once, by
+    building (prefix | A | B | C) with the checking constructor, and the
+    partitions are built unchecked.
     """
     A, B, C = set(A), set(B), set(C)
-    if not A or not B or not C:
-        raise ValueError("A, B, C must be nonempty")
     if len(C) != r:
         raise ValueError(f"need |C| = r, got |C| = {len(C)}, r = {r}")
-    n = _ground_set(prefix, A, B, C)
-    head = tuple(tuple(sorted(b)) for b in prefix)
-    if not all(head):
-        raise ValueError("empty block")
+    instance = OrderedSetPartition.from_blocks([*prefix, A, B, C])
+    n, head = instance.n, instance.blocks[:-3]
     out = []
     for size in range(r + 1):
         for S in itertools.combinations(sorted(C), size):
@@ -107,9 +87,9 @@ def verify_recurrence(
 def verify_three_term(A: Iterable[int], B: Iterable[int], C: Iterable[int]) -> bool:
     """[A+B | C] + [A+C | B] + [B+C | A] = 0 at depth 1, |C| = 1."""
     A, B, C = set(A), set(B), set(C)
-    if len(C) != 1 or not A or not B:
-        raise ValueError("need nonempty A, B and a singleton C")
-    n = _ground_set([], A, B, C)
+    if len(C) != 1:
+        raise ValueError(f"need a singleton C, got |C| = {len(C)}")
+    n = OrderedSetPartition.from_blocks([A, B, C]).n
     acc: dict = {}
     for x, y in ((A | B, C), (A | C, B), (B | C, A)):
         partition = OrderedSetPartition._trusted(n, (tuple(sorted(x)), tuple(sorted(y))))
@@ -199,7 +179,7 @@ def conjecture_family(n: int, d: int, r: int) -> list[OrderedSetPartition]:
     """Partitions with d blocks of size >= r that at most r - 3 adjacent
     transpositions make noncrossing, in canonical order."""
     if r < 3:
-        raise ValueError("the family is defined for r >= 3")
+        raise ValueError(f"the family is defined for r >= 3, got r = {r}")
     return [
         p
         for p in enumerate_unordered_partitions(n, d, r)

@@ -58,8 +58,9 @@ class SpechtShape:
     r: int
 
     def __post_init__(self) -> None:
-        if self.r < 1 or self.d < 1 or self.n < self.r * self.d:
-            raise ValueError("need r, d >= 1 and n >= r*d")
+        n, d, r = self.n, self.d, self.r
+        if r < 1 or d < 1 or n < r * d:
+            raise ValueError(f"need r, d >= 1 and n >= r*d, got n = {n}, d = {d}, r = {r}, r*d = {r * d}")
 
     @property
     def lam(self) -> tuple[int, ...]:
@@ -200,7 +201,7 @@ def hook_family(n: int, d: int) -> list[OrderedSetPartition]:
     """For each (d-1)-subset P of {2..n}, the interval partition whose block
     minima are {1} union P; all are noncrossing."""
     if not 1 <= d <= n:
-        raise ValueError("need 1 <= d <= n")
+        raise ValueError(f"need 1 <= d <= n, got n = {n}, d = {d}")
     out = []
     for P in itertools.combinations(range(2, n + 1), d - 1):
         cuts = (1,) + P + (n + 1,)

@@ -208,6 +208,16 @@ class TestVerifyAll:
         assert code == 0
         assert len(calls) == 1
 
+    def test_fault_inside_a_check_is_not_a_usage_error(self, monkeypatch):
+        # only the calls that turn arguments into library objects map a
+        # ValueError to exit 2; one raised inside a check is a fault
+        def broken(*args, **kwargs):
+            raise ValueError("fault inside the check")
+
+        monkeypatch.setattr(verification, "check_orbit_rank", broken)
+        with pytest.raises(ValueError, match="fault inside the check"):
+            main(["verify-all", "--n-max", "3", "--json"])
+
 
 class TestEntryPoint:
     def test_module_invocation(self):
@@ -257,6 +267,16 @@ class TestEntryPoint:
             id="independence-conjecture-n-below-rd",
         ),
         ("verify-all", "--n-max", "2"),
+        # rules that only the library checks: the shape's r >= 1, the hook
+        # family's d <= n, the conjecture's r >= 3, a repeated element and
+        # an empty block
+        pytest.param(("specht-check", "--partition", "1 2|3 4", "--r", "0"), id="specht-check-r-below-1"),
+        pytest.param(("independence", "--family", "hook", "--n", "2", "--d", "3"), id="independence-hook-d-above-n"),
+        pytest.param(("conjecture", "--n", "6", "--d", "2", "--r", "2"), id="conjecture-r-below-3"),
+        pytest.param(
+            ("recurrence", "--A", "1 2", "--B", "2 3", "--C", "4", "--r", "1"), id="recurrence-shared-element"
+        ),
+        pytest.param(("invariant", "--partition", "1 2||3", "--r", "1"), id="invariant-empty-block"),
     ],
     ids=lambda argv: argv[0],
 )
@@ -265,3 +285,19 @@ def test_out_of_range_argument_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, values",
+    [
+        (("tableaux", "--partition", "1|2 3", "--r", "2"), "r = 2 elements, the smallest has 1"),
+        (("hook-basis", "--n", "2", "--d", "3"), "got n = 2, d = 3"),
+        (("conjecture", "--n", "4", "--d", "3", "--r", "3"), "got n = 4, d = 3, r = 3, r*d = 9"),
+    ],
+    ids=["block-too-small", "hook-family", "specht-shape"],
+)
+def test_usage_error_names_the_rejected_values(capsys, argv, values):
+    # the library's messages carry the values, so every caller reports them
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert values in err

@@ -8,6 +8,7 @@ from flamingo.diagrams import (
     build_tensor_diagram,
     export,
     from_json,
+    from_json_dict,
     to_dot,
     unclasping_is_forest,
     validate,
@@ -95,6 +96,24 @@ class TestValidate:
             edges=(("w1", "ghost", 2),),
         )
         assert validate(diagram)
+
+    # A boundary vertex is an int, not a bool, in 1..2n: validate reports
+    # any other endpoint as unknown, and boundary_degrees does not count it.
+
+    def test_int_outside_the_boundary_is_unknown(self):
+        diagram = from_json_dict(
+            {"n": 2, "interior_white": ["w1"], "interior_black": [], "edges": [{"ends": ["w1", 9], "weight": 2}]}
+        )
+        assert "edge ('w1', 9) touches an unknown vertex" in validate(diagram)
+        assert boundary_degrees(diagram) == {1: 0, 2: 0, 3: 0, 4: 0}
+
+    def test_json_true_is_not_boundary_vertex_one(self):
+        diagram = from_json(
+            '{"n": 2, "interior_white": ["w1"], "interior_black": [],'
+            ' "edges": [{"ends": ["w1", true], "weight": 2}]}'
+        )
+        assert "edge ('w1', True) touches an unknown vertex" in validate(diagram)
+        assert boundary_degrees(diagram) == {1: 0, 2: 0, 3: 0, 4: 0}
 
 
 class TestExport:

@@ -192,6 +192,42 @@ class TestGroupActions:
         w = (3, 1, 4, 2)
         assert perm_compose(w, perm_inverse(w)) == (1, 2, 3, 4)
 
+    # The actions adopt their images unchecked, so the permutation check is
+    # the only guard: a non-permutation must be rejected before it acts.
+
+    @pytest.mark.parametrize(
+        "w",
+        [(1, 1, 3, 4), (0, 1, 2, 3), (2, 1, 3), (2, 1, 3, 4, 5), (1.0, 2, 3, 4)],
+        ids=["repeated-image", "image-zero", "too-short", "too-long", "float-image"],
+    )
+    def test_act_elements_rejects_non_permutation(self, w):
+        with pytest.raises(ValueError):
+            act_elements(w, parse_partition("1 3|2 4"))
+
+    @pytest.mark.parametrize(
+        "sigma",
+        [(1, 1, 3), (0, 1, 2), (2, 1), (2, 1, 3, 4), (1.0, 2, 3)],
+        ids=["repeated-image", "image-zero", "too-short", "too-long", "float-image"],
+    )
+    def test_permute_blocks_rejects_non_permutation(self, sigma):
+        with pytest.raises(ValueError):
+            permute_blocks(sigma, parse_partition("1 3|2|4"))
+
+    def test_images_equal_their_validated_rebuilds(self):
+        """Every image of act_elements, permute_blocks and canonical over
+        all partitions with n <= 5, under every permutation of [n] and of
+        the blocks, equals the partition from_blocks validates and rebuilds."""
+        for n in range(1, 6):
+            elements = list(itertools.permutations(range(1, n + 1)))
+            for d in range(1, n + 1):
+                positions = list(itertools.permutations(range(1, d + 1)))
+                for p in enumerate_ordered_partitions(n, d, 1):
+                    images = [p.canonical()]
+                    images += [act_elements(w, p) for w in elements]
+                    images += [permute_blocks(sigma, p) for sigma in positions]
+                    for q in images:
+                        assert q == OrderedSetPartition.from_blocks(q.blocks)
+
 
 class TestContext:
     def test_running_example_rows(self):
