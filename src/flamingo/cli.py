@@ -58,14 +58,14 @@ def _filled(text: str, r: int) -> OrderedSetPartition:
     return partition
 
 
-def _elements(text: str) -> set[int]:
+def _elements(text: str) -> list[int]:
     try:
-        return {int(x) for x in text.split()}
+        return [int(x) for x in text.split()]
     except ValueError as exc:
         raise UsageError(f"bad element list {text!r}") from exc
 
 
-def _prefix_blocks(text: str | None) -> list[set[int]]:
+def _prefix_blocks(text: str | None) -> list[list[int]]:
     if not text or not text.strip():
         return []
     return [_elements(chunk) for chunk in text.split("|")]

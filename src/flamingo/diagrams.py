@@ -7,9 +7,9 @@ edge weights summing to n; weight-0 edges are simply absent.
 
 Boundary vertices are plain integers, interior vertices strings like
 "w1"; both appear verbatim in the JSON export, and the DOT export pins
-the boundary clockwise on a circle.  ``validate`` and ``boundary_degrees``
-share one rule: an endpoint is a boundary vertex when it is an ``int``,
-not a ``bool``, in 1..2n.
+the boundary clockwise on a circle.  One rule tells a boundary vertex: an
+``int``, not a ``bool``, in 1..2n.  ``to_dot`` and ``unclasping_is_forest``
+raise ValueError on an endpoint that is neither that nor declared interior.
 """
 
 from __future__ import annotations
@@ -42,29 +42,26 @@ def build_tensor_diagram(partition: OrderedSetPartition, r: int) -> TensorDiagra
     block i shifted by n, with u_i collecting the tentacle range and b_i
     balancing the weights so every interior sum is n."""
     ctx = FlamingoContext.from_admissible(partition, r)
-    n, d = partition.n, partition.d
-    S = ctx.tentacle_rows
-    E = ctx.tail_rows
-    whites = tuple(f"w{i}" for i in range(1, d + 1)) + tuple(
-        f"u{i}" for i in range(1, d)
-    )
-    blacks = tuple(f"b{i}" for i in range(1, d))
+    n, d, nu = partition.n, partition.d, ctx.nu
+    tail, tentacles = ctx.tail_rows, ctx.tentacle_rows
+    ws = [f"w{i}" for i in range(1, d + 1)]
+    us = [f"u{i}" for i in range(1, d)]
+    bs = [f"b{i}" for i in range(1, d)]
     edges: list[Edge] = []
-    for i, block in enumerate(partition.blocks, start=1):
-        for e in E:
-            edges.append((f"w{i}", e, 1))
+    for w, block in zip(ws, partition.blocks):
+        for e in tail:
+            edges.append((w, e, 1))
         for x in block:
-            edges.append((f"w{i}", x + n, 1))
-    for i in range(1, d):
-        for s in S:
-            edges.append((f"u{i}", s, 1))
-        to_w = ctx.nu - len(partition.blocks[i - 1])
-        if to_w:
-            edges.append((f"b{i}", f"w{i}", to_w))
-        edges.append((f"b{i}", f"u{i}", r * d))
-        if ctx.tentacle_counts[i - 1]:
-            edges.append((f"b{i}", f"w{d}", ctx.tentacle_counts[i - 1]))
-    return TensorDiagram(n, whites, blacks, tuple(edges))
+            edges.append((w, x + n, 1))
+    for u, b, w, block, count in zip(us, bs, ws, partition.blocks, ctx.tentacle_counts):
+        for s in tentacles:
+            edges.append((u, s, 1))
+        if nu - len(block):
+            edges.append((b, w, nu - len(block)))
+        edges.append((b, u, r * d))
+        if count:
+            edges.append((b, ws[-1], count))
+    return TensorDiagram(n, (*ws, *us), tuple(bs), tuple(edges))
 
 
 def validate(diagram: TensorDiagram) -> list[str]:
@@ -72,27 +69,18 @@ def validate(diagram: TensorDiagram) -> list[str]:
     interior weight sums, bipartiteness, weight positivity, and endpoint
     validity."""
     problems = []
-    white = set(diagram.interior_white)
-    black = set(diagram.interior_black)
-    n2 = 2 * diagram.n
+    n = diagram.n
+    n2 = 2 * n
+    colour = dict.fromkeys(diagram.interior_black, "black") | dict.fromkeys(diagram.interior_white, "white")
     sums = dict.fromkeys(diagram.interior_white + diagram.interior_black, 0)
-
-    def shade(v: Vertex) -> str | None:
-        if type(v) is int:
-            return "black" if 1 <= v <= n2 else None
-        if v in white:
-            return "white"
-        if v in black:
-            return "black"
-        return None
-
     for a, b, w in diagram.edges:
-        ca, cb = shade(a), shade(b)
+        ca = ("black" if 1 <= a <= n2 else None) if type(a) is int else colour.get(a)
+        cb = ("black" if 1 <= b <= n2 else None) if type(b) is int else colour.get(b)
         if ca is None or cb is None:
             problems.append(f"edge ({a!r}, {b!r}) touches an unknown vertex")
             continue
-        if not 1 <= w <= diagram.n:
-            problems.append(f"edge ({a!r}, {b!r}) has weight {w} outside [1, {diagram.n}]")
+        if not 1 <= w <= n:
+            problems.append(f"edge ({a!r}, {b!r}) has weight {w} outside [1, {n}]")
         if ca == cb:
             problems.append(f"edge ({a!r}, {b!r}) joins two {ca} vertices")
         if a in sums:
@@ -100,15 +88,15 @@ def validate(diagram: TensorDiagram) -> list[str]:
         if b in sums:
             sums[b] += w
     for v, total in sums.items():
-        if total != diagram.n:
-            problems.append(f"interior vertex {v} has weight sum {total}, expected {diagram.n}")
+        if total != n:
+            problems.append(f"interior vertex {v} has weight sum {total}, expected {n}")
     return problems
 
 
 def boundary_degrees(diagram: TensorDiagram) -> dict[int, int]:
     """Edges at each boundary vertex; other endpoints are not counted."""
     n2 = 2 * diagram.n
-    degrees = dict.fromkeys(diagram.boundary, 0)
+    degrees = dict.fromkeys(range(1, n2 + 1), 0)
     for a, b, _ in diagram.edges:
         if type(a) is int and 1 <= a <= n2:
             degrees[a] += 1
@@ -117,9 +105,21 @@ def boundary_degrees(diagram: TensorDiagram) -> dict[int, int]:
     return degrees
 
 
+def _is_boundary(v: Vertex, n2: int, interior: set) -> bool:
+    """True for a boundary vertex, False for a declared interior one."""
+    if type(v) is int:
+        if 1 <= v <= n2:
+            return True
+    elif v in interior:
+        return False
+    raise ValueError(f"unknown vertex {v!r}: neither a boundary vertex in 1..{n2} nor a declared interior vertex")
+
+
 def unclasping_is_forest(diagram: TensorDiagram) -> bool:
     """True when splitting every boundary vertex into one leaf per incident
     edge leaves an acyclic graph."""
+    n2 = 2 * diagram.n
+    interior = {*diagram.interior_white, *diagram.interior_black}
     parent: dict = {}
 
     def find(x):
@@ -132,7 +132,7 @@ def unclasping_is_forest(diagram: TensorDiagram) -> bool:
     for a, b, _ in diagram.edges:
         ends = []
         for v in (a, b):
-            if isinstance(v, int):
+            if _is_boundary(v, n2, interior):
                 leaf += 1
                 ends.append(("leaf", leaf))
             else:
@@ -168,9 +168,10 @@ def to_dot(diagram: TensorDiagram) -> str:
         lines.append(
             f'  {v} [label="{v}", shape=circle, style=filled, fillcolor=black, fontcolor=white];'
         )
+    interior = {*diagram.interior_white, *diagram.interior_black}
     for a, b, w in diagram.edges:
-        ea = f"v{a}" if isinstance(a, int) else a
-        eb = f"v{b}" if isinstance(b, int) else b
+        ea = f"v{a}" if _is_boundary(a, n2, interior) else a
+        eb = f"v{b}" if _is_boundary(b, n2, interior) else b
         lines.append(f'  {ea} -- {eb} [label="{w}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

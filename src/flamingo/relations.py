@@ -32,8 +32,8 @@ def recurrence_left(
     prefix: Sequence[Iterable[int]], A: Iterable[int], B: Iterable[int], C: Iterable[int]
 ) -> OrderedSetPartition:
     """(prefix | A union B | C), validated by the constructor; A and B are
-    joined as a list, so an element they share is a repeat."""
-    return OrderedSetPartition.from_blocks([*prefix, [*set(A), *set(B)], set(C)])
+    joined as lists, so an element repeated in or across them is rejected."""
+    return OrderedSetPartition.from_blocks([*prefix, [*A, *B], C])
 
 
 def recurrence_terms(
@@ -51,11 +51,11 @@ def recurrence_terms(
     building (prefix | A | B | C) with the checking constructor, and the
     partitions are built unchecked.
     """
-    A, B, C = set(A), set(B), set(C)
-    if len(C) != r:
-        raise ValueError(f"need |C| = r, got |C| = {len(C)}, r = {r}")
     instance = OrderedSetPartition.from_blocks([*prefix, A, B, C])
     n, head = instance.n, instance.blocks[:-3]
+    A, B, C = map(set, instance.blocks[-3:])
+    if len(C) != r:
+        raise ValueError(f"need |C| = r, got |C| = {len(C)}, r = {r}")
     out = []
     for size in range(r + 1):
         for S in itertools.combinations(sorted(C), size):
@@ -73,11 +73,11 @@ def verify_recurrence(
 ) -> bool:
     """Exact polynomial check of the 2^r + 1 term identity: the left side
     minus the signed right-hand invariants is empty."""
-    A, B, C = set(A), set(B), set(C)
+    A, B, C = list(A), list(B), list(C)
     terms = recurrence_terms(prefix, A, B, C, r)
     # the terms share n and the sorted prefix blocks with the left side
     n, head = terms[0][1].n, terms[0][1].blocks[:-2]
-    left = OrderedSetPartition._trusted(n, head + (tuple(sorted(A | B)), tuple(sorted(C))))
+    left = OrderedSetPartition._trusted(n, head + (tuple(sorted(A + B)), tuple(sorted(C))))
     acc = dict(jellyfish_invariant(left, r).terms)
     for sign, partition in terms:
         add_into(acc, jellyfish_invariant(partition, r).terms, -sign)
@@ -86,13 +86,13 @@ def verify_recurrence(
 
 def verify_three_term(A: Iterable[int], B: Iterable[int], C: Iterable[int]) -> bool:
     """[A+B | C] + [A+C | B] + [B+C | A] = 0 at depth 1, |C| = 1."""
-    A, B, C = set(A), set(B), set(C)
+    instance = OrderedSetPartition.from_blocks([A, B, C])
+    A, B, C = map(set, instance.blocks)
     if len(C) != 1:
         raise ValueError(f"need a singleton C, got |C| = {len(C)}")
-    n = OrderedSetPartition.from_blocks([A, B, C]).n
     acc: dict = {}
     for x, y in ((A | B, C), (A | C, B), (B | C, A)):
-        partition = OrderedSetPartition._trusted(n, (tuple(sorted(x)), tuple(sorted(y))))
+        partition = OrderedSetPartition._trusted(instance.n, (tuple(sorted(x)), tuple(sorted(y))))
         add_into(acc, jellyfish_invariant(partition, 1).terms)
     return not acc
 

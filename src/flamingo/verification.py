@@ -29,7 +29,6 @@ from .grassmann import (
 )
 from .invariants import jellyfish_invariant, verify_equivariance
 from .partitions import (
-    FlamingoContext,
     OrderedSetPartition,
     block_tuples,
     enumerate_noncrossing,
@@ -400,19 +399,19 @@ def check_diagrams(n_max: int = 8) -> tuple[bool, str]:
             problems = validate(diagram)
             if problems:
                 return False, f"{partition} at depth {r}: {problems[0]}"
-            ctx = FlamingoContext.from_partition(partition, r)
             degrees = boundary_degrees(diagram)
-            d = partition.d
+            n, d = partition.n, partition.d
+            nu = n - (d - 1) * r  # the tentacle rows are r+1..nu, the tail rows nu+1..n
             for v in range(1, r + 1):
                 if degrees[v] != 0:
                     return False, f"boundary {v} should be unused for {partition}"
-            for v in ctx.tentacle_rows:
+            for v in range(r + 1, nu + 1):
                 if degrees[v] != d - 1:
                     return False, f"boundary {v} degree {degrees[v]} != d-1 for {partition}"
-            for v in ctx.tail_rows:
+            for v in range(nu + 1, n + 1):
                 if degrees[v] != d:
                     return False, f"boundary {v} degree {degrees[v]} != d for {partition}"
-            for v in range(partition.n + 1, 2 * partition.n + 1):
+            for v in range(n + 1, 2 * n + 1):
                 if degrees[v] != 1:
                     return False, f"boundary {v} degree {degrees[v]} != 1 for {partition}"
             built += 1

@@ -11,6 +11,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd
 
+from flamingo.diagrams import Edge, TensorDiagram, Vertex
+from flamingo.partitions import FlamingoContext, OrderedSetPartition
 from flamingo.polynomials import variable_position
 
 
@@ -184,3 +186,89 @@ def evaluate_poly(poly, matrix) -> int:
                 prod *= matrix[row - 1][col]
         total += prod
     return total
+
+
+# The diagram builder, validator and degree count as they were before the
+# builder named each vertex once per diagram and the validator coloured
+# endpoints from one dict, kept verbatim as references for the
+# differential tests.
+
+
+def build_tensor_diagram(partition: OrderedSetPartition, r: int) -> TensorDiagram:
+    """The diagram whose white vertex w_i fans out to the tail range and to
+    block i shifted by n, with u_i collecting the tentacle range and b_i
+    balancing the weights so every interior sum is n."""
+    ctx = FlamingoContext.from_admissible(partition, r)
+    n, d = partition.n, partition.d
+    S = ctx.tentacle_rows
+    E = ctx.tail_rows
+    whites = tuple(f"w{i}" for i in range(1, d + 1)) + tuple(
+        f"u{i}" for i in range(1, d)
+    )
+    blacks = tuple(f"b{i}" for i in range(1, d))
+    edges: list[Edge] = []
+    for i, block in enumerate(partition.blocks, start=1):
+        for e in E:
+            edges.append((f"w{i}", e, 1))
+        for x in block:
+            edges.append((f"w{i}", x + n, 1))
+    for i in range(1, d):
+        for s in S:
+            edges.append((f"u{i}", s, 1))
+        to_w = ctx.nu - len(partition.blocks[i - 1])
+        if to_w:
+            edges.append((f"b{i}", f"w{i}", to_w))
+        edges.append((f"b{i}", f"u{i}", r * d))
+        if ctx.tentacle_counts[i - 1]:
+            edges.append((f"b{i}", f"w{d}", ctx.tentacle_counts[i - 1]))
+    return TensorDiagram(n, whites, blacks, tuple(edges))
+
+
+def validate(diagram: TensorDiagram) -> list[str]:
+    """Empty list when sound; otherwise human-readable violations covering
+    interior weight sums, bipartiteness, weight positivity, and endpoint
+    validity."""
+    problems = []
+    white = set(diagram.interior_white)
+    black = set(diagram.interior_black)
+    n2 = 2 * diagram.n
+    sums = dict.fromkeys(diagram.interior_white + diagram.interior_black, 0)
+
+    def shade(v: Vertex) -> str | None:
+        if type(v) is int:
+            return "black" if 1 <= v <= n2 else None
+        if v in white:
+            return "white"
+        if v in black:
+            return "black"
+        return None
+
+    for a, b, w in diagram.edges:
+        ca, cb = shade(a), shade(b)
+        if ca is None or cb is None:
+            problems.append(f"edge ({a!r}, {b!r}) touches an unknown vertex")
+            continue
+        if not 1 <= w <= diagram.n:
+            problems.append(f"edge ({a!r}, {b!r}) has weight {w} outside [1, {diagram.n}]")
+        if ca == cb:
+            problems.append(f"edge ({a!r}, {b!r}) joins two {ca} vertices")
+        if a in sums:
+            sums[a] += w
+        if b in sums:
+            sums[b] += w
+    for v, total in sums.items():
+        if total != diagram.n:
+            problems.append(f"interior vertex {v} has weight sum {total}, expected {diagram.n}")
+    return problems
+
+
+def boundary_degrees(diagram: TensorDiagram) -> dict[int, int]:
+    """Edges at each boundary vertex; other endpoints are not counted."""
+    n2 = 2 * diagram.n
+    degrees = dict.fromkeys(diagram.boundary, 0)
+    for a, b, _ in diagram.edges:
+        if type(a) is int and 1 <= a <= n2:
+            degrees[a] += 1
+        if type(b) is int and 1 <= b <= n2:
+            degrees[b] += 1
+    return degrees

@@ -6,7 +6,11 @@ import pytest
 
 from flamingo import verification
 from flamingo.cli import main
+from flamingo.diagrams import to_dot, to_json
+from flamingo.partitions import parse_partition
 from flamingo.polynomials import MatrixPolynomial
+
+import oracles
 
 
 def run_cli(capsys, *argv):
@@ -146,6 +150,24 @@ class TestDiagram:
         doc = json.loads(target.read_text())
         assert doc["n"] == 4
 
+    # r, partition: d = 1 at every depth, n = 8 at every depth, n = 10 at r = 2
+    EXPORT_PANEL = [
+        (1, "1"), (1, "1 2 3"), (1, "1|2"), (1, "2|1"), (1, "1 3|2 4"), (1, "1 4|2 5 7|3 6"),
+        (1, "1|2|3|4"), (1, "1 5|2 6|3 7|4 8"), (1, "1 2 3 4 5 6 7 8"),
+        (2, "1 2"), (2, "1 3|2 4"), (2, "1 2 5|3 4 6"), (2, "5 6|1 4|2 3"), (2, "1 3 5 7|2 4 6 8"),
+        (2, "1 2 3 4 5 6 7"), (2, "2 3 6 10|5 7 8 9|1 4"),
+        (3, "1 2 3"), (3, "1 2 3|4 5 6"), (3, "2 4 6|1 3 5"), (3, "1 4 7|2 5 8|3 6 9"),
+        (3, "2 3 5 8|1 4 6 7"), (3, "1 2 3 4 5 6 7 8"),
+    ]
+
+    @pytest.mark.parametrize("r, text", EXPORT_PANEL)
+    def test_exports_match_the_reference_build(self, capsys, r, text):
+        reference = oracles.build_tensor_diagram(parse_partition(text), r)
+        for fmt, expected in (("dot", to_dot(reference)), ("json", to_json(reference, indent=2) + "\n")):
+            code, out, _ = run_cli(capsys, "diagram", "--partition", text, "--r", str(r), "--format", fmt)
+            assert code == 0
+            assert out == expected
+
     def test_missing_out_directory_is_usage_error(self, capsys, tmp_path):
         target = tmp_path / "missing" / "d.dot"
         code, out, err = run_cli(
@@ -277,6 +299,11 @@ class TestEntryPoint:
             ("recurrence", "--A", "1 2", "--B", "2 3", "--C", "4", "--r", "1"), id="recurrence-shared-element"
         ),
         pytest.param(("invariant", "--partition", "1 2||3", "--r", "1"), id="invariant-empty-block"),
+        pytest.param(("recurrence", "--A", "1 1", "--B", "2", "--C", "3", "--r", "1"), id="recurrence-repeat-in-A"),
+        pytest.param(
+            ("recurrence", "--A", "1", "--B", "2", "--C", "3", "--r", "1", "--prefix", "4 4"),
+            id="recurrence-repeat-in-prefix",
+        ),
     ],
     ids=lambda argv: argv[0],
 )

@@ -1,6 +1,9 @@
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flamingo.diagrams import (
     TensorDiagram,
@@ -13,7 +16,9 @@ from flamingo.diagrams import (
     unclasping_is_forest,
     validate,
 )
-from flamingo.partitions import FlamingoContext, enumerate_ordered_partitions, parse_partition
+from flamingo.partitions import FlamingoContext, enumerate_ordered_partitions, parse_partition, partitions_up_to
+
+import oracles
 
 EXAMPLE = parse_partition("2 3 6 10|5 7 8 9|1 4")
 
@@ -58,6 +63,90 @@ class TestConstruction:
             diagram = build_tensor_diagram(p, r)
             assert validate(diagram) == []
             assert unclasping_is_forest(diagram)
+
+
+def _pairs(n_max):
+    return [(p, r) for r in (1, 2, 3) for p in partitions_up_to(n_max, r)]
+
+
+class TestAgainstReference:
+    """The builder, the one-pass validator and the degree count against
+    the code they replaced, kept verbatim in ``oracles``."""
+
+    def test_every_diagram_up_to_seven_is_equal_in_edge_order(self):
+        pairs = _pairs(7)
+        assert len(pairs) == 53_618
+        for p, r in pairs:
+            diagram = build_tensor_diagram(p, r)
+            reference = oracles.build_tensor_diagram(p, r)
+            assert diagram == reference  # the edge tuples too, in order
+            assert validate(diagram) == oracles.validate(reference) == []
+            assert boundary_degrees(diagram) == oracles.boundary_degrees(reference)
+
+    POOL = _pairs(5)
+
+    @staticmethod
+    def _mutate(diagram, data):
+        n = diagram.n
+        edges = list(diagram.edges)
+        whites, blacks = list(diagram.interior_white), list(diagram.interior_black)
+        for _ in range(data.draw(st.integers(1, 4), label="mutations")):
+            kind = data.draw(st.sampled_from(["weight", "endpoint", "swap", "copy", "declare", "drop"]), label="kind")
+            if kind in ("swap", "copy"):
+                v = data.draw(st.sampled_from(whites + blacks), label="vertex")
+                source, target = (whites, blacks) if v in whites else (blacks, whites)
+                if kind == "swap":
+                    source.remove(v)
+                target.append(v)
+                continue
+            if kind == "declare":
+                # an interior vertex named like a boundary vertex, or by a number outside it
+                v = data.draw(st.sampled_from([1, True, 2 * n + 1, n + 1]), label="declared")
+                (whites if data.draw(st.booleans(), label="white") else blacks).append(v)
+                continue
+            if not edges:
+                continue
+            i = data.draw(st.integers(0, len(edges) - 1), label="edge")
+            a, b, w = edges[i]
+            if kind == "drop":
+                del edges[i]
+            elif kind == "weight":
+                edges[i] = (a, b, data.draw(st.sampled_from([0, n + 1, -1]), label="weight"))
+            else:
+                # 1.0 equals and hashes like 1, so only an explicit int test rejects it
+                end = data.draw(st.sampled_from([True, 0, 2 * n + 1, 1.0, "x9", n + 1]), label="end")
+                edges[i] = (end, b, w) if data.draw(st.booleans(), label="first") else (a, end, w)
+        return dataclasses.replace(
+            diagram, interior_white=tuple(whites), interior_black=tuple(blacks), edges=tuple(edges)
+        )
+
+    @settings(max_examples=500)
+    @given(st.data())
+    def test_mutated_diagrams_get_the_reference_verdicts(self, data):
+        p, r = data.draw(st.sampled_from(self.POOL), label="pair")
+        diagram = self._mutate(build_tensor_diagram(p, r), data)
+        assert validate(diagram) == oracles.validate(diagram)
+        assert boundary_degrees(diagram) == oracles.boundary_degrees(diagram)
+
+    @pytest.mark.parametrize(
+        "white, black, edges",
+        [
+            (("w1", 3), (), ((3, "w1", 1), ("w1", 3, 1))),
+            (("w1",), (True,), (("w1", True, 2), (1, True, 1))),
+            (("w1", "b1"), ("b1",), (("w1", "b1", 2), ("b1", 1, 1))),
+        ],
+        ids=["int-named-interior", "true-named-interior", "white-and-black"],
+    )
+    def test_odd_declarations_get_the_reference_verdicts(self, white, black, edges):
+        diagram = TensorDiagram(n=2, interior_white=white, interior_black=black, edges=edges)
+        assert validate(diagram) == oracles.validate(diagram)
+        assert boundary_degrees(diagram) == oracles.boundary_degrees(diagram)
+
+    def test_float_one_is_not_boundary_vertex_one(self):
+        diagram = TensorDiagram(n=1, interior_white=("w1",), interior_black=(), edges=(("w1", 1.0, 1),))
+        assert validate(diagram) == oracles.validate(diagram)
+        assert validate(diagram)[0] == "edge ('w1', 1.0) touches an unknown vertex"
+        assert boundary_degrees(diagram) == {1: 0, 2: 0}
 
 
 class TestValidate:
@@ -144,6 +233,26 @@ class TestExport:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             export(build_tensor_diagram(EXAMPLE, 2), "svg")
+
+
+class TestEndpointRule:
+    """``to_dot`` and ``unclasping_is_forest`` take a boundary vertex by the
+    rule of ``validate`` and reject an endpoint that is neither that nor a
+    declared interior vertex."""
+
+    @pytest.mark.parametrize(
+        "end, named",
+        [("true", "True"), ("9", "9"), ('"ghost"', "'ghost'")],
+        ids=["json-true", "outside-1-to-2n", "undeclared-name"],
+    )
+    @pytest.mark.parametrize("reader", [to_dot, unclasping_is_forest], ids=["to_dot", "unclasping_is_forest"])
+    def test_unknown_endpoint_raises(self, reader, end, named):
+        diagram = from_json(
+            '{"n": 2, "interior_white": ["w1"], "interior_black": [],'
+            f' "edges": [{{"ends": ["w1", {end}], "weight": 2}}]}}'
+        )
+        with pytest.raises(ValueError, match=f"unknown vertex {named}"):
+            reader(diagram)
 
 
 class TestUnclasping:

@@ -56,6 +56,22 @@ class TestRecurrence:
         with pytest.raises(ValueError):
             recurrence_terms([], {1, 2}, {2, 3}, {4}, 1)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: recurrence_left([], [1, 1], [2], [3]),
+            lambda: recurrence_left([[4, 4]], [1], [2], [3]),
+            lambda: recurrence_terms([], [1], [2, 2], [3], 1),
+            lambda: recurrence_terms([[4, 4]], [1], [2], [3], 1),
+            lambda: verify_recurrence([], [1], [2], [3, 3], 1),
+            lambda: verify_three_term([1, 1], [2], [3]),
+        ],
+        ids=["left-A", "left-prefix", "terms-B", "terms-prefix", "verify-C", "three-term-A"],
+    )
+    def test_repeated_element_is_rejected_not_dropped(self, call):
+        with pytest.raises(ValueError, match="repeated"):
+            call()
+
     def test_three_term_symmetric_form(self):
         assert verify_three_term({1, 2}, {3, 4}, {5})
         assert verify_three_term({2, 4}, {1, 5}, {3})
