@@ -7,14 +7,7 @@ the matching polynomial module, and draws the associated tensor diagrams.
 All arithmetic is exact integer arithmetic.
 """
 
-from .invariants import (
-    act_on_polynomial,
-    jellyfish_invariant,
-    verify_block_reorder,
-    verify_equivariance,
-    verify_reflection,
-    verify_rotation,
-)
+from .invariants import jellyfish_invariant, verify_block_reorder, verify_equivariance
 from .partitions import (
     FlamingoContext,
     OrderedSetPartition,
@@ -30,7 +23,6 @@ from .grassmann import Extensor, cap, compare_up_to_sign, gc_jellyfish, phi, phi
 from .diagrams import TensorDiagram, build_tensor_diagram, export
 from .specht import SpechtShape, exact_rank, hook_family, membership_test, spanning_rank
 from .relations import (
-    expand_to_noncrossing,
     recurrence_terms,
     resolve_crossing_r1,
     verify_recurrence,
@@ -48,7 +40,6 @@ __all__ = [
     "OrderedSetPartition",
     "SpechtShape",
     "TensorDiagram",
-    "act_on_polynomial",
     "build_tensor_diagram",
     "cap",
     "compare_up_to_sign",
@@ -57,7 +48,6 @@ __all__ = [
     "enumerate_tableaux",
     "enumerate_unordered_partitions",
     "exact_rank",
-    "expand_to_noncrossing",
     "export",
     "gc_jellyfish",
     "hook_family",
@@ -75,7 +65,5 @@ __all__ = [
     "verify_block_reorder",
     "verify_equivariance",
     "verify_recurrence",
-    "verify_reflection",
-    "verify_rotation",
     "verify_three_term",
 ]

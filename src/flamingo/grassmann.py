@@ -220,13 +220,6 @@ class PlueckerExpression:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PlueckerExpression)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
 
 def gc_jellyfish(partition: OrderedSetPartition, r: int) -> PlueckerExpression:
     """Fully expanded cap-and-wedge realization of the invariant: cap the

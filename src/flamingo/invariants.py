@@ -17,10 +17,9 @@ tests compare against.
 
 The symmetric group acts on columns; the laws verified here are
 
-* w . [pi]_r = sgn(w) [w . pi]_r for any permutation w of [n],
-* [pi]_r = sgn(sigma)^r [sigma(pi)]_r for any reordering sigma of blocks,
-
-together with the rotation and reflection specializations of the first.
+* w . [pi]_r = sgn(w) [w . pi]_r for any permutation w of [n], among
+  them the rotation (the long cycle) and the reflection (the reversal),
+* [pi]_r = sgn(sigma)^r [sigma(pi)]_r for any reordering sigma of blocks.
 """
 
 from __future__ import annotations
@@ -33,8 +32,6 @@ from .partitions import (
     FlamingoContext,
     OrderedSetPartition,
     act_elements,
-    long_cycle,
-    longest_permutation,
     perm_sign,
     permute_blocks,
     word_inversions,
@@ -77,29 +74,13 @@ def jellyfish_invariant(partition: OrderedSetPartition, r: int) -> MatrixPolynom
     return _invariant_cached(partition, r)
 
 
-def act_on_polynomial(w: Sequence[int], p: MatrixPolynomial) -> MatrixPolynomial:
-    """Column action of a permutation: substitutes x[a,j] -> x[a,w(j)]."""
-    return p.substitute_columns(tuple(w))
-
-
 def verify_equivariance(w: Sequence[int], partition: OrderedSetPartition, r: int) -> bool:
-    """Check w . [pi]_r == sgn(w) [w . pi]_r exactly."""
+    """Check w . [pi]_r == sgn(w) [w . pi]_r exactly, where w acts on a
+    polynomial by x[a,j] -> x[a,w(j)]."""
     # substitute_columns returns a fresh dict, so it is ours to change
-    acc = act_on_polynomial(w, jellyfish_invariant(partition, r)).terms
+    acc = jellyfish_invariant(partition, r).substitute_columns(tuple(w)).terms
     add_into(acc, jellyfish_invariant(act_elements(w, partition), r).terms, -perm_sign(w))
     return not acc
-
-
-def verify_rotation(partition: OrderedSetPartition, r: int) -> bool:
-    """The long cycle rotates the partition and scales by (-1)^(n-1)."""
-    n = partition.n
-    return verify_equivariance(long_cycle(n), partition, r)
-
-
-def verify_reflection(partition: OrderedSetPartition, r: int) -> bool:
-    """The longest element reflects the partition and scales by (-1)^C(n,2)."""
-    n = partition.n
-    return verify_equivariance(longest_permutation(n), partition, r)
 
 
 def verify_block_reorder(sigma: Sequence[int], partition: OrderedSetPartition, r: int) -> bool:
@@ -108,7 +89,3 @@ def verify_block_reorder(sigma: Sequence[int], partition: OrderedSetPartition, r
     sign = perm_sign(sigma) ** r
     add_into(acc, jellyfish_invariant(permute_blocks(sigma, partition), r).terms, -sign)
     return not acc
-
-
-def invariant_cache_clear() -> None:
-    _invariant_cached.cache_clear()

@@ -30,7 +30,7 @@ class BlockTooSmall(ValueError):
 
 def is_permutation(w: Sequence[int]) -> bool:
     """True when ``w`` lists the ints 1..len(w) once each."""
-    return sorted(w) == list(range(1, len(w) + 1)) and all(isinstance(x, int) for x in w)
+    return sorted(w) == list(range(1, len(w) + 1)) and all(type(x) is int for x in w)
 
 
 def simple_transposition(n: int, i: int) -> tuple[int, ...]:
@@ -65,13 +65,6 @@ def perm_inverse(w: Sequence[int]) -> tuple[int, ...]:
     for i, image in enumerate(w, start=1):
         inv[image - 1] = i
     return tuple(inv)
-
-
-def perm_compose(u: Sequence[int], w: Sequence[int]) -> tuple[int, ...]:
-    """Composition u after w, so the result maps j to u(w(j))."""
-    if len(u) != len(w):
-        raise ValueError("size mismatch")
-    return tuple(u[w[j] - 1] for j in range(len(w)))
 
 
 def word_inversions(word: Sequence[int]) -> int:
@@ -113,7 +106,7 @@ class OrderedSetPartition:
             if list(block) != sorted(block):
                 raise ValueError(f"block not sorted: {block}")
             for x in block:
-                if not isinstance(x, int) or x < 1 or x > self.n:
+                if type(x) is not int or x < 1 or x > self.n:
                     raise ValueError(f"element {x} outside [1, {self.n}]")
                 if x in seen:
                     raise ValueError(f"element {x} repeated")
@@ -291,17 +284,6 @@ def is_noncrossing(partition: OrderedSetPartition) -> bool:
     return True
 
 
-def crossing_block_pairs(partition: OrderedSetPartition) -> list[tuple[int, int]]:
-    """1-based index pairs of blocks that cross."""
-    pairs = []
-    blocks = partition.blocks
-    for s in range(len(blocks)):
-        for t in range(s + 1, len(blocks)):
-            if _blocks_cross(blocks[s], blocks[t]):
-                pairs.append((s + 1, t + 1))
-    return pairs
-
-
 def enumerate_noncrossing(n: int, d: int, r: int) -> list[OrderedSetPartition]:
     """Canonical representatives of the noncrossing partitions in
     ``enumerate_unordered_partitions(n, d, r)``."""
@@ -342,11 +324,6 @@ def rotation_orbit(partition: OrderedSetPartition) -> list[OrderedSetPartition]:
             seen.append(canon)
         current = rotate(current)
     return seen
-
-
-def reflect(partition: OrderedSetPartition) -> OrderedSetPartition:
-    """Apply the order-reversing map j -> n + 1 - j."""
-    return act_elements(longest_permutation(partition.n), partition)
 
 
 def permute_blocks(sigma: Sequence[int], partition: OrderedSetPartition) -> OrderedSetPartition:

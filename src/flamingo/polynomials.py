@@ -103,14 +103,14 @@ class MatrixPolynomial:
         for m, c in (terms or {}).items():
             if len(m) != n:
                 raise ValueError(f"monomial {m} has length {len(m)}, expected {n}")
-            if not isinstance(c, int):
-                raise TypeError("coefficients must be int")
+            if type(c) is not int:
+                raise TypeError(f"coefficients must be int, got {c!r}")
             if c == 0:
                 continue
             bits = 0
             for j, row in enumerate(m):
-                if not 0 <= row <= n:
-                    raise ValueError(f"row indices must lie in [0, {n}]")
+                if type(row) is not int or not 0 <= row <= n:
+                    raise ValueError(f"row indices must be ints in [0, {n}]")
                 if row:
                     bits |= 1 << _bit(row, j + 1, n)
                     max_row = max(max_row, row)
@@ -295,14 +295,24 @@ class MatrixPolynomial:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "MatrixPolynomial":
+        """Read the JSON form back.  ``n``, ``k`` and the rows must be JSON
+        integers and ``coeff`` a decimal string or a JSON integer; nothing
+        is truncated, and ``true`` is not 1."""
+        n, k = data["n"], data.get("k", 0)
+        if type(n) is not int or type(k) is not int:
+            raise ValueError(f"n and k must be JSON integers, got {n!r} and {k!r}")
         terms: dict[tuple[int, ...], int] = {}
         for t in data["terms"]:
-            m = tuple(int(x) for x in t["rows"])
-            c = int(t["coeff"])
+            m = tuple(t["rows"])  # the constructor rejects a row that is not an int
+            c = t["coeff"]
+            if type(c) is str:
+                c = int(c)
+            elif type(c) is not int:
+                raise ValueError(f"coeff must be a decimal string or a JSON integer, got {c!r}")
             if m in terms:
                 raise ValueError(f"duplicate monomial {m}")
             terms[m] = c
-        return cls(int(data["n"]), terms, int(data.get("k", 0)))
+        return cls(n, terms, k)
 
     @classmethod
     def from_json(cls, text: str) -> "MatrixPolynomial":

@@ -21,7 +21,6 @@ from .invariants import jellyfish_invariant
 from .partitions import (
     OrderedSetPartition,
     enumerate_unordered_partitions,
-    is_noncrossing,
     transposition_distance_to_noncrossing,
 )
 from .polynomials import add_into
@@ -115,7 +114,7 @@ def smallest_crossing_quadruple(
 
 
 def resolve_crossing_r1(
-    partition: OrderedSetPartition, verify: bool = True
+    partition: OrderedSetPartition,
 ) -> tuple[list[tuple[int, OrderedSetPartition]], list[tuple[int, OrderedSetPartition]]]:
     """Two rewritings of the depth-1 invariant across its least crossing.
 
@@ -125,8 +124,7 @@ def resolve_crossing_r1(
     * moving b:            [pi] =  [pi{i: P+Q-b, j: {b}}] + [pi{i: P+b, j: Q-b}]
     * moving c the other way: [pi] = -[pi{i: Q+P-c, j: {c}}] - [pi{i: Q+c, j: P-c}]
 
-    Both identities are re-verified as exact polynomials before returning
-    unless ``verify`` is false.
+    Both identities are re-verified as exact polynomials before returning.
     """
     quad = smallest_crossing_quadruple(partition)
     if quad is None:
@@ -145,31 +143,14 @@ def resolve_crossing_r1(
         (-1, partition.replace_blocks({i: (Q | P) - {c}, j: {c}})),
         (-1, partition.replace_blocks({i: Q | {c}, j: P - {c}})),
     ]
-    if verify:
-        target = jellyfish_invariant(partition, 1).terms
-        for resolution in (first, second):
-            acc = dict(target)
-            for sign, q in resolution:
-                add_into(acc, jellyfish_invariant(q, 1).terms, -sign)
-            if acc:
-                raise AssertionError("crossing resolution failed to reproduce the invariant")
+    target = jellyfish_invariant(partition, 1).terms
+    for resolution in (first, second):
+        acc = dict(target)
+        for sign, q in resolution:
+            add_into(acc, jellyfish_invariant(q, 1).terms, -sign)
+        if acc:
+            raise AssertionError("crossing resolution failed to reproduce the invariant")
     return first, second
-
-
-def expand_to_noncrossing(
-    partition: OrderedSetPartition, max_steps: int = 100_000
-) -> dict[OrderedSetPartition, int]:
-    """Integer combination of noncrossing partitions with the same depth-1
-    invariant, obtained by repeatedly applying the first resolution."""
-    support: dict[OrderedSetPartition, int] = {partition: 1}
-    for _ in range(max_steps):
-        crossing = next((p for p in support if not is_noncrossing(p)), None)
-        if crossing is None:
-            return support
-        coeff = support.pop(crossing)
-        first, _ = resolve_crossing_r1(crossing, verify=False)
-        add_into(support, {q: sign for sign, q in first}, coeff)
-    raise RuntimeError("crossing expansion did not settle within the step budget")
 
 
 # -- conjecture harness ------------------------------------------------------
@@ -192,8 +173,3 @@ def conjecture_report(n: int, d: int, r: int) -> tuple[int, int]:
     family = conjecture_family(n, d, r)
     profile = exact_rank([jellyfish_invariant(p, r) for p in family])
     return len(family), profile.rank
-
-
-def verify_conjecture(n: int, d: int, r: int) -> bool:
-    size, rank = conjecture_report(n, d, r)
-    return size == rank

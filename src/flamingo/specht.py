@@ -236,9 +236,3 @@ def hook_basis(n: int, d: int) -> HookBasis:
     rank = exact_rank(invariants).rank
     members = all(membership_test(q, shape) for q in invariants)
     return HookBasis(n, d, len(invariants), rank, shape.dimension(), members)
-
-
-def verify_hook_basis(n: int, d: int) -> bool:
-    """Check that the interval-partition invariants at depth 1 form a basis
-    of their module."""
-    return hook_basis(n, d).basis

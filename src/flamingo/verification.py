@@ -50,9 +50,9 @@ from .relations import (
 from .specht import (
     SpechtShape,
     exact_rank,
+    hook_basis,
     membership_test,
     spanning_rank,
-    verify_hook_basis,
 )
 from .tableaux import column_arrangement_sign, enumerate_tableaux, tableau_count
 
@@ -350,7 +350,7 @@ def check_hook_basis(n_max: int = 8) -> tuple[bool, str]:
     cases = 0
     for n in range(1, n_max + 1):
         for d in range(1, n + 1):
-            if not verify_hook_basis(n, d):
+            if not hook_basis(n, d).basis:
                 return False, f"hook basis fails at (n,d)=({n},{d})"
             cases += 1
     return True, f"{cases} (n,d) hook families are bases of their modules"

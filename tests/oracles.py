@@ -71,6 +71,34 @@ def has_crossing_by_quadruples(blocks: tuple[tuple[int, ...], ...]) -> bool:
     return False
 
 
+def perm_compose(u: tuple[int, ...], w: tuple[int, ...]) -> tuple[int, ...]:
+    """Composition u after w in one-line notation: j maps to u(w(j))."""
+    return tuple(u[w[j] - 1] for j in range(len(w)))
+
+
+def crossing_resolutions(partition: OrderedSetPartition):
+    """The two depth-1 rewrites of ``resolve_crossing_r1`` across the least
+    crossing quadruple, built without re-verifying them, so a test can
+    check them against a deliberately broken invariant."""
+    owner = {x: i for i, block in enumerate(partition.blocks) for x in block}
+    a, b, c, d = next(
+        q
+        for q in itertools.combinations(range(1, partition.n + 1), 4)
+        if owner[q[0]] == owner[q[2]] and owner[q[1]] == owner[q[3]] and owner[q[0]] != owner[q[1]]
+    )
+    i, j = owner[a] + 1, owner[b] + 1
+    P, Q = set(partition.blocks[i - 1]), set(partition.blocks[j - 1])
+    first = [
+        (1, partition.replace_blocks({i: (P | Q) - {b}, j: {b}})),
+        (1, partition.replace_blocks({i: P | {b}, j: Q - {b}})),
+    ]
+    second = [
+        (-1, partition.replace_blocks({i: (Q | P) - {c}, j: {c}})),
+        (-1, partition.replace_blocks({i: Q | {c}, j: P - {c}})),
+    ]
+    return first, second
+
+
 @lru_cache(maxsize=None)
 def syt_count_by_corners(shape: tuple[int, ...]) -> int:
     """Standard fillings counted by peeling removable corners."""

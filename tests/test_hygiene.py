@@ -1,17 +1,15 @@
 """Static checks over the package source: every imported name is used,
-every import sits at the top of its module, and no check rests on
-``assert`` (which ``python -O`` strips)."""
+every import sits at the top of its module, every public name has a
+caller, and no check rests on ``assert`` (which ``python -O`` strips)."""
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
-SOURCES = sorted(
-    path
-    for path in (pathlib.Path(__file__).resolve().parents[1] / "src" / "flamingo").glob("*.py")
-    if path.name != "__init__.py"
-)
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SOURCES = sorted(path for path in (ROOT / "src" / "flamingo").glob("*.py") if path.name != "__init__.py")
 
 
 def _annotations(tree: ast.AST):
@@ -114,3 +112,43 @@ def test_every_cache_is_one_the_benchmark_clears():
         for use in _cache_uses(tree):
             found.append(decorating.get(id(use), f"{path.name} line {use.lineno}"))
     assert sorted(found) == CLEARED_CACHES
+
+
+# Public module-level names that nothing in the package, the scripts or the
+# benchmark refers to, each kept for the reason given; the tests state each.
+KEPT_WITHOUT_CALLER = {
+    "invariants.verify_block_reorder": "the block-reorder law [pi]_r = sgn(sigma)^r [sigma(pi)]_r",
+    "relations.resolve_crossing_r1": "the two depth-1 crossing resolutions, each re-verified",
+    "diagrams.unclasping_is_forest": "the unclasped tensor diagram is a forest",
+    "diagrams.from_json": "the reader of the diagram JSON export",
+}
+
+
+def _references(node: ast.AST) -> Counter:
+    """How often each name appears under ``node`` as a Name, as the
+    attribute of an Attribute, or as an imported name."""
+    return Counter(
+        ref.id if isinstance(ref, ast.Name) else ref.attr if isinstance(ref, ast.Attribute) else ref.name
+        for ref in ast.walk(node)
+        if isinstance(ref, (ast.Name, ast.Attribute, ast.alias))
+    )
+
+
+def test_every_public_name_has_a_caller():
+    """Every public module-level function or class of the package is
+    referred to outside its own definition by the package, the scripts or
+    the benchmark, or is listed in KEPT_WITHOUT_CALLER; an entry there that
+    has gained a caller, or is gone, is stale."""
+    callers = SOURCES + sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in callers}
+    everywhere = sum((_references(tree) for tree in trees.values()), Counter())
+    uncalled = {
+        f"{path.stem}.{node.name}"
+        for path in SOURCES
+        for node in trees[path].body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and everywhere[node.name] == _references(node)[node.name]
+    }
+    assert sorted(uncalled - KEPT_WITHOUT_CALLER.keys()) == [], "public names without a caller"
+    assert sorted(KEPT_WITHOUT_CALLER.keys() - uncalled) == [], "stale entries in KEPT_WITHOUT_CALLER"

@@ -20,6 +20,8 @@ from flamingo.polynomials import MatrixPolynomial
 from flamingo.relations import resolve_crossing_r1, verify_recurrence, verify_three_term
 from flamingo.verification import _abc_instances
 
+from oracles import crossing_resolutions
+
 
 def _partitions(n_max, depths):
     for n in range(1, n_max + 1):
@@ -51,7 +53,7 @@ def generic_three_term(A, B, C, n):
 
 
 def generic_resolutions_hold(partition):
-    first, second = resolve_crossing_r1(partition, verify=False)
+    first, second = crossing_resolutions(partition)
     target = relations.jellyfish_invariant(partition, 1)
     for resolution in (first, second):
         total = MatrixPolynomial.zero(partition.n)
@@ -63,7 +65,7 @@ def generic_resolutions_hold(partition):
 
 
 def generic_equivariance(w, partition, r):
-    lhs = invariants.act_on_polynomial(w, invariants.jellyfish_invariant(partition, r))
+    lhs = invariants.jellyfish_invariant(partition, r).substitute_columns(w)
     rhs = invariants.jellyfish_invariant(act_elements(w, partition), r) * invariants.perm_sign(w)
     return lhs == rhs
 

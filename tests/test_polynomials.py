@@ -102,10 +102,41 @@ class TestPackedMonomials:
         "build, message",
         [
             pytest.param(lambda: MatrixPolynomial(2, {(3, 0): 1}), "row indices", id="init-row-above-n"),
+            pytest.param(lambda: MatrixPolynomial(2, {(True, 0): 1}), "row indices", id="init-bool-row"),
             pytest.param(
                 lambda: MatrixPolynomial.from_json_dict({"n": 2, "terms": [{"rows": [0, 3], "coeff": "1"}]}),
                 "row indices",
                 id="json-row-above-n",
+            ),
+            pytest.param(
+                lambda: MatrixPolynomial.from_json_dict({"n": 2, "terms": [{"rows": [1.9, True], "coeff": "1"}]}),
+                "row indices",
+                id="json-non-integral-rows",
+            ),
+            pytest.param(
+                lambda: MatrixPolynomial.from_json_dict({"n": 2, "terms": [{"rows": [1, 0], "coeff": 2.7}]}),
+                "coeff",
+                id="json-float-coeff",
+            ),
+            pytest.param(
+                lambda: MatrixPolynomial.from_json_dict({"n": 2, "terms": [{"rows": [1, 0], "coeff": True}]}),
+                "coeff",
+                id="json-bool-coeff",
+            ),
+            pytest.param(
+                lambda: MatrixPolynomial.from_json_dict({"n": 2, "terms": [{"rows": [1, 0], "coeff": "2.7"}]}),
+                "invalid literal",
+                id="json-non-decimal-coeff",
+            ),
+            pytest.param(
+                lambda: MatrixPolynomial.from_json_dict({"n": 2.5, "terms": []}),
+                "JSON integers",
+                id="json-float-n",
+            ),
+            pytest.param(
+                lambda: MatrixPolynomial.from_json_dict({"n": 2, "k": True, "terms": []}),
+                "JSON integers",
+                id="json-bool-k",
             ),
             pytest.param(
                 lambda: MatrixPolynomial.from_json_dict({"n": 2, "terms": [{"rows": [-1, 0], "coeff": "1"}]}),
@@ -343,7 +374,7 @@ class TestValidationBoundary:
         with pytest.raises(ValueError):
             MatrixPolynomial(2, {(-1, 0): 1})
 
-    @pytest.mark.parametrize("coeff", [1.0, "1", None])
+    @pytest.mark.parametrize("coeff", [1.0, "1", None, True])
     def test_rejects_non_int_coefficient(self, coeff):
         with pytest.raises(TypeError):
             MatrixPolynomial(2, {(1, 0): coeff})
@@ -352,6 +383,11 @@ class TestValidationBoundary:
         p = MatrixPolynomial(2, {(3, 0): 0, (0, 1): 2})
         assert p == MatrixPolynomial(2, {(0, 1): 2})
         assert p.k == 1
+
+    @pytest.mark.parametrize("coeff", ["-12", -12], ids=["string", "integer"])
+    def test_from_json_reads_decimal_string_or_integer_coeff(self, coeff):
+        doc = {"n": 2, "terms": [{"rows": [1, 0], "coeff": coeff}]}
+        assert MatrixPolynomial.from_json_dict(doc) == MatrixPolynomial(2, {(1, 0): -12})
 
     def test_from_json_rejects_duplicate_monomial(self):
         doc = {"n": 2, "terms": [{"rows": [1, 0], "coeff": "1"}, {"rows": [1, 0], "coeff": "2"}]}

@@ -11,12 +11,10 @@ from flamingo.polynomials import MatrixPolynomial
 from flamingo.relations import (
     conjecture_family,
     conjecture_report,
-    expand_to_noncrossing,
     recurrence_left,
     recurrence_terms,
     resolve_crossing_r1,
     smallest_crossing_quadruple,
-    verify_conjecture,
     verify_recurrence,
     verify_three_term,
 )
@@ -197,20 +195,6 @@ class TestCrossingResolution:
         with pytest.raises(ValueError):
             resolve_crossing_r1(parse_partition("1 2|3 4"))
 
-    @pytest.mark.parametrize("text", ["1 3|2 4", "1 4|2 5|3 6", "1 3 5|2 4 6", "1 4 5|2 3 6"])
-    def test_expansion_is_exact_and_noncrossing(self, text):
-        p = parse_partition(text)
-        combo = expand_to_noncrossing(p)
-        assert all(is_noncrossing(q) for q in combo)
-        total = MatrixPolynomial.zero(p.n)
-        for q, c in combo.items():
-            total = total + jellyfish_invariant(q, 1) * c
-        assert total == jellyfish_invariant(p, 1)
-
-    def test_noncrossing_expands_to_itself(self):
-        p = parse_partition("1 2|3 4")
-        assert expand_to_noncrossing(p) == {p: 1}
-
 
 class TestConjecture:
     def test_family_requires_depth_three(self):
@@ -226,7 +210,6 @@ class TestConjecture:
     def test_depth_three_reports(self):
         size, rank = conjecture_report(6, 2, 3)
         assert (size, rank) == (3, 3)
-        assert verify_conjecture(6, 2, 3)
 
     def test_depth_four_allows_one_transposition(self):
         family = conjecture_family(8, 2, 4)

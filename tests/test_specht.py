@@ -14,12 +14,12 @@ from flamingo.specht import (
     SpechtShape,
     conjugate_partition,
     exact_rank,
+    hook_basis,
     hook_family,
     membership_test,
     spanning_rank,
     spanning_set,
     syt_count,
-    verify_hook_basis,
 )
 
 from oracles import LeadingTermSpan, rational_rank, syt_count_by_corners
@@ -169,7 +169,7 @@ class TestHookBasis:
 
     @pytest.mark.parametrize("n,d", [(4, 2), (5, 2), (5, 3), (6, 3), (7, 4)])
     def test_basis_verified(self, n, d):
-        assert verify_hook_basis(n, d)
+        assert hook_basis(n, d).basis
 
 
 SHAPES_UP_TO_6 = [
