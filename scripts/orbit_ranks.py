@@ -28,12 +28,10 @@ def scan(args: argparse.Namespace) -> int:
                     continue
                 orbit = rotation_orbit(partition)
                 seen.update(orbit)
-                profile = exact_rank([jellyfish_invariant(p, r) for p in orbit])
-                if args.deficient_only and profile.rank == len(orbit):
+                rank = exact_rank([jellyfish_invariant(p, r) for p in orbit])
+                if args.deficient_only and rank == len(orbit):
                     continue
-                print(
-                    f"{n:>3} {d:>3} {len(orbit):>6} {profile.rank:>5}  {partition.text()}"
-                )
+                print(f"{n:>3} {d:>3} {len(orbit):>6} {rank:>5}  {partition.text()}")
         print(f"n={n} done", file=sys.stderr, flush=True)
     return 0
 

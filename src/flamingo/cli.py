@@ -72,7 +72,7 @@ def _prefix_blocks(text: str | None) -> list[list[int]]:
 
 
 def _rank(family: Sequence[OrderedSetPartition], r: int) -> int:
-    return exact_rank([jellyfish_invariant(p, r) for p in family]).rank
+    return exact_rank([jellyfish_invariant(p, r) for p in family])
 
 
 # -- subcommand handlers (return process exit codes) -------------------------

@@ -194,15 +194,14 @@ def to_json(diagram: TensorDiagram, **kwargs) -> str:
 
 
 def from_json_dict(data: Mapping) -> TensorDiagram:
-    edges = tuple(
-        (e["ends"][0], e["ends"][1], int(e["weight"])) for e in data["edges"]
-    )
-    return TensorDiagram(
-        int(data["n"]),
-        tuple(data["interior_white"]),
-        tuple(data["interior_black"]),
-        edges,
-    )
+    """Read the JSON form back.  ``n`` and every weight must be JSON
+    integers; nothing is truncated, and ``true`` is not 1."""
+    n = data["n"]
+    edges = tuple((e["ends"][0], e["ends"][1], e["weight"]) for e in data["edges"])
+    for value in (n, *(w for _, _, w in edges)):
+        if type(value) is not int:
+            raise ValueError(f"n and every weight must be JSON integers, got {value!r}")
+    return TensorDiagram(n, tuple(data["interior_white"]), tuple(data["interior_black"]), edges)
 
 
 def from_json(text: str) -> TensorDiagram:

@@ -1,7 +1,9 @@
 """Ordered set partitions of [n], crossing tests, and symmetric group actions.
 
 Every enumeration of set partitions in the package goes through the one
-recursion :func:`block_tuples`.
+recursion :func:`block_tuples`: the enumerators here, and the recurrence
+and three-term sweeps of ``verification``, which split a set into
+(A, B, rest) and cut the rest into prefix blocks with it.
 
 Conventions used throughout the package:
 
@@ -16,6 +18,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -126,10 +129,9 @@ class OrderedSetPartition:
         return self
 
     @classmethod
-    def from_blocks(cls, blocks: Iterable[Iterable[int]], n: int | None = None) -> "OrderedSetPartition":
+    def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> "OrderedSetPartition":
         tidy = tuple(tuple(sorted(block)) for block in blocks)
-        size = sum(len(b) for b in tidy)
-        return cls(n if n is not None else size, tidy)
+        return cls(sum(map(len, tidy)), tidy)
 
     @property
     def d(self) -> int:
@@ -186,7 +188,10 @@ def block_tuples(
     """Yield the blocks of every ordered partition of the increasing
     ``elements`` into d blocks of size at least r, in lexicographic order of
     the block-assignment word; nothing when there are fewer than r * d
-    elements.  A generator, so no list of every partition is held.
+    elements.  r = 0 lets blocks be empty.  A generator, so no list of every
+    partition is held.  The first element varies slowest: given the elements
+    in decreasing order, the largest does, and each block comes out
+    decreasing.
 
     With ``canonical`` an element may open only the first empty block, so
     each set partition appears once, with its blocks ascending by minimum.
@@ -251,37 +256,19 @@ def partitions_up_to(n_max: int, r: int) -> Iterator[OrderedSetPartition]:
             yield from enumerate_ordered_partitions(n, d, r)
 
 
-def _blocks_cross(x: Sequence[int], y: Sequence[int]) -> bool:
-    # Two blocks cross exactly when their merged sequence switches blocks
-    # at least three times (the pattern x y x y or y x y x appears).
-    i = j = 0
-    last = 0
-    switches = 0
-    while i < len(x) or j < len(y):
-        take_x = j >= len(y) or (i < len(x) and x[i] < y[j])
-        cur = 1 if take_x else 2
-        if take_x:
-            i += 1
-        else:
-            j += 1
-        if cur != last:
-            if last:
-                switches += 1
-                if switches >= 3:
-                    return True
-            last = cur
-    return False
-
-
 def is_noncrossing(partition: OrderedSetPartition) -> bool:
     """True when no quadruple a < b < c < d has a, c in one block and b, d
-    in a different block."""
+    in a different block.
+
+    Two blocks x and y cross exactly when the elements of y fall in more
+    than one gap of x, the gaps below min x and above max x counting as one.
+    """
     blocks = partition.blocks
-    for s in range(len(blocks)):
-        for t in range(s + 1, len(blocks)):
-            if _blocks_cross(blocks[s], blocks[t]):
-                return False
-    return True
+    return not any(
+        len({bisect(x, b) % len(x) for b in y}) > 1
+        for s, x in enumerate(blocks)
+        for y in blocks[s + 1 :]
+    )
 
 
 def enumerate_noncrossing(n: int, d: int, r: int) -> list[OrderedSetPartition]:

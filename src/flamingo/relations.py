@@ -171,5 +171,4 @@ def conjecture_family(n: int, d: int, r: int) -> list[OrderedSetPartition]:
 def conjecture_report(n: int, d: int, r: int) -> tuple[int, int]:
     """(family size, exact rank of the family's invariants)."""
     family = conjecture_family(n, d, r)
-    profile = exact_rank([jellyfish_invariant(p, r) for p in family])
-    return len(family), profile.rank
+    return len(family), exact_rank([jellyfish_invariant(p, r) for p in family])

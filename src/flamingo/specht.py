@@ -165,19 +165,10 @@ class SpanChecker:
         return not self._residue(p.terms)
 
 
-@dataclass(frozen=True)
-class RankProfile:
-    rows: int
-    rank: int
-    pivot_monomials: tuple[Monomial, ...]
-
-
-def exact_rank(polys: Sequence[MatrixPolynomial]) -> RankProfile:
+def exact_rank(polys: Iterable[MatrixPolynomial]) -> int:
     """Rank over the rationals of the coefficient matrix whose rows are the
     polynomials and whose columns are their monomials in term order."""
-    checker = SpanChecker(polys)
-    pivots = tuple(sorted(checker.pivots, reverse=True))
-    return RankProfile(len(polys), checker.rank, pivots)
+    return SpanChecker(polys).rank
 
 
 @lru_cache(maxsize=64)
@@ -233,6 +224,6 @@ class HookBasis:
 def hook_basis(n: int, d: int) -> HookBasis:
     shape = SpechtShape(n, d, 1)
     invariants = [jellyfish_invariant(p, 1) for p in hook_family(n, d)]
-    rank = exact_rank(invariants).rank
+    rank = exact_rank(invariants)
     members = all(membership_test(q, shape) for q in invariants)
     return HookBasis(n, d, len(invariants), rank, shape.dimension(), members)

@@ -142,34 +142,20 @@ def top_justified_tableau(partition: OrderedSetPartition, r: int) -> JellyfishTa
     return JellyfishTableau(partition, r, tuple(assignment))
 
 
-def column_arrangement_sign(
-    tableau: JellyfishTableau, orders: Sequence[Sequence[int]] | None = None
-) -> int:
+def column_arrangement_sign(tableau: JellyfishTableau, orders: Sequence[Sequence[int]]) -> int:
     """Sign of a tableau whose columns were internally rearranged, counting
     only inversions between entries of distinct columns.
 
     ``orders[i - 1]`` lists the elements of block i in the top-to-bottom
-    order they occupy column i's rows; None means the sorted arrangement,
-    for which this agrees with ``tableau.sign()``.
+    order they occupy column i's rows; for the blocks themselves this agrees
+    with ``tableau.sign()``.  A column's entries appear in the reading word
+    in that order, so the inversions within columns are those of the orders.
     """
-    if orders is None:
-        orders = [list(block) for block in tableau.partition.blocks]
-    ctx = tableau.context
-    labeled: list[list[tuple[int, int] | None]] = [
-        [None] * ctx.d for _ in range(ctx.nu)
-    ]
-    for i, order in enumerate(orders, start=1):
-        block = tableau.partition.blocks[i - 1]
+    relabel: dict[int, int] = {}
+    for i, (block, order) in enumerate(zip(tableau.partition.blocks, orders, strict=True), start=1):
         if sorted(order) != list(block):
             raise ValueError(f"orders[{i - 1}] must rearrange block {i}")
-        for row, element in zip(tableau.column_rows(i), order):
-            labeled[row - 1][i - 1] = (element, i)
-    word = [cell for row in labeled for cell in row if cell is not None]
-    inv = 0
-    for a in range(len(word)):
-        xa, ca = word[a]
-        for b in range(a + 1, len(word)):
-            xb, cb = word[b]
-            if ca != cb and xa > xb:
-                inv += 1
+        relabel.update(zip(block, order))
+    inv = word_inversions([relabel[x] for x in tableau.reading_word()])
+    inv -= sum(word_inversions(order) for order in orders)
     return -1 if inv % 2 else 1

@@ -71,6 +71,64 @@ def has_crossing_by_quadruples(blocks: tuple[tuple[int, ...], ...]) -> bool:
     return False
 
 
+def recurrence_sweep_by_masks(n: int, r: int, prefix_min: int):
+    """The recurrence sweep's (prefix, A, B, C) in the order its base-3 mask
+    loop gave them: C by combinations; then each mask over the rest, first
+    element least significant, sends digit 0 to A, 1 to B and 2 to the
+    prefix elements; then every ordered partition of those into blocks of
+    size >= prefix_min, fewest blocks first, by brute force."""
+    ground = set(range(1, n + 1))
+    for C in itertools.combinations(sorted(ground), r):
+        rest = sorted(ground - set(C))
+        for mask in range(3 ** len(rest)):
+            A, B, R = set(), set(), []
+            m = mask
+            for x in rest:
+                box = m % 3
+                m //= 3
+                if box == 0:
+                    A.add(x)
+                elif box == 1:
+                    B.add(x)
+                else:
+                    R.append(x)
+            if not A or not B:
+                continue
+            for d in range(len(R) // prefix_min + 1):
+                for blocks in brute_ordered_partitions(len(R), d, prefix_min):
+                    yield [tuple(R[x - 1] for x in block) for block in blocks], A, B, set(C)
+
+
+def three_term_splits_by_masks(n: int):
+    """The three-term sweep's (A, B, C) at one n in the order its bitmask
+    loop gave them: C = {c} for each c, then bit i of the mask puts the i-th
+    other element in A, every mask but the empty and the full one."""
+    for c in range(1, n + 1):
+        rest = [x for x in range(1, n + 1) if x != c]
+        for mask in range(1, 2 ** len(rest) - 1):
+            A = {x for i, x in enumerate(rest) if mask >> i & 1}
+            yield A, set(rest) - A, {c}
+
+
+def arrangement_sign_by_pairs(tableau, orders) -> int:
+    """The sign of a tableau with rearranged columns, from a grid labelled
+    by column and a scan over every pair of the reading word that lies in
+    two distinct columns."""
+    ctx = tableau.context
+    labeled = [[None] * ctx.d for _ in range(ctx.nu)]
+    for i, order in enumerate(orders, start=1):
+        for row, element in zip(tableau.column_rows(i), order):
+            labeled[row - 1][i - 1] = (element, i)
+    word = [cell for row in labeled for cell in row if cell is not None]
+    inv = sum(
+        1
+        for a, (xa, ca) in enumerate(word)
+        for xb, cb in word[a + 1 :]
+        if ca != cb and xa > xb
+    )
+    return -1 if inv % 2 else 1
+
+
 def perm_compose(u: tuple[int, ...], w: tuple[int, ...]) -> tuple[int, ...]:
     """Composition u after w in one-line notation: j maps to u(w(j))."""
     return tuple(u[w[j] - 1] for j in range(len(w)))

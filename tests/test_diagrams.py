@@ -225,6 +225,15 @@ class TestExport:
         doc = export(diagram, "json")
         assert from_json(doc) == diagram
 
+    @pytest.mark.parametrize(
+        "field, value", [("n", 2.7), ("n", True), ("weight", 1.9), ("weight", True)], ids=str
+    )
+    def test_json_reader_takes_only_integers(self, field, value):
+        doc = {"n": 2, "interior_white": ["w1"], "interior_black": [], "edges": [{"ends": ["w1", 1], "weight": 2}]}
+        (doc if field == "n" else doc["edges"][0])[field] = value
+        with pytest.raises(ValueError, match=f"must be JSON integers, got {value!r}"):
+            from_json(json.dumps(doc))
+
     def test_json_fields(self):
         doc = json.loads(export(build_tensor_diagram(EXAMPLE, 2), "json"))
         assert set(doc) == {"n", "boundary", "interior_white", "interior_black", "edges"}

@@ -141,6 +141,18 @@ class TestNoncrossing:
     def test_matches_quadruple_scan(self, p):
         assert is_noncrossing(p) == (not has_crossing_by_quadruples(p.blocks))
 
+    def test_matches_quadruple_scan_on_every_partition_up_to_eight(self):
+        # every set partition of [n], n <= 8, with its blocks in both orders
+        checked = 0
+        for n in range(1, 9):
+            for d in range(1, n + 1):
+                for p in enumerate_unordered_partitions(n, d, 1):
+                    expected = not has_crossing_by_quadruples(p.blocks)
+                    assert is_noncrossing(p) == expected
+                    assert is_noncrossing(permute_blocks(longest_permutation(d), p)) == expected
+                    checked += 1
+        assert checked == 4140 + 877 + 203 + 52 + 15 + 5 + 2 + 1
+
     def test_noncrossing_narayana_count(self):
         # noncrossing partitions of [n] into d blocks: Narayana N(n, d)
         assert len(enumerate_noncrossing(5, 2, 1)) == 10

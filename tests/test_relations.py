@@ -1,10 +1,11 @@
+import collections
 import itertools
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flamingo import relations
+from flamingo import relations, verification
 from flamingo.invariants import jellyfish_invariant
 from flamingo.partitions import OrderedSetPartition, is_noncrossing, parse_partition
 from flamingo.polynomials import MatrixPolynomial
@@ -18,9 +19,9 @@ from flamingo.relations import (
     verify_recurrence,
     verify_three_term,
 )
-from flamingo.verification import DEPTHS, _abc_instances, _ordered_partitions_of, check_conjecture
+from flamingo.verification import DEPTHS, _abc_instances, check_conjecture, check_recurrence
 
-from oracles import brute_ordered_partitions
+from oracles import brute_ordered_partitions, recurrence_sweep_by_masks, three_term_splits_by_masks
 
 
 class TestRecurrence:
@@ -91,16 +92,64 @@ class TestRecurrence:
 
     @pytest.mark.parametrize("min_size", [1, 2, 3])
     def test_sweep_prefixes_are_every_ordered_partition_once(self, min_size):
-        # the recurrence sweep's prefixes over the leftover elements
-        elements = [2, 3, 5, 7, 8]
-        ours = list(_ordered_partitions_of(elements, min_size))
-        expected = [
-            [tuple(elements[x - 1] for x in block) for block in blocks]
-            for d in range(1, len(elements) + 1)
-            for blocks in brute_ordered_partitions(len(elements), d, min_size)
+        # for each split (A, B, C) of [6] the recurrence sweep's prefixes are
+        # the ordered partitions of the leftover elements, each once
+        n, r = 6, 1
+        ours = collections.defaultdict(list)
+        for prefix, A, B, C in _abc_instances(n, r, prefix_min=min_size):
+            ours[frozenset(A), frozenset(B), frozenset(C)].append(prefix)
+        expected = {}
+        for boxes in itertools.product("ABCR", repeat=n):
+            part = {box: [x for x, b in enumerate(boxes, start=1) if b == box] for box in "ABCR"}
+            if part["A"] and part["B"] and len(part["C"]) == r:
+                rest = part["R"]
+                prefixes = [
+                    [tuple(rest[x - 1] for x in block) for block in blocks]
+                    for d in range(len(rest) + 1)
+                    for blocks in brute_ordered_partitions(len(rest), d, min_size)
+                ]
+                if prefixes:
+                    expected[frozenset(part["A"]), frozenset(part["B"]), frozenset(part["C"])] = sorted(prefixes)
+        assert {split: sorted(prefixes) for split, prefixes in ours.items()} == expected
+
+
+def _failing_at(k):
+    """A stand-in for an identity check that fails on its k-th call only."""
+    calls = itertools.count(1)
+    return lambda *args: next(calls) != k
+
+
+class TestSweepOrder:
+    """The recurrence and three-term sweeps visit their instances in the
+    order of the mask loops in ``oracles``, so a failure names the same
+    instance."""
+
+    def test_check_sweeps_in_mask_order(self, monkeypatch):
+        recurrence, three = [], []
+        monkeypatch.setattr(verification, "verify_recurrence", lambda *args: recurrence.append(args) or True)
+        monkeypatch.setattr(verification, "verify_three_term", lambda *args: three.append(args) or True)
+        assert check_recurrence(n_max=7).detail == "39840 recurrence instances and 280 three-term splits hold exactly"
+        assert recurrence == [
+            (*instance, r)
+            for n in range(3, 8)
+            for r in DEPTHS
+            if r <= n - 2
+            for instance in recurrence_sweep_by_masks(n, r, r)
         ]
-        assert sorted(ours) == sorted(expected)
-        assert list(_ordered_partitions_of([], min_size)) == [[]]
+        assert three == [split for n in range(3, 7) for split in three_term_splits_by_masks(n)]
+
+    def test_recurrence_failure_names_its_instance(self, monkeypatch):
+        monkeypatch.setattr(verification, "verify_recurrence", _failing_at(20000))
+        result = check_recurrence(n_max=7)
+        assert not result.ok
+        assert result.detail == "failed at n=7, r=1, prefix=[(3,), (1,), (2, 6)], A={5}, B={7}, C={4}"
+
+    def test_three_term_failure_names_its_split(self, monkeypatch):
+        monkeypatch.setattr(verification, "verify_recurrence", lambda *args: True)
+        monkeypatch.setattr(verification, "verify_three_term", _failing_at(150))
+        result = check_recurrence(n_max=7)
+        assert not result.ok
+        assert result.detail == "three-term failed at A={4, 6}, B={1, 3, 5}, C={2}"
 
 
 ENTRY_POINTS = {

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -15,7 +16,7 @@ from flamingo.tableaux import (
     top_justified_tableau,
 )
 
-from oracles import multinomial
+from oracles import arrangement_sign_by_pairs, multinomial
 
 # golden data for the ten-element example partition, depth 2:
 # all six fillings with their reading-word inversion counts and signs
@@ -160,10 +161,26 @@ class TestColumnPermutation:
     def test_arrangement_sign_identity_order(self):
         p = parse_partition("1 2 5|3 4 6")
         for t in enumerate_tableaux(p, 2):
-            assert column_arrangement_sign(t) in (1, -1)
+            assert column_arrangement_sign(t, t.partition.blocks) in (1, -1)
 
     def test_arrangement_sign_counts_cross_column_inversions(self):
         p = parse_partition("1 3|2 4")
         t = JellyfishTableau(p, 1, (1, 2))
         # word 1 2 3 4 has no inversions at all
-        assert column_arrangement_sign(t) == 1
+        assert column_arrangement_sign(t, t.partition.blocks) == 1
+
+    def test_arrangement_sign_matches_pair_count(self):
+        rng = random.Random(12)
+        checked = 0
+        for text, r in [("2 3 6 10|5 7 8 9|1 4", 1), ("2 3 6 10|5 7 8 9|1 4", 2), ("2 3 6 7 12|1 8 10|4 5 9 11", 3)]:
+            for t in enumerate_tableaux(parse_partition(text), r):
+                for _ in range(4):
+                    orders = [rng.sample(block, len(block)) for block in t.partition.blocks]
+                    assert column_arrangement_sign(t, orders) == arrangement_sign_by_pairs(t, orders)
+                    checked += 1
+        assert checked == 4 * (140 + 6 + 3)
+
+    def test_arrangement_sign_rejects_an_order_that_is_no_rearrangement(self):
+        t = JellyfishTableau(parse_partition("1 3|2 4"), 1, (1, 2))
+        with pytest.raises(ValueError, match="must rearrange block 2"):
+            column_arrangement_sign(t, [(3, 1), (2, 2)])
