@@ -18,6 +18,7 @@ from flamingo.grassmann import (
     compare_up_to_sign,
     delta_to_minor,
     gc_jellyfish,
+    index_set,
     phi_star,
     predicted_global_sign,
 )
@@ -37,7 +38,7 @@ def survey(args: argparse.Namespace) -> int:
                     actual = compare_up_to_sign(phi_star(expr), jellyfish_invariant(partition, r))
                     for factors in expr.terms:
                         for K in factors:
-                            sign, I, _ = delta_to_minor(K, n)
+                            sign, I, _ = delta_to_minor(index_set(K), n)
                             shortcut[sign == (-1) ** len(I)] += 1
                     predicted = predicted_global_sign(partition, r)
                     key = (n, d, r)

@@ -7,16 +7,26 @@ size-n column sets K in [2n]) pull back to signed minors of M, and the cap
 and wedge operations of the Grassmann-Cayley algebra build the same
 invariants as the tableau sum, up to one global sign per partition.
 
+Every index set in [2n] is an int mask with bit i - 1 for index i, the
+bitmap representation of basis blades (Dorst, Fontijne and Mann, *Geometric
+Algebra for Computer Science*, ch. 19).  An ``Extensor`` term is keyed by
+(index mask, sorted tuple of factor masks), and a ``PlueckerExpression``
+term by the sorted tuple of its factor masks; :func:`index_set` decodes a
+mask back into its increasing indices.  Two index sets wedge to zero when
+their masks meet.  Otherwise the reordering sign of x followed by y is the
+parity of the pairs (a in x, b in y) with a > b: one popcount of y against
+the mask of positions that have an odd number of x's indices above them.
+
 The translation sign from a Pluecker coordinate to a minor of M is
 computed from first principles by Laplace expansion along the unit
-columns; a popular shortcut claims the sign is (-1)**|I|, which fails in
-general (``scripts/global_sign_survey.py`` counts how often).
+columns, and comes to (-1)**C(m, 2) for m kept unit columns; a popular
+shortcut claims the sign is (-1)**|I|, which fails in general
+(``scripts/global_sign_survey.py`` counts how often).
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -30,6 +40,42 @@ from .polynomials import (
     extend_minor_product,
 )
 from .tableaux import top_justified_tableau
+
+# -- index sets as masks ----------------------------------------------------
+
+
+def _mask(indices: Iterable[int]) -> int:
+    """The mask of a set of positive indices, bit i - 1 for index i."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << (i - 1)
+    return mask
+
+
+def index_set(mask: int) -> tuple[int, ...]:
+    """The indices of a mask in increasing order: the decoding of an
+    Extensor index set or of a Pluecker factor."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return tuple(out)
+
+
+def _odd_above(x: int) -> int:
+    """Mask of the positions with an odd number of x's indices above them.
+
+    Sorting the indices of x followed by those of y takes one transposition
+    per pair (a in x, b in y) with a > b, so its sign is
+    (-1)**popcount(_odd_above(x) & y)."""
+    above = 0
+    while x:
+        low = x & -x
+        above ^= low - 1
+        x ^= low
+    return above
+
 
 # -- the embedding ----------------------------------------------------------
 
@@ -48,6 +94,19 @@ def phi(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
     return [m0[i] + list(matrix[i]) for i in range(n)]
 
 
+def _translation_exponent(kept: int) -> int:
+    """Exponent of the translation sign for the mask of kept unit columns.
+
+    Laplace expansion along the kept unit columns: each kept column c
+    contributes the diagonal entry (-1)**(c - 1) and one transposition per
+    row i in I below c.  Since c - 1 counts the kept columns and the rows
+    of I below c, the exponent is congruent to the number of pairs of kept
+    columns, C(|kept|, 2).
+    """
+    m = kept.bit_count()
+    return m * (m - 1) // 2
+
+
 def delta_index_set(rows: Iterable[int], cols: Iterable[int], n: int) -> tuple[int, ...]:
     """Column set K in [2n] whose Pluecker coordinate pulls back to the
     minor on the given rows and columns: K = ([n] minus rows) union (cols + n)."""
@@ -57,23 +116,14 @@ def delta_index_set(rows: Iterable[int], cols: Iterable[int], n: int) -> tuple[i
         raise ValueError("need |rows| = |cols|")
     if not I <= set(range(1, n + 1)) or not J <= set(range(1, n + 1)):
         raise ValueError("row and column sets must lie in [n]")
-    return tuple(sorted((set(range(1, n + 1)) - I) | {j + n for j in J}))
+    return index_set((((1 << n) - 1) ^ _mask(I)) | (_mask(J) << n))
 
 
 def translation_sign(rows: Sequence[int], n: int) -> int:
     """Exact sign relating the Pluecker coordinate on delta_index_set(I, J, n)
-    to the minor on rows I and columns J.
-
-    Laplace expansion along the kept unit columns: each kept column c
-    contributes the diagonal entry (-1)**(c - 1) and the column-position
-    shuffle contributes one transposition per pair (c, i) with i in I,
-    i < c.  The result depends only on n and the set I.
-    """
-    I = set(rows)
-    kept = [c for c in range(1, n + 1) if c not in I]
-    s = sum(c - 1 for c in kept)
-    s += sum(1 for c in kept for i in I if i < c)
-    return -1 if s % 2 else 1
+    to the minor on rows I and columns J; it depends only on n and |I|."""
+    kept = ((1 << n) - 1) & ~_mask(rows)
+    return -1 if _translation_exponent(kept) % 2 else 1
 
 
 def delta_to_minor(K: Iterable[int], n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
@@ -82,30 +132,13 @@ def delta_to_minor(K: Iterable[int], n: int) -> tuple[int, tuple[int, ...], tupl
     Kset = set(K)
     if len(Kset) != n or not Kset <= set(range(1, 2 * n + 1)):
         raise ValueError("K must be a size-n subset of [2n]")
-    kept = Kset & set(range(1, n + 1))
-    I = tuple(sorted(set(range(1, n + 1)) - kept))
-    J = tuple(sorted(k - n for k in Kset - kept))  # |J| = n - |kept| = |I|
-    return translation_sign(I, n), I, J
+    mask = _mask(Kset)
+    full = (1 << n) - 1
+    I = index_set(full ^ (mask & full))
+    return translation_sign(I, n), I, index_set(mask >> n)  # |J| = n - |kept| = |I|
 
 
 # -- exterior algebra over the 2n column vectors ----------------------------
-
-
-def _sort_with_sign(indices: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-    """(sign, sorted tuple); sign 0 when an index repeats."""
-    if len(set(indices)) != len(indices):
-        return 0, ()
-    inv = word_inversions(indices)
-    return (-1 if inv % 2 else 1), tuple(sorted(indices))
-
-
-def _merge_sign(x: Sequence[int], y: Sequence[int]) -> int:
-    """Sign of sorting the concatenation of two sorted duplicate-free lists;
-    0 when they intersect."""
-    if set(x) & set(y):
-        return 0
-    inv = sum(1 for a in x for b in y if a > b)
-    return -1 if inv % 2 else 1
 
 
 class Extensor:
@@ -113,25 +146,33 @@ class Extensor:
     Pluecker factors accumulated by earlier caps.
 
     Terms map (indices, factors) to an integer coefficient, where indices
-    is a sorted duplicate-free tuple in [2n] and factors is a
-    lexicographically sorted tuple of sorted index tuples.
+    is the mask of a set in [2n] and factors is a sorted tuple of masks.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], int] | None = None):
+    def __init__(self, terms: Mapping[tuple[int, tuple[int, ...]], int] | None = None):
         self.terms = {key: c for key, c in (terms or {}).items() if c}
 
     @classmethod
     def basis(cls, indices: Iterable[int]) -> "Extensor":
-        sign, sorted_idx = _sort_with_sign(list(indices))
-        if sign == 0:
-            return cls()
-        return cls({(sorted_idx, ()): sign})
+        """The wedge of the given positive indices in the given order;
+        zero when an index repeats."""
+        mask = above = odd = 0
+        for i in indices:
+            if i < 1:
+                raise ValueError(f"indices must be positive, got {i}")
+            bit = 1 << (i - 1)
+            if mask & bit:
+                return cls()
+            odd ^= (above & bit).bit_count()  # the earlier indices past i
+            above ^= bit - 1
+            mask |= bit
+        return cls({(mask, ()): -1 if odd else 1})
 
     @classmethod
     def scalar_one(cls) -> "Extensor":
-        return cls({((), ()): 1})
+        return cls({(0, ()): 1})
 
     def __add__(self, other: "Extensor") -> "Extensor":
         terms = dict(self.terms)
@@ -144,12 +185,13 @@ class Extensor:
     def wedge(self, other: "Extensor") -> "Extensor":
         terms: dict = {}
         for (idx1, fac1), c1 in self.terms.items():
+            above = _odd_above(idx1)
             for (idx2, fac2), c2 in other.terms.items():
-                sign = _merge_sign(idx1, idx2)
-                if sign == 0:
+                if idx1 & idx2:
                     continue
-                key = (tuple(sorted(idx1 + idx2)), tuple(sorted(fac1 + fac2)))
-                new = terms.get(key, 0) + sign * c1 * c2
+                c = -c1 * c2 if (above & idx2).bit_count() % 2 else c1 * c2
+                key = (idx1 | idx2, tuple(sorted(fac1 + fac2)))
+                new = terms.get(key, 0) + c
                 if new:
                     terms[key] = new
                 else:
@@ -157,7 +199,7 @@ class Extensor:
         return Extensor(terms)
 
     def degrees(self) -> set[int]:
-        return {len(idx) for idx, _ in self.terms}
+        return {idx.bit_count() for idx, _ in self.terms}
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Extensor) and self.terms == other.terms
@@ -184,18 +226,19 @@ def cap(x: Extensor, y: Extensor, n: int) -> Extensor:
         raise ValueError("degree mismatch in cap")
     acc: dict = {}
     for (idx1, fac1), c1 in x.terms.items():
-        for moved in itertools.combinations(idx1, b):
-            kept = tuple(i for i in idx1 if i not in moved)
+        bits = [1 << (i - 1) for i in index_set(idx1)]
+        for chosen in itertools.combinations(bits, b):
+            moved = sum(chosen)
+            kept = idx1 ^ moved
+            above = _odd_above(moved)
             # shuffle sign for pulling the moved indices to the front
-            shuffle = sum(1 for m in moved for k in kept if k < m)
-            sign1 = -1 if shuffle % 2 else 1
+            shuffle = (above & kept).bit_count()
             for (idx2, fac2), c2 in y.terms.items():
-                merge = _merge_sign(moved, idx2)
-                if merge == 0:
+                if moved & idx2:
                     continue
-                factor = tuple(sorted(moved + idx2))
-                key = (kept, tuple(sorted(fac1 + fac2 + (factor,))))
-                new = acc.get(key, 0) + sign1 * merge * c1 * c2
+                c = -c1 * c2 if (shuffle + (above & idx2).bit_count()) % 2 else c1 * c2
+                key = (kept, tuple(sorted(fac1 + fac2 + (moved | idx2,))))
+                new = acc.get(key, 0) + c
                 if new:
                     acc[key] = new
                 else:
@@ -209,10 +252,11 @@ def cap(x: Extensor, y: Extensor, n: int) -> Extensor:
 @dataclass
 class PlueckerExpression:
     """Signed integer combination of products of Pluecker coordinates on
-    Gr(n, 2n); each product is a sorted tuple of sorted size-n index sets."""
+    Gr(n, 2n); each product is a sorted tuple of masks of size-n index
+    sets in [2n]."""
 
     n: int
-    terms: dict[tuple[tuple[int, ...], ...], int] = field(default_factory=dict)
+    terms: dict[tuple[int, ...], int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.terms = {fac: c for fac, c in self.terms.items() if c}
@@ -239,7 +283,7 @@ def gc_jellyfish(partition: OrderedSetPartition, r: int) -> PlueckerExpression:
     result = result.wedge(Extensor.basis(E + blocks_shifted[-1]))
     terms: dict = {}
     for (idx, factors), c in result.terms.items():
-        if len(idx) != n:
+        if idx.bit_count() != n:
             raise ValueError("closing wedge did not reach top degree")
         add_into(terms, {tuple(sorted(factors + (idx,))): c})
     return PlueckerExpression(n, terms)
@@ -249,23 +293,32 @@ def phi_star(expr: PlueckerExpression) -> MatrixPolynomial:
     """Pull a Pluecker expression back to matrix entries: every factor
     becomes a signed minor of M, fully expanded.
 
-    Raises ColumnCollision when two factors of a product share a column.
+    A factor K splits into the kept unit columns K & (2**n - 1), the rows
+    I of [n] they leave out, and the columns J = K >> n.  Raises
+    ColumnCollision when two factors of a product share a column.
     """
     n = expr.n
+    full = (1 << n) - 1
     acc: dict = {}
     k = 0
     for factors, c in expr.terms.items():
         # a term without factors is its coefficient times the empty minor
-        minors = [delta_to_minor(K, n) for K in factors] or [(1, (), ())]
-        used = [j for _, _, J in minors for j in J]
-        if len(set(used)) < len(used):
-            raise ColumnCollision("two factors of a product share a column")
+        minors = []
+        used = exponent = 0
+        for K in factors:
+            kept, J = K & full, K >> n
+            if used & J:
+                raise ColumnCollision("two factors of a product share a column")
+            used |= J
+            exponent += _translation_exponent(kept)
+            I = full ^ kept
+            minors.append((index_set(I), index_set(J)))
+            k = max(k, I.bit_length())
+        last = minors.pop() if minors else ((), ())
         partial = [(0, c)]
-        for _, I, J in minors[:-1]:
+        for I, J in minors:
             partial = extend_minor_product(partial, I, J, n)
-        _, I, J = minors[-1]
-        add_minor_product(acc, partial, I, J, n, math.prod(sign for sign, _, _ in minors))
-        k = max([k] + [I[-1] for _, I, _ in minors if I])
+        add_minor_product(acc, partial, *last, n, -1 if exponent % 2 else 1)
     return MatrixPolynomial._trusted(n, acc, k)
 
 

@@ -247,9 +247,11 @@ class MatrixPolynomial:
             raise ValueError("w must be a permutation of the columns")
         moved = [0] * (n * n)  # bit -> its variable's image, as a one-bit mask
         for row in range(1, min(self.k, n) + 1):
-            bits = [_bit(row, col, n) for col in range(1, n + 1)]
-            for b, to in zip(bits, w):
-                moved[b] = 1 << bits[to - 1]
+            # a row's variables take n consecutive bits, one way or the other
+            first = _bit(row, 1, n)
+            step = _bit(row, 2, n) - first if n > 1 else 1
+            for col, to in enumerate(w):
+                moved[first + col * step] = 1 << (first + (to - 1) * step)
         terms = {}
         for m, c in self.terms.items():
             image = 0

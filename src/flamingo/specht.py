@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 from .invariants import jellyfish_invariant
 from .partitions import OrderedSetPartition, enumerate_unordered_partitions
-from .polynomials import MatrixPolynomial, Monomial, add_into, minor
+from .polynomials import MatrixPolynomial, Monomial, add_into, add_minor_product, extend_minor_product
 
 
 # -- shapes -----------------------------------------------------------------
@@ -81,14 +81,20 @@ class SpechtShape:
 def spanning_set(shape: SpechtShape) -> list[MatrixPolynomial]:
     """Products of top-justified minors, one per set partition of [n] into
     blocks of sizes mu: the partitions into d blocks of size at least r whose
-    largest block has nu elements (every other block then has r)."""
+    largest block has nu elements (every other block then has r).  The
+    minor-product kernel expands each product; its largest minor takes
+    rows 1..nu, so k = nu."""
+    n = shape.n
     gens = []
-    for partition in enumerate_unordered_partitions(shape.n, shape.d, shape.r):
+    for partition in enumerate_unordered_partitions(n, shape.d, shape.r):
         if max(partition.block_sizes()) == shape.nu:
-            poly = MatrixPolynomial.one(shape.n)
-            for cols in partition.blocks:
-                poly = poly * minor(range(1, len(cols) + 1), cols, shape.n)
-            gens.append(poly)
+            *head, last = partition.blocks
+            partial = [(0, 1)]
+            for cols in head:
+                partial = extend_minor_product(partial, tuple(range(1, len(cols) + 1)), cols, n)
+            acc: dict[Monomial, int] = {}
+            add_minor_product(acc, partial, tuple(range(1, len(last) + 1)), last, n, 1)
+            gens.append(MatrixPolynomial._trusted(n, acc, shape.nu))
     return gens
 
 

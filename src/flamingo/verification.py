@@ -23,6 +23,7 @@ from .grassmann import (
     delta_index_set,
     delta_to_minor,
     gc_jellyfish,
+    index_set,
     phi,
     phi_star,
     resolved_global_sign,
@@ -194,11 +195,11 @@ def _running_example_term_bijection() -> str | None:
         return f"{len(gc.terms)} gc terms for {len(tableaux)} tableaux"
     emitted: list[int] = []
     for factors, coeff in gc.terms.items():
-        rows_by_block = {J: I for _, I, J in (delta_to_minor(K, n) for K in factors)}
+        rows_by_block = {J: I for _, I, J in (delta_to_minor(index_set(K), n) for K in factors)}
         cols = tuple(rows_by_block.get(b, ()) for b in partition.blocks)
         pos = by_rows.get(cols)
         if pos is None:
-            return f"gc term {factors} matches no tableau"
+            return f"gc term {tuple(sorted(map(index_set, factors)))} matches no tableau"
         t = tableaux[pos]
         single = phi_star(PlueckerExpression(n, {factors: coeff}))
         if single != t.minor_product() * t.sign():
@@ -413,7 +414,7 @@ def check_sign_properties(seed: int = 2024, exhaustive_n: int = 5) -> tuple[bool
         sign, I2, J2 = delta_to_minor(K, n)
         if (I2, J2) != (I, J):
             return False, f"index split failed for K={K}"
-        value = sign * minor(I, J, n).evaluate(matrix)
+        value = sign * integer_determinant([[matrix[i - 1][j - 1] for j in J] for i in I])
         if direct != value:
             return False, f"translation sign failed for n={n}, I={I}, J={J}"
     swap_checked = 0

@@ -7,13 +7,29 @@ algorithm than the package uses, so agreement is meaningful.
 from __future__ import annotations
 
 import itertools
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd
+from typing import Iterable, Mapping, Sequence
 
 from flamingo.diagrams import Edge, TensorDiagram, Vertex
-from flamingo.partitions import FlamingoContext, OrderedSetPartition
-from flamingo.polynomials import variable_position
+from flamingo.partitions import (
+    FlamingoContext,
+    OrderedSetPartition,
+    enumerate_unordered_partitions,
+    word_inversions,
+)
+from flamingo.polynomials import (
+    ColumnCollision,
+    MatrixPolynomial,
+    add_into,
+    add_minor_product,
+    extend_minor_product,
+    minor,
+    variable_position,
+)
 
 
 def monomial_key(m: tuple[int, ...]) -> tuple[int, ...]:
@@ -358,3 +374,227 @@ def boundary_degrees(diagram: TensorDiagram) -> dict[int, int]:
         if type(b) is int and 1 <= b <= n2:
             degrees[b] += 1
     return degrees
+
+
+# The exterior algebra, the Pluecker pull-back and the Specht spanning set
+# as they were on index tuples, before index sets became int masks and the
+# spanning products went through the minor-product kernel, kept verbatim
+# as references for the differential tests.  Keys here are tuples: an
+# Extensor term is (sorted indices, sorted tuple of sorted factors).
+
+
+def translation_sign(rows: Sequence[int], n: int) -> int:
+    """Exact sign relating the Pluecker coordinate on delta_index_set(I, J, n)
+    to the minor on rows I and columns J.
+
+    Laplace expansion along the kept unit columns: each kept column c
+    contributes the diagonal entry (-1)**(c - 1) and the column-position
+    shuffle contributes one transposition per pair (c, i) with i in I,
+    i < c.  The result depends only on n and the set I.
+    """
+    I = set(rows)
+    kept = [c for c in range(1, n + 1) if c not in I]
+    s = sum(c - 1 for c in kept)
+    s += sum(1 for c in kept for i in I if i < c)
+    return -1 if s % 2 else 1
+
+
+def delta_to_minor(K: Iterable[int], n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """Split a size-n column set K in [2n] into (sign, rows I, cols J) with
+    the Pluecker coordinate on K equal to sign times the minor M_I^J."""
+    Kset = set(K)
+    if len(Kset) != n or not Kset <= set(range(1, 2 * n + 1)):
+        raise ValueError("K must be a size-n subset of [2n]")
+    kept = Kset & set(range(1, n + 1))
+    I = tuple(sorted(set(range(1, n + 1)) - kept))
+    J = tuple(sorted(k - n for k in Kset - kept))  # |J| = n - |kept| = |I|
+    return translation_sign(I, n), I, J
+
+
+def _sort_with_sign(indices: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """(sign, sorted tuple); sign 0 when an index repeats."""
+    if len(set(indices)) != len(indices):
+        return 0, ()
+    inv = word_inversions(indices)
+    return (-1 if inv % 2 else 1), tuple(sorted(indices))
+
+
+def _merge_sign(x: Sequence[int], y: Sequence[int]) -> int:
+    """Sign of sorting the concatenation of two sorted duplicate-free lists;
+    0 when they intersect."""
+    if set(x) & set(y):
+        return 0
+    inv = sum(1 for a in x for b in y if a > b)
+    return -1 if inv % 2 else 1
+
+
+class Extensor:
+    """Signed sum of wedges of column vectors, each term carrying the
+    Pluecker factors accumulated by earlier caps.
+
+    Terms map (indices, factors) to an integer coefficient, where indices
+    is a sorted duplicate-free tuple in [2n] and factors is a
+    lexicographically sorted tuple of sorted index tuples.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Mapping[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], int] | None = None):
+        self.terms = {key: c for key, c in (terms or {}).items() if c}
+
+    @classmethod
+    def basis(cls, indices: Iterable[int]) -> "Extensor":
+        sign, sorted_idx = _sort_with_sign(list(indices))
+        if sign == 0:
+            return cls()
+        return cls({(sorted_idx, ()): sign})
+
+    @classmethod
+    def scalar_one(cls) -> "Extensor":
+        return cls({((), ()): 1})
+
+    def __add__(self, other: "Extensor") -> "Extensor":
+        terms = dict(self.terms)
+        add_into(terms, other.terms)
+        return Extensor(terms)
+
+    def scale(self, c: int) -> "Extensor":
+        return Extensor({key: c * v for key, v in self.terms.items()})
+
+    def wedge(self, other: "Extensor") -> "Extensor":
+        terms: dict = {}
+        for (idx1, fac1), c1 in self.terms.items():
+            for (idx2, fac2), c2 in other.terms.items():
+                sign = _merge_sign(idx1, idx2)
+                if sign == 0:
+                    continue
+                key = (tuple(sorted(idx1 + idx2)), tuple(sorted(fac1 + fac2)))
+                new = terms.get(key, 0) + sign * c1 * c2
+                if new:
+                    terms[key] = new
+                else:
+                    terms.pop(key, None)
+        return Extensor(terms)
+
+    def degrees(self) -> set[int]:
+        return {len(idx) for idx, _ in self.terms}
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Extensor) and self.terms == other.terms
+
+    def __repr__(self) -> str:
+        return f"Extensor({len(self.terms)} terms)"
+
+
+def cap(x: Extensor, y: Extensor, n: int) -> Extensor:
+    """The meet: for decomposable pieces of degrees n - a and n - b this
+    moves b indices of x into a maximal determinant with y's indices and
+    keeps the rest, summed over all choices with the shuffle sign.
+
+    Degrees must be homogeneous on both sides.  Requires a + b <= n.
+    """
+    if not x.terms or not y.terms:
+        return Extensor()
+    xdegs, ydegs = x.degrees(), y.degrees()
+    if len(xdegs) != 1 or len(ydegs) != 1:
+        raise ValueError("cap needs homogeneous inputs")
+    xdeg, ydeg = xdegs.pop(), ydegs.pop()
+    b = n - ydeg
+    if b < 0 or xdeg - b < 0:
+        raise ValueError("degree mismatch in cap")
+    acc: dict = {}
+    for (idx1, fac1), c1 in x.terms.items():
+        for moved in itertools.combinations(idx1, b):
+            kept = tuple(i for i in idx1 if i not in moved)
+            # shuffle sign for pulling the moved indices to the front
+            shuffle = sum(1 for m in moved for k in kept if k < m)
+            sign1 = -1 if shuffle % 2 else 1
+            for (idx2, fac2), c2 in y.terms.items():
+                merge = _merge_sign(moved, idx2)
+                if merge == 0:
+                    continue
+                factor = tuple(sorted(moved + idx2))
+                key = (kept, tuple(sorted(fac1 + fac2 + (factor,))))
+                new = acc.get(key, 0) + sign1 * merge * c1 * c2
+                if new:
+                    acc[key] = new
+                else:
+                    acc.pop(key, None)
+    return Extensor(acc)
+
+
+@dataclass
+class PlueckerExpression:
+    """Signed integer combination of products of Pluecker coordinates on
+    Gr(n, 2n); each product is a sorted tuple of sorted size-n index sets."""
+
+    n: int
+    terms: dict[tuple[tuple[int, ...], ...], int] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.terms = {fac: c for fac, c in self.terms.items() if c}
+
+    def __len__(self) -> int:
+        return len(self.terms)
+
+
+def gc_jellyfish(partition: OrderedSetPartition, r: int) -> PlueckerExpression:
+    """Fully expanded cap-and-wedge realization of the invariant: cap the
+    tentacle wedge onto each of the first d - 1 shifted blocks, wedge the
+    results, then close with the last shifted block.  Terms are degree-d
+    products of Pluecker coordinates."""
+    ctx = FlamingoContext.from_admissible(partition, r)
+    n = partition.n
+    S = ctx.tentacle_rows
+    E = ctx.tail_rows
+    blocks_shifted = [tuple(x + n for x in block) for block in partition.blocks]
+    v_S = Extensor.basis(S)
+    result = Extensor.scalar_one()
+    for i in range(ctx.d - 1):
+        piece = cap(v_S, Extensor.basis(E + blocks_shifted[i]), n)
+        result = result.wedge(piece)
+    result = result.wedge(Extensor.basis(E + blocks_shifted[-1]))
+    terms: dict = {}
+    for (idx, factors), c in result.terms.items():
+        if len(idx) != n:
+            raise ValueError("closing wedge did not reach top degree")
+        add_into(terms, {tuple(sorted(factors + (idx,))): c})
+    return PlueckerExpression(n, terms)
+
+
+def phi_star(expr: PlueckerExpression) -> MatrixPolynomial:
+    """Pull a Pluecker expression back to matrix entries: every factor
+    becomes a signed minor of M, fully expanded.
+
+    Raises ColumnCollision when two factors of a product share a column.
+    """
+    n = expr.n
+    acc: dict = {}
+    k = 0
+    for factors, c in expr.terms.items():
+        # a term without factors is its coefficient times the empty minor
+        minors = [delta_to_minor(K, n) for K in factors] or [(1, (), ())]
+        used = [j for _, _, J in minors for j in J]
+        if len(set(used)) < len(used):
+            raise ColumnCollision("two factors of a product share a column")
+        partial = [(0, c)]
+        for _, I, J in minors[:-1]:
+            partial = extend_minor_product(partial, I, J, n)
+        _, I, J = minors[-1]
+        add_minor_product(acc, partial, I, J, n, math.prod(sign for sign, _, _ in minors))
+        k = max([k] + [I[-1] for _, I, _ in minors if I])
+    return MatrixPolynomial._trusted(n, acc, k)
+
+
+def spanning_set(shape: SpechtShape) -> list[MatrixPolynomial]:
+    """Products of top-justified minors, one per set partition of [n] into
+    blocks of sizes mu: the partitions into d blocks of size at least r whose
+    largest block has nu elements (every other block then has r)."""
+    gens = []
+    for partition in enumerate_unordered_partitions(shape.n, shape.d, shape.r):
+        if max(partition.block_sizes()) == shape.nu:
+            poly = MatrixPolynomial.one(shape.n)
+            for cols in partition.blocks:
+                poly = poly * minor(range(1, len(cols) + 1), cols, shape.n)
+            gens.append(poly)
+    return gens

@@ -3,7 +3,7 @@ phi_star, against the generic tableau and polynomial arithmetic."""
 
 import pytest
 
-from flamingo.grassmann import PlueckerExpression, delta_to_minor, gc_jellyfish, phi_star
+from flamingo.grassmann import PlueckerExpression, delta_to_minor, gc_jellyfish, index_set, phi_star
 from flamingo.invariants import jellyfish_invariant
 from flamingo.polynomials import ColumnCollision, MatrixPolynomial, minor
 from flamingo.tableaux import iter_tableaux
@@ -23,7 +23,7 @@ def factor_by_factor(expr):
     for factors, c in expr.terms.items():
         term = MatrixPolynomial.one(n) * c
         for K in factors:
-            sign, I, J = delta_to_minor(K, n)
+            sign, I, J = delta_to_minor(index_set(K), n)
             term = term * (minor(I, J, n) * sign)
         total = total + term
     return total
@@ -49,13 +49,18 @@ def test_phi_star_equals_factor_by_factor_product(r):
         assert_same(phi_star(expr), factor_by_factor(expr))
 
 
+def mask(*indices):
+    """The Pluecker factor on the given indices, bit i - 1 for index i."""
+    return sum(1 << (i - 1) for i in indices)
+
+
 @pytest.mark.parametrize(
     "n, terms",
     [
-        (3, {((1, 2, 4),): 1}),  # one column of three covered
-        (3, {((1, 2, 4), (1, 3, 5)): -2, ((2, 3, 6),): 5}),
-        (1, {((2,),): 3}),
-        (2, {(): 4, ((1, 2),): -1}),  # a constant and an empty minor
+        (3, {(mask(1, 2, 4),): 1}),  # one column of three covered
+        (3, {(mask(1, 2, 4), mask(1, 3, 5)): -2, (mask(2, 3, 6),): 5}),
+        (1, {(mask(2),): 3}),
+        (2, {(): 4, (mask(1, 2),): -1}),  # a constant and an empty minor
     ],
 )
 def test_phi_star_fills_uncovered_columns_with_zero(n, terms):
@@ -65,7 +70,7 @@ def test_phi_star_fills_uncovered_columns_with_zero(n, terms):
 
 def test_phi_star_rejects_factors_sharing_a_column():
     # (1, 3) and (2, 3) both pull back to minors on column 1
-    expr = PlueckerExpression(2, {((1, 3), (2, 3)): 1})
+    expr = PlueckerExpression(2, {(mask(1, 3), mask(2, 3)): 1})
     with pytest.raises(ColumnCollision):
         phi_star(expr)
     with pytest.raises(ColumnCollision):

@@ -265,6 +265,16 @@ class TestMinor:
         matrix = random_int_matrix(rng, size, n)
         assert p.evaluate(matrix) == evaluate_poly(p, matrix)
 
+    @given(st.integers(min_value=1, max_value=6), st.randoms(use_true_random=False))
+    def test_evaluate_is_the_submatrix_determinant(self, n, rng):
+        # any rows and columns of an n x n matrix, the empty minor included
+        size = rng.randint(0, n)
+        rows = sorted(rng.sample(range(1, n + 1), size))
+        cols = sorted(rng.sample(range(1, n + 1), size))
+        matrix = random_int_matrix(rng, n, n)
+        sub = [[matrix[i - 1][j - 1] for j in cols] for i in rows]
+        assert minor(rows, cols, n).evaluate(matrix) == integer_determinant(sub)
+
 
 class TestIntegerDeterminant:
     @given(st.integers(min_value=0, max_value=5), st.randoms(use_true_random=False))
@@ -363,6 +373,22 @@ def _polys(n, cols=None):
     monomial = st.tuples(*[rows if cols is None or j in cols else st.just(0) for j in range(n)])
     terms = st.dictionaries(monomial, st.integers(-3, 3), max_size=5)
     return st.builds(MatrixPolynomial, st.just(n), terms, st.integers(0, 4))
+
+
+class TestSubstituteColumns:
+    @given(st.data())
+    def test_moves_each_variable_to_its_image_column(self, data):
+        # x[a][j] -> x[a][w(j)], read on the row tuples of the JSON form
+        n = data.draw(st.integers(1, 5))
+        p = data.draw(_polys(n))
+        w = data.draw(st.permutations(range(1, n + 1)))
+        moved = {}
+        for m, c in tuple_terms(p).items():
+            image = [0] * n
+            for j, row in enumerate(m):
+                image[w[j] - 1] = row
+            moved[tuple(image)] = c
+        assert tuple_terms(p.substitute_columns(w)) == moved
 
 
 class TestValidationBoundary:
