@@ -155,6 +155,14 @@ class Extensor:
         self.terms = {key: c for key, c in (terms or {}).items() if c}
 
     @classmethod
+    def _trusted(cls, terms: dict[tuple[int, tuple[int, ...]], int]) -> "Extensor":
+        """Adopt ``terms`` without copying or filtering it.  The caller
+        guarantees that no coefficient is 0."""
+        self = cls.__new__(cls)
+        self.terms = terms
+        return self
+
+    @classmethod
     def basis(cls, indices: Iterable[int]) -> "Extensor":
         """The wedge of the given positive indices in the given order;
         zero when an index repeats."""
@@ -177,10 +185,12 @@ class Extensor:
     def __add__(self, other: "Extensor") -> "Extensor":
         terms = dict(self.terms)
         add_into(terms, other.terms)
-        return Extensor(terms)
+        return Extensor._trusted(terms)
 
     def scale(self, c: int) -> "Extensor":
-        return Extensor({key: c * v for key, v in self.terms.items()})
+        if not c:
+            return Extensor()
+        return Extensor._trusted({key: c * v for key, v in self.terms.items()})
 
     def wedge(self, other: "Extensor") -> "Extensor":
         terms: dict = {}
@@ -196,7 +206,7 @@ class Extensor:
                     terms[key] = new
                 else:
                     terms.pop(key, None)
-        return Extensor(terms)
+        return Extensor._trusted(terms)
 
     def degrees(self) -> set[int]:
         return {idx.bit_count() for idx, _ in self.terms}
@@ -243,7 +253,7 @@ def cap(x: Extensor, y: Extensor, n: int) -> Extensor:
                     acc[key] = new
                 else:
                     acc.pop(key, None)
-    return Extensor(acc)
+    return Extensor._trusted(acc)
 
 
 # -- Pluecker expressions ----------------------------------------------------

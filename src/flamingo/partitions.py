@@ -18,7 +18,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from bisect import bisect
+from bisect import bisect, bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -71,13 +71,17 @@ def perm_inverse(w: Sequence[int]) -> tuple[int, ...]:
 
 
 def word_inversions(word: Sequence[int]) -> int:
-    """Number of pairs appearing out of order in ``word``."""
+    """Number of pairs appearing out of order in ``word``: positions a < b
+    with word[a] > word[b] strictly, so repeated letters make no inversion.
+
+    Read right to left, each letter is out of order with the smaller letters
+    already read; ``bisect_left`` counts those in the sorted list of them."""
     count = 0
-    for a in range(len(word)):
-        wa = word[a]
-        for b in range(a + 1, len(word)):
-            if wa > word[b]:
-                count += 1
+    seen: list[int] = []
+    for x in reversed(word):
+        k = bisect_left(seen, x)
+        count += k
+        seen.insert(k, x)
     return count
 
 

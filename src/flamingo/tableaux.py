@@ -6,6 +6,10 @@ holds exactly one entry, and column j contains exactly the elements of
 pi_j, increasing downward.  Such a tableau is determined by which column
 each row in [r + 1, nu] feeds, so that assignment is the whole stored
 state; entries are always derived by sorting the blocks into their rows.
+
+The reading word is read straight from the assignment, without a grid:
+row t <= r gives ``block[t - 1]`` of every block in order, and each deep
+row gives the next unread entry of ``block[r:]`` of the column it feeds.
 """
 
 from __future__ import annotations
@@ -35,6 +39,19 @@ class JellyfishTableau:
             if self.assignment.count(i) != ctx.tentacle_counts[i - 1]:
                 raise ValueError(f"column {i} must receive exactly |pi_{i}| - r deep rows")
 
+    @classmethod
+    def _trusted(
+        cls, partition: OrderedSetPartition, r: int, assignment: tuple[int, ...]
+    ) -> "JellyfishTableau":
+        """Adopt ``assignment`` without the checks of ``__post_init__``.  The
+        caller guarantees them: every block holds at least r elements and
+        column i is fed by exactly |pi_i| - r of the rows r + 1 .. nu."""
+        self = cls.__new__(cls)
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "assignment", assignment)
+        return self
+
     @cached_property
     def context(self) -> FlamingoContext:
         return FlamingoContext.from_admissible(self.partition, self.r)
@@ -56,8 +73,20 @@ class JellyfishTableau:
         return cells
 
     def reading_word(self) -> list[int]:
-        """Nonempty entries row by row, left to right."""
-        return [x for row in self.grid() for x in row if x is not None]
+        """Nonempty entries row by row, left to right: the word of ``grid``,
+        read from the assignment.  As in the grid, a deep row fed past the
+        end of its block stays empty; a validated tableau has no such row."""
+        r = self.r
+        blocks = self.partition.blocks
+        word = [block[t] for t in range(r) for block in blocks]
+        read = [r] * len(blocks)  # read[c - 1]: entries of column c read so far
+        for c in self.assignment:
+            block = blocks[c - 1]
+            k = read[c - 1]
+            if k < len(block):
+                word.append(block[k])
+            read[c - 1] = k + 1
+        return word
 
     def inversion_number(self) -> int:
         return word_inversions(self.reading_word())
@@ -76,10 +105,11 @@ class JellyfishTableau:
 
     def permute_columns(self, sigma: Sequence[int]) -> "JellyfishTableau":
         """The tableau for the block-reordered partition in which each
-        column keeps its rows; column i moves to position sigma(i)."""
+        column keeps its rows; column i moves to position sigma(i).  Its
+        deep rows move with it, so the result needs no re-validation."""
         new_partition = permute_blocks(sigma, self.partition)
         new_assignment = tuple(sigma[c - 1] for c in self.assignment)
-        return JellyfishTableau(new_partition, self.r, new_assignment)
+        return JellyfishTableau._trusted(new_partition, self.r, new_assignment)
 
     def render_text(self) -> str:
         """Rows top to bottom, columns separated by tabs, '.' for empty cells."""

@@ -435,14 +435,14 @@ def check_sign_properties(seed: int = 2024, exhaustive_n: int = 5) -> tuple[bool
         for partition in panels:
             d = partition.d
             tableaux = enumerate_tableaux(partition, r)
+            signs = [t.sign() for t in tableaux]
             for sigma in itertools.permutations(range(1, d + 1)):
                 sgn = perm_sign(sigma) ** r
-                for t in tableaux:
-                    if t.permute_columns(sigma).sign() != sgn * t.sign():
+                for t, base in zip(tableaux, signs):
+                    if t.permute_columns(sigma).sign() != sgn * base:
                         return False, f"column-swap sign fails for {partition}, sigma={sigma}"
                     swap_checked += 1
-            for t in tableaux[: max(1, len(tableaux) // 4)]:
-                base = t.sign()
+            for t, base in zip(tableaux, signs[: max(1, len(tableaux) // 4)]):
                 orders_pool = [list(itertools.permutations(block)) for block in partition.blocks]
                 if math.prod(len(p) for p in orders_pool) <= 64:
                     chosen = itertools.product(*orders_pool)

@@ -7,6 +7,7 @@ algorithm than the package uses, so agreement is meaningful.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -19,6 +20,7 @@ from flamingo.partitions import (
     FlamingoContext,
     OrderedSetPartition,
     enumerate_unordered_partitions,
+    permute_blocks,
     word_inversions,
 )
 from flamingo.polynomials import (
@@ -30,6 +32,7 @@ from flamingo.polynomials import (
     minor,
     variable_position,
 )
+from flamingo.tableaux import JellyfishTableau, enumerate_tableaux
 
 
 def monomial_key(m: tuple[int, ...]) -> tuple[int, ...]:
@@ -143,6 +146,49 @@ def arrangement_sign_by_pairs(tableau, orders) -> int:
         if ca != cb and xa > xb
     )
     return -1 if inv % 2 else 1
+
+
+def word_inversions_by_pairs(word: Sequence[int]) -> int:
+    """The pairwise count that ``word_inversions`` replaced: every pair of
+    positions a < b with word[a] > word[b]."""
+    return sum(1 for a, wa in enumerate(word) for wb in word[a + 1 :] if wa > wb)
+
+
+def grid_reading_word(tableau: JellyfishTableau) -> list[int]:
+    """The reading word as ``reading_word`` used to read it: the nonempty
+    cells of the grid, row by row, left to right."""
+    return [x for row in tableau.grid() for x in row if x is not None]
+
+
+def validated_permute_columns(tableau: JellyfishTableau, sigma: Sequence[int]) -> JellyfishTableau:
+    """``permute_columns`` as it was: the permuted assignment passed
+    through the validating constructor."""
+    assignment = tuple(sigma[c - 1] for c in tableau.assignment)
+    return JellyfishTableau(permute_blocks(sigma, tableau.partition), tableau.r, assignment)
+
+
+def tableaux_cli_output(partition: OrderedSetPartition, r: int) -> tuple[str, str]:
+    """What ``flamingo tableaux`` prints, as text and as ``--json``, for the
+    tableaux in enumeration order, rebuilt from each tableau's grid alone:
+    the columns are the rows of its nonempty cells, the word is read off
+    the grid and its inversions are counted pair by pair."""
+    tableaux = enumerate_tableaux(partition, r)
+    text = [f"count={len(tableaux)}"]
+    payload = []
+    for idx, t in enumerate(tableaux, start=1):
+        grid = t.grid()
+        columns = [
+            [row for row in range(1, len(grid) + 1) if grid[row - 1][i] is not None]
+            for i in range(partition.d)
+        ]
+        word = grid_reading_word(t)
+        inversions = word_inversions_by_pairs(word)
+        sign = -1 if inversions % 2 else 1
+        payload.append({"columns": columns, "word": word, "inversions": inversions, "sign": sign})
+        text.append(f"-- tableau {idx}: inversions={inversions} sign={sign:+d} word={' '.join(map(str, word))}")
+        text.extend("\t".join("." if x is None else str(x) for x in row) for row in grid)
+    doc = json.dumps({"count": len(tableaux), "tableaux": payload})
+    return "\n".join(text) + "\n", doc + "\n"
 
 
 def perm_compose(u: tuple[int, ...], w: tuple[int, ...]) -> tuple[int, ...]:

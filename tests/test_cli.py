@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -55,6 +56,34 @@ class TestTableaux:
         doc = json.loads(out)
         assert doc["count"] == 2
         assert {t["sign"] for t in doc["tableaux"]} == {1, -1}
+
+
+# sha256 of what ``flamingo tableaux`` printed, as text and as --json, when
+# the reading word was still read off the grid
+TABLEAUX_OUTPUT_SHA256 = {
+    ("2 3 6 10|5 7 8 9|1 4", 1): (
+        "1272834c4e7b10e53a79ab000013e8fd0507fe73579da1a06592fa7e8625ac8f",
+        "d6aead87870cde1e894d21b492a3dd1bd29ae0c1380659150c908cc031680e00",
+    ),
+    ("2 3 6 10|5 7 8 9|1 4", 2): (
+        "0f9050c16c3d74a6d40a68149e9c1e58647aae2a2821a90298bfbd1b0233319c",
+        "a70298fca2d685c006e786ab80230de7aec2b2382bb427cedf7084f16a4737e1",
+    ),
+    ("2 3 6 7 12|1 8 10|4 5 9 11", 3): (
+        "50809e43d61314e76fdaf160b731d3314e83f4e8c90de46cff4414ef4e2abad3",
+        "b6996936e462898942a0ec6d9c1e34a4f45b57ae05df3305616350e8e25d8d08",
+    ),
+}
+
+
+@pytest.mark.parametrize("partition, r", list(TABLEAUX_OUTPUT_SHA256))
+def test_tableaux_output_is_pinned_and_read_off_the_grid(capsys, partition, r):
+    code, text, _ = run_cli(capsys, "tableaux", "--partition", partition, "--r", str(r))
+    json_code, doc, _ = run_cli(capsys, "tableaux", "--partition", partition, "--r", str(r), "--json")
+    assert code == json_code == 0
+    assert (text, doc) == oracles.tableaux_cli_output(parse_partition(partition), r)
+    digests = tuple(hashlib.sha256(out.encode()).hexdigest() for out in (text, doc))
+    assert digests == TABLEAUX_OUTPUT_SHA256[(partition, r)]
 
 
 class TestRecurrence:

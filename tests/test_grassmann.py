@@ -71,6 +71,10 @@ class TestExtensor:
         s = Extensor.basis((1,)) + Extensor.basis((1,)).scale(-1)
         assert decoded(s) == {}
 
+    def test_zero_scale_is_the_empty_extensor(self):
+        assert Extensor.basis((1, 2)).scale(0) == Extensor()
+        assert Extensor({(1, ()): 0, (2, ()): 3}).terms == {(2, ()): 3}  # the constructor filters
+
     def test_degrees(self):
         w = Extensor.basis((1, 3)) + Extensor.basis((2, 4))
         assert w.degrees() == {2}
@@ -262,6 +266,8 @@ class TestAgainstTupleReference:
         n = data.draw(st.integers(min_value=1, max_value=4))
         x, x_old = data.draw(extensor_pairs(n))
         y, y_old = data.draw(extensor_pairs(n))
+        # x and y are sums of scaled basis wedges, zero scales among them
+        results = [x, y, x.wedge(y), x + x.scale(-1), x.scale(0)]
         assert list(decoded(x).items()) == list(x_old.terms.items())
         assert list(decoded(x.wedge(y)).items()) == list(x_old.wedge(y_old).terms.items())
         met = outcome(lambda: cap(x, y, n), decoded)
@@ -273,6 +279,9 @@ class TestAgainstTupleReference:
             assert outcome(lambda: cap(z, y, n), decoded) == outcome(
                 lambda: oracles.cap(z_old, y_old, n), lambda e: e.terms
             )
+            results += [z, z.wedge(x), z + z.scale(-1)]
+        # results adopt their dicts unfiltered, so none may keep a cancelled term
+        assert all(0 not in e.terms.values() for e in results)
 
     @given(st.data())
     def test_cap_errors(self, data):

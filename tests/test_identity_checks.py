@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from flamingo import invariants, relations
+from flamingo import invariants, relations, verification
 from flamingo.invariants import verify_block_reorder, verify_equivariance
 from flamingo.partitions import (
     OrderedSetPartition,
@@ -18,6 +18,7 @@ from flamingo.partitions import (
 )
 from flamingo.polynomials import MatrixPolynomial
 from flamingo.relations import resolve_crossing_r1, verify_recurrence, verify_three_term
+from flamingo.tableaux import JellyfishTableau
 from flamingo.verification import _abc_instances
 
 from oracles import crossing_resolutions
@@ -205,3 +206,15 @@ class TestFlippedSignFails:
         original = invariants.perm_sign
         monkeypatch.setattr(invariants, "perm_sign", lambda v: -original(v))
         assert not verify_block_reorder((2, 1), p, 1)
+
+    def test_sign_properties_with_unpermuted_assignment(self, monkeypatch):
+        # a permute_columns that moves the blocks but not their deep rows;
+        # the check must still catch it with each tableau's sign taken once,
+        # with the detail it gave when that sign was taken once per sigma
+        def forget_assignment(self, sigma):
+            return JellyfishTableau._trusted(permute_blocks(sigma, self.partition), self.r, self.assignment)
+
+        monkeypatch.setattr(JellyfishTableau, "permute_columns", forget_assignment)
+        result = verification.check_sign_properties(seed=2024, exhaustive_n=5)
+        assert not result.ok
+        assert result.detail == "column-swap sign fails for (1 2|3), sigma=(2, 1)"

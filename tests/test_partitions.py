@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from flamingo.partitions import (
@@ -22,9 +22,10 @@ from flamingo.partitions import (
     rotate,
     simple_transposition,
     transposition_distance_to_noncrossing,
+    word_inversions,
 )
 
-from oracles import brute_ordered_partitions, has_crossing_by_quadruples, perm_compose
+from oracles import brute_ordered_partitions, has_crossing_by_quadruples, perm_compose, word_inversions_by_pairs
 
 
 def partitions_strategy(max_n=7):
@@ -187,6 +188,14 @@ class TestGroupActions:
         assert perm_sign(longest_permutation(n)) == (-1) ** (n * (n - 1) // 2)
         if n > 1:
             assert perm_sign(simple_transposition(n, 1)) == -1
+
+    @example([])
+    @example([2, 2])
+    @example([3, 1, 3, 1, 2, 2])
+    @given(st.lists(st.integers(min_value=-2, max_value=5), max_size=14))
+    def test_word_inversions_matches_pair_count(self, word):
+        # strict inversions: a repeated letter is never out of order with itself
+        assert word_inversions(word) == word_inversions_by_pairs(word)
 
     @given(partitions_strategy())
     def test_permute_blocks_relabels_positions(self, p):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flamingo.partitions import BlockTooSmall, parse_partition
+from flamingo.partitions import BlockTooSmall, parse_partition, partitions_up_to
 from flamingo.polynomials import minor
 from flamingo.tableaux import (
     JellyfishTableau,
@@ -16,7 +16,12 @@ from flamingo.tableaux import (
     top_justified_tableau,
 )
 
-from oracles import arrangement_sign_by_pairs, multinomial
+from oracles import (
+    arrangement_sign_by_pairs,
+    grid_reading_word,
+    multinomial,
+    validated_permute_columns,
+)
 
 # golden data for the ten-element example partition, depth 2:
 # all six fillings with their reading-word inversion counts and signs
@@ -184,3 +189,37 @@ class TestColumnPermutation:
         t = JellyfishTableau(parse_partition("1 3|2 4"), 1, (1, 2))
         with pytest.raises(ValueError, match="must rearrange block 2"):
             column_arrangement_sign(t, [(3, 1), (2, 2)])
+
+
+class TestAgainstReplacedCode:
+    """The word read from the assignment and the permutation adopted
+    without validation, against the grid and the validating constructor
+    they replaced (``oracles``)."""
+
+    @pytest.mark.parametrize("r, total", [(1, 102183), (2, 1074), (3, 95)])
+    def test_reading_word_is_the_grid_word_up_to_seven(self, r, total):
+        checked = 0
+        for partition in partitions_up_to(7, r):
+            for t in iter_tableaux(partition, r):
+                assert t.reading_word() == grid_reading_word(t)
+                checked += 1
+        assert checked == total
+
+    def test_permute_columns_is_the_validated_tableau(self):
+        panel = [(p, r) for r in (1, 2, 3) for p in partitions_up_to(5, r)]
+        panel += [(parse_partition(EXAMPLE), 1), (parse_partition(EXAMPLE), 2), (parse_partition(DEEP), 3)]
+        checked = 0
+        for partition, r in panel:
+            for t in iter_tableaux(partition, r):
+                for sigma in itertools.permutations(range(1, partition.d + 1)):
+                    permuted = t.permute_columns(sigma)
+                    reference = validated_permute_columns(t, sigma)
+                    assert permuted == reference
+                    assert permuted.reading_word() == grid_reading_word(reference)
+                    checked += 1
+        assert checked == 23582
+
+    def test_permute_columns_still_rejects_a_bad_sigma(self):
+        t = JellyfishTableau(parse_partition("1 3|2 4"), 1, (1, 2))
+        with pytest.raises(ValueError, match="sigma must be a permutation"):
+            t.permute_columns((1, 1))
