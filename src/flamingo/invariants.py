@@ -20,13 +20,19 @@ The symmetric group acts on columns; the laws verified here are
 * w . [pi]_r = sgn(w) [w . pi]_r for any permutation w of [n], among
   them the rotation (the long cycle) and the reflection (the reversal),
 * [pi]_r = sgn(sigma)^r [sigma(pi)]_r for any reordering sigma of blocks.
+
+A ``ColumnAction`` carries what the first law needs of w alone: the bit
+map, sgn(w) and the image of each monomial met so far.  A sweep builds one
+per generator and n and shares it across every partition of [n], so each
+distinct monomial is mapped once; ``verify_equivariance`` builds a fresh
+one.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .partitions import (
     FlamingoContext,
@@ -36,7 +42,14 @@ from .partitions import (
     permute_blocks,
     word_inversions,
 )
-from .polynomials import MatrixPolynomial, add_into, add_minor_product, extend_minor_product
+from .polynomials import (
+    MatrixPolynomial,
+    add_into,
+    add_minor_product,
+    column_map,
+    extend_minor_product,
+    map_monomial,
+)
 
 
 @lru_cache(maxsize=16384)
@@ -74,13 +87,44 @@ def jellyfish_invariant(partition: OrderedSetPartition, r: int) -> MatrixPolynom
     return _invariant_cached(partition, r)
 
 
+class ColumnAction:
+    """A permutation w of [n] acting on the columns of n-column invariants,
+    x[a][j] -> x[a][w(j)], with what depends on w alone: its validated bit
+    map, its sign, and ``images``, which holds the image of each packed
+    monomial met so far.  An action shared by every identity at n maps each
+    distinct monomial once; it lives as long as its caller keeps it."""
+
+    __slots__ = ("w", "moved", "sign", "images")
+
+    def __init__(self, w: Sequence[int], n: int):
+        self.w = tuple(w)
+        self.moved = column_map(self.w, n)
+        self.sign = perm_sign(self.w)
+        self.images: dict[int, int] = {}
+
+    def apply(self, terms: Mapping[int, int]) -> dict[int, int]:
+        """The terms with each monomial moved to its image, in a fresh dict;
+        a monomial not met before is mapped once and remembered."""
+        images, moved = self.images, self.moved
+        out = {}
+        for m, c in terms.items():
+            image = images.get(m)
+            if image is None:
+                image = images[m] = map_monomial(m, moved)
+            out[image] = c
+        return out
+
+    def holds_for(self, partition: OrderedSetPartition, r: int) -> bool:
+        """Check w . [pi]_r == sgn(w) [w . pi]_r exactly."""
+        acc = self.apply(jellyfish_invariant(partition, r).terms)
+        add_into(acc, jellyfish_invariant(act_elements(self.w, partition), r).terms, -self.sign)
+        return not acc
+
+
 def verify_equivariance(w: Sequence[int], partition: OrderedSetPartition, r: int) -> bool:
     """Check w . [pi]_r == sgn(w) [w . pi]_r exactly, where w acts on a
     polynomial by x[a,j] -> x[a,w(j)]."""
-    # substitute_columns returns a fresh dict, so it is ours to change
-    acc = jellyfish_invariant(partition, r).substitute_columns(tuple(w)).terms
-    add_into(acc, jellyfish_invariant(act_elements(w, partition), r).terms, -perm_sign(w))
-    return not acc
+    return ColumnAction(w, partition.n).holds_for(partition, r)
 
 
 def verify_block_reorder(sigma: Sequence[int], partition: OrderedSetPartition, r: int) -> bool:

@@ -19,7 +19,9 @@ support; multiplying two polynomials whose supports share a column raises
 The constructor and ``from_json_dict`` validate input from outside.  The
 ring operations and ``substitute_columns`` combine operands that are
 already valid, so they adopt their results through
-``MatrixPolynomial._trusted``.  :func:`add_into` is the one accumulate: it
+``MatrixPolynomial._trusted``.  A column permutation acts through
+:func:`column_map`, built once per permutation and validated there, and
+:func:`map_monomial`.  :func:`add_into` is the one accumulate: it
 adds a signed multiple of a term dict into another in place, for any
 hashable keys, and every identity check is "the signed sum is empty".
 """
@@ -30,6 +32,8 @@ import functools
 import json
 import operator
 from typing import Iterable, Iterator, Mapping, Sequence
+
+from .partitions import is_permutation
 
 Monomial = int
 
@@ -82,6 +86,32 @@ def add_into(acc: dict, terms: Mapping, factor: int = 1) -> None:
             acc[key] = new
         else:
             acc.pop(key, None)
+
+
+def column_map(w: Sequence[int], n: int) -> list[int]:
+    """The bit map of x[a][j] -> x[a][w(j)] over n columns: bit -> its
+    variable's image, as a one-bit mask.  ``w`` must be a permutation of
+    [n], by the one rule of ``partitions.is_permutation``."""
+    if len(w) != n or not is_permutation(w):
+        raise ValueError("w must be a permutation of the columns")
+    moved = [0] * (n * n)
+    for row in range(1, n + 1):
+        # a row's variables take n consecutive bits, one way or the other
+        first = _bit(row, 1, n)
+        step = _bit(row, 2, n) - first if n > 1 else 1
+        for col, to in enumerate(w):
+            moved[first + col * step] = 1 << (first + (to - 1) * step)
+    return moved
+
+
+def map_monomial(m: Monomial, moved: Sequence[int]) -> Monomial:
+    """The image of a packed monomial under a ``column_map``."""
+    image = 0
+    while m:
+        b = m.bit_length() - 1
+        m ^= 1 << b
+        image |= moved[b]
+    return image
 
 
 class MatrixPolynomial:
@@ -242,25 +272,9 @@ class MatrixPolynomial:
 
     def substitute_columns(self, w: Sequence[int]) -> "MatrixPolynomial":
         """Replace each variable x[a][j] by x[a][w(j)], w a permutation of [n]."""
-        n = self.n
-        if sorted(w) != list(range(1, n + 1)):
-            raise ValueError("w must be a permutation of the columns")
-        moved = [0] * (n * n)  # bit -> its variable's image, as a one-bit mask
-        for row in range(1, min(self.k, n) + 1):
-            # a row's variables take n consecutive bits, one way or the other
-            first = _bit(row, 1, n)
-            step = _bit(row, 2, n) - first if n > 1 else 1
-            for col, to in enumerate(w):
-                moved[first + col * step] = 1 << (first + (to - 1) * step)
-        terms = {}
-        for m, c in self.terms.items():
-            image = 0
-            while m:
-                b = m.bit_length() - 1
-                m ^= 1 << b
-                image |= moved[b]
-            terms[image] = c
-        return MatrixPolynomial._trusted(n, terms, self.k)
+        moved = column_map(w, self.n)
+        terms = {map_monomial(m, moved): c for m, c in self.terms.items()}
+        return MatrixPolynomial._trusted(self.n, terms, self.k)
 
     # -- presentation -------------------------------------------------
 

@@ -28,7 +28,7 @@ from .grassmann import (
     phi_star,
     resolved_global_sign,
 )
-from .invariants import jellyfish_invariant, verify_equivariance
+from .invariants import ColumnAction, jellyfish_invariant
 from .partitions import (
     OrderedSetPartition,
     block_tuples,
@@ -66,27 +66,27 @@ DEPTHS = (1, 2, 3)
 
 # Signed minor-product expansions copied from the worked examples: each term
 # is (sign, row sets per column).
-RUNNING_R2_TERMS = [
+RUNNING_R2_TERMS = (
     (+1, ((1, 2, 3, 4), (1, 2, 5, 6), (1, 2))),
     (-1, ((1, 2, 3, 5), (1, 2, 4, 6), (1, 2))),
     (+1, ((1, 2, 3, 6), (1, 2, 4, 5), (1, 2))),
     (+1, ((1, 2, 4, 5), (1, 2, 3, 6), (1, 2))),
     (-1, ((1, 2, 4, 6), (1, 2, 3, 5), (1, 2))),
     (+1, ((1, 2, 5, 6), (1, 2, 3, 4), (1, 2))),
-]
-RUNNING_R2_INVERSIONS = [8, 7, 6, 8, 7, 8]
-THREE_ROW_TERMS = [
+)
+RUNNING_R2_INVERSIONS = (8, 7, 6, 8, 7, 8)
+THREE_ROW_TERMS = (
     (-1, ((1, 2, 3, 4, 5), (1, 2, 3), (1, 2, 3, 6))),
     (+1, ((1, 2, 3, 4, 6), (1, 2, 3), (1, 2, 3, 5))),
     (-1, ((1, 2, 3, 5, 6), (1, 2, 3), (1, 2, 3, 4))),
-]
-THREE_ROW_INVERSIONS = [9, 8, 9]
-RUNNING_R1_SAMPLES = [
+)
+THREE_ROW_INVERSIONS = (9, 8, 9)
+RUNNING_R1_SAMPLES = (
     (((1, 2, 6, 7), (1, 3, 4, 5), (1, 8)), 12),
     (((1, 3, 6, 7), (1, 2, 4, 5), (1, 8)), 13),
     (((1, 5, 7, 8), (1, 2, 3, 6), (1, 4)), 12),
     (((1, 4, 6, 7), (1, 3, 5, 8), (1, 2)), 9),
-]
+)
 
 
 @dataclass
@@ -139,7 +139,7 @@ def check_running_example() -> tuple[bool, str]:
     if len(tableaux) != 6:
         return False, f"expected 6 tableaux, got {len(tableaux)}"
     inversions = [t.inversion_number() for t in tableaux]
-    if inversions != RUNNING_R2_INVERSIONS:
+    if tuple(inversions) != RUNNING_R2_INVERSIONS:
         return False, f"inversions {inversions}"
     expected = signed_minor_expansion(RUNNING_PARTITION, RUNNING_R2_TERMS)
     if jellyfish_invariant(RUNNING_PARTITION, 2) != expected:
@@ -155,7 +155,7 @@ def check_three_row_example() -> tuple[bool, str]:
     if len(tableaux) != 3:
         return False, f"expected 3 tableaux, got {len(tableaux)}"
     inversions = [t.inversion_number() for t in tableaux]
-    if inversions != THREE_ROW_INVERSIONS:
+    if tuple(inversions) != THREE_ROW_INVERSIONS:
         return False, f"inversions {inversions}"
     expected = signed_minor_expansion(THREE_ROW_PARTITION, THREE_ROW_TERMS)
     if jellyfish_invariant(THREE_ROW_PARTITION, 3) != expected:
@@ -296,12 +296,14 @@ def check_equivariance(n_max: int = 6) -> tuple[bool, str]:
             return False, "long cycle sign is off"
         if perm_sign(longest_permutation(n)) != (-1) ** (n * (n - 1) // 2):
             return False, "reversal sign is off"
+        # one action per generator, shared by every identity at this n
+        actions = [ColumnAction(w, n) for w in generators]
         for r in DEPTHS:
             for d in range(1, n // r + 1):
                 for partition in enumerate_ordered_partitions(n, d, r):
-                    for w in generators:
-                        if not verify_equivariance(w, partition, r):
-                            return False, f"equivariance failed for w={w}, {partition}, r={r}"
+                    for action in actions:
+                        if not action.holds_for(partition, r):
+                            return False, f"equivariance failed for w={action.w}, {partition}, r={r}"
                         checked += 1
     return True, f"{checked} (w, partition, depth) identities hold with exact signs"
 

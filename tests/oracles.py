@@ -15,10 +15,12 @@ from functools import lru_cache
 from math import factorial, gcd
 from typing import Iterable, Mapping, Sequence
 
+from flamingo import invariants
 from flamingo.diagrams import Edge, TensorDiagram, Vertex
 from flamingo.partitions import (
     FlamingoContext,
     OrderedSetPartition,
+    act_elements,
     enumerate_unordered_partitions,
     permute_blocks,
     word_inversions,
@@ -189,6 +191,44 @@ def tableaux_cli_output(partition: OrderedSetPartition, r: int) -> tuple[str, st
         text.extend("\t".join("." if x is None else str(x) for x in row) for row in grid)
     doc = json.dumps({"count": len(tableaux), "tableaux": payload})
     return "\n".join(text) + "\n", doc + "\n"
+
+
+def substitute_columns_per_call(poly: MatrixPolynomial, w: Sequence[int]) -> dict[int, int]:
+    """The terms of ``poly.substitute_columns(w)`` as it was computed before
+    the column map was shared: the map rebuilt on every call for the rows
+    up to k, and every monomial mapped bit by bit."""
+    n = poly.n
+    if sorted(w) != list(range(1, n + 1)):
+        raise ValueError("w must be a permutation of the columns")
+
+    def bit(row, col):
+        return n * n - 1 - variable_position(row, col, n)
+
+    moved = [0] * (n * n)
+    for row in range(1, min(poly.k, n) + 1):
+        first = bit(row, 1)
+        step = bit(row, 2) - first if n > 1 else 1
+        for col, to in enumerate(w):
+            moved[first + col * step] = 1 << (first + (to - 1) * step)
+    terms = {}
+    for m, c in poly.terms.items():
+        image = 0
+        while m:
+            b = m.bit_length() - 1
+            m ^= 1 << b
+            image |= moved[b]
+        terms[image] = c
+    return terms
+
+
+def equivariance_per_call(w: Sequence[int], partition: OrderedSetPartition, r: int) -> bool:
+    """``verify_equivariance`` as it was: a fresh substitution, then the
+    ``add_into`` signed sum with -sgn(w).  It reads ``jellyfish_invariant``
+    and ``perm_sign`` through ``flamingo.invariants``, so a monkeypatch
+    there reaches it too."""
+    acc = substitute_columns_per_call(invariants.jellyfish_invariant(partition, r), tuple(w))
+    add_into(acc, invariants.jellyfish_invariant(act_elements(w, partition), r).terms, -invariants.perm_sign(w))
+    return not acc
 
 
 def perm_compose(u: tuple[int, ...], w: tuple[int, ...]) -> tuple[int, ...]:

@@ -1,6 +1,7 @@
 """Static checks over the package source: every imported name is used,
 every import sits at the top of its module, every public name has a
-caller, and no check rests on ``assert`` (which ``python -O`` strips)."""
+caller, no module holds a mutable container, and no check rests on
+``assert`` (which ``python -O`` strips)."""
 
 import ast
 import pathlib
@@ -118,6 +119,7 @@ def test_every_cache_is_one_the_benchmark_clears():
 # benchmark refers to, each kept for the reason given; the tests state each.
 KEPT_WITHOUT_CALLER = {
     "invariants.verify_block_reorder": "the block-reorder law [pi]_r = sgn(sigma)^r [sigma(pi)]_r",
+    "invariants.verify_equivariance": "the column law w . [pi]_r = sgn(w) [w . pi]_r for one w",
     "relations.resolve_crossing_r1": "the two depth-1 crossing resolutions, each re-verified",
     "diagrams.unclasping_is_forest": "the unclasped tensor diagram is a forest",
     "diagrams.from_json": "the reader of the diagram JSON export",
@@ -152,3 +154,59 @@ def test_every_public_name_has_a_caller():
     }
     assert sorted(uncalled - KEPT_WITHOUT_CALLER.keys()) == [], "public names without a caller"
     assert sorted(KEPT_WITHOUT_CALLER.keys() - uncalled) == [], "stale entries in KEPT_WITHOUT_CALLER"
+
+
+# A module-level list, dict or set is state every caller shares and any
+# caller can change: one run's leftovers would reach the next, and a memo
+# kept there would outlive the sweep it belongs to.  ``__all__`` is the one
+# list allowed.
+MUTABLE_CALLS = {"list", "dict", "set", "bytearray", "defaultdict", "OrderedDict", "Counter", "deque"}
+
+
+def _module_level_mutables(tree: ast.Module) -> list[str]:
+    """Names bound at module level to a list, dict or set display or
+    comprehension, or to a call of a mutable container type."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        call = value.func if isinstance(value, ast.Call) else None
+        mutable = isinstance(value, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)) or (
+            (isinstance(call, ast.Name) and call.id in MUTABLE_CALLS)
+            or (isinstance(call, ast.Attribute) and call.attr in MUTABLE_CALLS)
+        )
+        if mutable:
+            found += [
+                f"{name.id} (line {node.lineno})"
+                for target in targets
+                for name in ast.walk(target)
+                if isinstance(name, ast.Name) and name.id != "__all__"
+            ]
+    return found
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("X = []\nY = {}\nZ = {1}", ["X (line 1)", "Y (line 2)", "Z (line 3)"]),
+        ("A = B = dict()\nC: list = list(range(3))", ["A (line 1)", "B (line 1)", "C (line 2)"]),
+        ("D = collections.defaultdict(int)\nE = [i for i in range(3)]", ["D (line 1)", "E (line 2)"]),
+        ("__all__ = ['f']\nT = (1, 2)\nF = frozenset()\nN: int", []),
+    ],
+)
+def test_the_mutable_state_scan_finds_what_it_should(source, found):
+    assert _module_level_mutables(ast.parse(source)) == found
+
+
+def test_no_module_level_mutable_state():
+    paths = sorted((ROOT / "src" / "flamingo").glob("*.py"))
+    found = [
+        f"{path.name}: {name}"
+        for path in paths
+        for name in _module_level_mutables(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []

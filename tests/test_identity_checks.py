@@ -7,21 +7,24 @@ import itertools
 import pytest
 
 from flamingo import invariants, relations, verification
-from flamingo.invariants import verify_block_reorder, verify_equivariance
+from flamingo.invariants import ColumnAction, verify_block_reorder, verify_equivariance
 from flamingo.partitions import (
     OrderedSetPartition,
     act_elements,
     enumerate_ordered_partitions,
     is_noncrossing,
+    long_cycle,
+    longest_permutation,
     parse_partition,
     permute_blocks,
+    simple_transposition,
 )
 from flamingo.polynomials import MatrixPolynomial
 from flamingo.relations import resolve_crossing_r1, verify_recurrence, verify_three_term
 from flamingo.tableaux import JellyfishTableau
 from flamingo.verification import _abc_instances
 
-from oracles import crossing_resolutions
+from oracles import crossing_resolutions, equivariance_per_call, substitute_columns_per_call
 
 
 def _partitions(n_max, depths):
@@ -148,6 +151,28 @@ class TestAgreesWithGenericSum:
         ]
         _assert_agree(outcomes, broken)
 
+    def test_shared_column_actions_agree_with_the_per_call_path(self, broken):
+        # the check's sweep: every generator x partition x depth at n <= 6,
+        # one action per generator and n, against a fresh substitution each
+        outcomes = []
+        for n in range(2, 7):
+            generators = [simple_transposition(n, i) for i in range(1, n)]
+            generators += [long_cycle(n), longest_permutation(n)]
+            actions = [ColumnAction(w, n) for w in generators]
+            for r in verification.DEPTHS:
+                for d in range(1, n // r + 1):
+                    for p in enumerate_ordered_partitions(n, d, r):
+                        outcomes += [(a.holds_for(p, r), equivariance_per_call(a.w, p, r)) for a in actions]
+            for action in actions:
+                # every remembered image is the one a fresh substitution gives
+                labels = {m: i for i, m in enumerate(action.images, start=1)}
+                probe = MatrixPolynomial._trusted(n, labels, n)
+                assert substitute_columns_per_call(probe, action.w) == {
+                    action.images[m]: i for m, i in labels.items()
+                }
+        assert len(outcomes) == 37780
+        _assert_agree(outcomes, broken)
+
     def test_every_block_reorder(self, broken):
         outcomes = [
             (verify_block_reorder(sigma, p, r), generic_block_reorder(sigma, p, r))
@@ -199,6 +224,25 @@ class TestFlippedSignFails:
         original = invariants.perm_sign
         monkeypatch.setattr(invariants, "perm_sign", lambda v: -original(v))
         assert not verify_equivariance(w, p, 1)
+
+    @pytest.mark.parametrize(
+        "flipped, r, n_max, detail",
+        [
+            ("1 3|2 4", 1, 4, "equivariance failed for w=(1, 3, 2, 4), (1 2|3 4), r=1"),
+            ("1 2 5|3 4 6", 2, 6, "equivariance failed for w=(1, 2, 3, 5, 4, 6), (1 2 4|3 5 6), r=2"),
+        ],
+    )
+    def test_equivariance_check_with_one_flipped_invariant(self, monkeypatch, flipped, r, n_max, detail):
+        # one invariant negated; the shared actions must fail the check at
+        # the identity, and with the detail, that the per-call path gave
+        target = (parse_partition(flipped), r)
+        original = invariants.jellyfish_invariant
+        monkeypatch.setattr(
+            invariants, "jellyfish_invariant", lambda q, s: -original(q, s) if (q, s) == target else original(q, s)
+        )
+        result = verification.check_equivariance(n_max=n_max)
+        assert not result.ok
+        assert result.detail == detail
 
     def test_block_reorder(self, monkeypatch):
         p = parse_partition("1 2 5|3 4 6")

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flamingo import invariants
-from flamingo.invariants import jellyfish_invariant, verify_block_reorder, verify_equivariance
+from flamingo.invariants import ColumnAction, jellyfish_invariant, verify_block_reorder, verify_equivariance
 from flamingo.partitions import (
     enumerate_ordered_partitions,
     long_cycle,
@@ -13,7 +13,7 @@ from flamingo.partitions import (
     parse_partition,
     simple_transposition,
 )
-from flamingo.polynomials import MatrixPolynomial
+from flamingo.polynomials import MatrixPolynomial, _unpack
 from flamingo.tableaux import enumerate_tableaux
 
 from oracles import det_leibniz, perm_compose, random_int_matrix
@@ -100,6 +100,33 @@ class TestEquivariance:
         poly = jellyfish_invariant(p, 1)
         twice = poly.substitute_columns(w).substitute_columns(w)
         assert twice == poly.substitute_columns(perm_compose(w, w))
+
+    @pytest.mark.parametrize("w", [(True, 2), (2.0, 1.0), (1, 1), (1, 2, 3), (2,)])
+    def test_rejects_what_is_not_a_permutation_of_the_columns(self, w):
+        with pytest.raises(ValueError):
+            verify_equivariance(w, parse_partition("1|2"), 1)
+
+    @given(st.data())
+    def test_remembered_images_are_the_column_substitution(self, data):
+        # each term unpacked to its row tuple, the rows moved to w's columns
+        # and packed again; an action applied to several polynomials, some
+        # twice, must give that every time
+        n = data.draw(st.integers(1, 5))
+        w = tuple(data.draw(st.permutations(range(1, n + 1))))
+        monomial = st.tuples(*[st.integers(0, n)] * n)
+        polys = data.draw(
+            st.lists(st.builds(MatrixPolynomial, st.just(n), st.dictionaries(monomial, st.integers(-3, 3))), max_size=4)
+        )
+        action = ColumnAction(w, n)
+        for poly in polys + polys:
+            moved = {}
+            for m, c in poly.terms.items():
+                image = [0] * n
+                for j, row in enumerate(_unpack(m, n)):
+                    image[w[j] - 1] = row
+                moved[tuple(image)] = c
+            assert action.apply(poly.terms) == MatrixPolynomial(n, moved).terms
+        assert action.images.keys() == {m for poly in polys for m in poly.terms}
 
     @pytest.mark.parametrize("r", [1, 2])
     def test_block_reorder_sign_power(self, r):

@@ -390,6 +390,11 @@ class TestSubstituteColumns:
             moved[tuple(image)] = c
         assert tuple_terms(p.substitute_columns(w)) == moved
 
+    @pytest.mark.parametrize("w", [(True, 2), (2.0, 1.0), (1, 1), (1, 2, 3), (2,)])
+    def test_rejects_what_is_not_a_permutation_of_the_columns(self, w):
+        with pytest.raises(ValueError):
+            MatrixPolynomial(2, {(1, 2): 1}).substitute_columns(w)
+
 
 class TestValidationBoundary:
     def test_rejects_wrong_length_monomial(self):
