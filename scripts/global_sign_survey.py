@@ -30,11 +30,12 @@ def survey(args: argparse.Namespace) -> int:
     mismatches: Counter[tuple[int, int, int]] = Counter()
     totals: Counter[tuple[int, int, int]] = Counter()
     shortcut: Counter[bool] = Counter()
+    caps: dict = {}  # one cap table for the sweep, as the Grassmann-Cayley check keeps
     for n in range(2, args.n_max + 1):
         for r in range(1, args.r_max + 1):
             for d in range(1, n // r + 1):
                 for partition in enumerate_ordered_partitions(n, d, r):
-                    expr = gc_jellyfish(partition, r)
+                    expr = gc_jellyfish(partition, r, caps)
                     actual = compare_up_to_sign(phi_star(expr), jellyfish_invariant(partition, r))
                     for factors in expr.terms:
                         for K in factors:

@@ -178,10 +178,6 @@ class Extensor:
             mask |= bit
         return cls({(mask, ()): -1 if odd else 1})
 
-    @classmethod
-    def scalar_one(cls) -> "Extensor":
-        return cls({(0, ()): 1})
-
     def __add__(self, other: "Extensor") -> "Extensor":
         terms = dict(self.terms)
         add_into(terms, other.terms)
@@ -275,22 +271,38 @@ class PlueckerExpression:
         return len(self.terms)
 
 
-def gc_jellyfish(partition: OrderedSetPartition, r: int) -> PlueckerExpression:
+def _blade(mask: int) -> Extensor:
+    """The wedge of a mask's indices in increasing order, sign +1."""
+    return Extensor._trusted({(mask, ()): 1})
+
+
+def gc_jellyfish(partition: OrderedSetPartition, r: int, caps: dict | None = None) -> PlueckerExpression:
     """Fully expanded cap-and-wedge realization of the invariant: cap the
     tentacle wedge onto each of the first d - 1 shifted blocks, wedge the
     results, then close with the last shifted block.  Terms are degree-d
-    products of Pluecker coordinates."""
+    products of Pluecker coordinates.
+
+    ``caps`` is a table of cap pieces keyed by the cap's own inputs: n and
+    the masks of the tentacle rows S and of E + (B + n), for the tail rows
+    E and a block B.  A sweep passes one table for all its partitions, so
+    each distinct piece is built once; pieces are shared and never changed.
+    Without it the pieces go into a fresh table."""
     ctx = FlamingoContext.from_admissible(partition, r)
-    n = partition.n
-    S = ctx.tentacle_rows
-    E = ctx.tail_rows
-    blocks_shifted = [tuple(x + n for x in block) for block in partition.blocks]
-    v_S = Extensor.basis(S)
-    result = Extensor.scalar_one()
-    for i in range(ctx.d - 1):
-        piece = cap(v_S, Extensor.basis(E + blocks_shifted[i]), n)
-        result = result.wedge(piece)
-    result = result.wedge(Extensor.basis(E + blocks_shifted[-1]))
+    n, nu = partition.n, ctx.nu
+    if caps is None:
+        caps = {}
+    tentacles = (1 << nu) - (1 << r)  # rows r + 1 .. nu
+    tail = (1 << n) - (1 << nu)  # rows nu + 1 .. n
+    *first, last = partition.blocks
+    result = None
+    for block in first:
+        top = tail | _mask(block) << n
+        piece = caps.get((n, tentacles, top))
+        if piece is None:
+            piece = caps[n, tentacles, top] = cap(_blade(tentacles), _blade(top), n)
+        result = piece if result is None else result.wedge(piece)
+    closing = _blade(tail | _mask(last) << n)
+    result = closing if result is None else result.wedge(closing)
     terms: dict = {}
     for (idx, factors), c in result.terms.items():
         if idx.bit_count() != n:
@@ -359,9 +371,10 @@ def predicted_global_sign(partition: OrderedSetPartition, r: int) -> int:
     return -1 if exponent % 2 else 1
 
 
-def resolved_global_sign(partition: OrderedSetPartition, r: int) -> int | None:
+def resolved_global_sign(partition: OrderedSetPartition, r: int, caps: dict | None = None) -> int | None:
     """The actual sign with phi_star(gc_jellyfish) = sign * invariant, or
-    None if the two disagree beyond sign (never observed)."""
+    None if the two disagree beyond sign (never observed).  ``caps`` is
+    the cap table of ``gc_jellyfish``."""
     return compare_up_to_sign(
-        phi_star(gc_jellyfish(partition, r)), jellyfish_invariant(partition, r)
+        phi_star(gc_jellyfish(partition, r, caps)), jellyfish_invariant(partition, r)
     )

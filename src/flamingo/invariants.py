@@ -22,8 +22,9 @@ The symmetric group acts on columns; the laws verified here are
 * [pi]_r = sgn(sigma)^r [sigma(pi)]_r for any reordering sigma of blocks.
 
 A ``ColumnAction`` carries what the first law needs of w alone: the bit
-map, sgn(w) and the image of each monomial met so far.  A sweep builds one
-per generator and n and shares it across every partition of [n], so each
+map, sgn(w) and the image of each monomial met so far; it moves a
+partition through w without checking w again.  A sweep builds one per
+generator and n and shares it across every partition of [n], so each
 distinct monomial is mapped once; ``verify_equivariance`` builds a fresh
 one.
 """
@@ -37,7 +38,6 @@ from typing import Mapping, Sequence
 from .partitions import (
     FlamingoContext,
     OrderedSetPartition,
-    act_elements,
     perm_sign,
     permute_blocks,
     word_inversions,
@@ -114,10 +114,21 @@ class ColumnAction:
             out[image] = c
         return out
 
+    def act(self, partition: OrderedSetPartition) -> OrderedSetPartition:
+        """w . pi, each element moved by w in block order: the image of
+        ``partitions.act_elements`` without its second check of w."""
+        if partition.n != len(self.w):
+            raise ValueError("the partition must be of [n] for this action")
+        w = self.w
+        # w was checked when the action was built, so the image is a partition of [n]
+        return OrderedSetPartition._trusted(
+            partition.n, tuple(tuple(sorted(w[x - 1] for x in block)) for block in partition.blocks)
+        )
+
     def holds_for(self, partition: OrderedSetPartition, r: int) -> bool:
         """Check w . [pi]_r == sgn(w) [w . pi]_r exactly."""
         acc = self.apply(jellyfish_invariant(partition, r).terms)
-        add_into(acc, jellyfish_invariant(act_elements(self.w, partition), r).terms, -self.sign)
+        add_into(acc, jellyfish_invariant(self.act(partition), r).terms, -self.sign)
         return not acc
 
 

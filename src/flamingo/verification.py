@@ -213,9 +213,10 @@ def _running_example_term_bijection() -> str | None:
 @_check("grassmann-cayley-equivalence")
 def check_gc_equivalence(n_max: int = 7) -> tuple[bool, str]:
     checked = 0
+    caps: dict = {}  # one cap table for the sweep: each piece is built once
     for r in DEPTHS:
         for partition in partitions_up_to(n_max, r):
-            if resolved_global_sign(partition, r) is None:
+            if resolved_global_sign(partition, r, caps) is None:
                 return False, f"no global sign for {partition} at depth {r}"
             checked += 1
     sign = resolved_global_sign(RUNNING_PARTITION, 2)

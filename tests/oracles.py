@@ -52,6 +52,42 @@ def tuple_terms(poly) -> dict[tuple[int, ...], int]:
     return {tuple(t["rows"]): int(t["coeff"]) for t in poly.to_json_dict()["terms"]}
 
 
+def determinant_invariant(partition: OrderedSetPartition, r: int) -> dict[tuple[int, ...], int]:
+    """[pi]_r = (-1)**(C(d, 2) C(r, 2)) det N_pi, keyed by row tuples as
+    ``tuple_terms`` reads them, without tableaux or minors.
+
+    N_pi is n x n: for each block in order, r rows that are matrix rows
+    1..r kept only on the block's columns, then the tentacle rows
+    r + 1 .. nu on every column.  Laplace expansion along the column
+    groups gives the tableau sum, and the sign reorders the d r top rows
+    from block-major to row-major.  The determinant is expanded by a
+    dynamic program over the rows of N_pi: a state is the mask of the
+    columns used so far and holds its partial products, and a row that
+    takes column c past k used columns above it is signed (-1)**k.  A
+    block smaller than r leaves no way to place its rows, so the result is
+    empty, as the invariant is zero."""
+    n, d = partition.n, partition.d
+    nu = n - (d - 1) * r
+    rows = [(a, block) for block in partition.blocks for a in range(1, r + 1)]
+    rows += [(a, range(1, n + 1)) for a in range(r + 1, nu + 1)]
+    states: dict[int, dict[tuple[int, ...], int]] = {0: {(0,) * n: 1}}
+    for a, columns in rows:
+        advanced: dict[int, dict[tuple[int, ...], int]] = {}
+        for used, partial in states.items():
+            for c in columns:
+                bit = 1 << (c - 1)
+                if used & bit:
+                    continue
+                sign = -1 if (used >> c).bit_count() % 2 else 1
+                target = advanced.setdefault(used | bit, {})
+                for m, coeff in partial.items():
+                    key = m[: c - 1] + (a,) + m[c:]
+                    target[key] = target.get(key, 0) + sign * coeff
+        states = advanced
+    sign = -1 if math.comb(d, 2) * math.comb(r, 2) % 2 else 1
+    return {m: sign * c for m, c in states.get((1 << n) - 1, {}).items() if c}
+
+
 def det_leibniz(matrix: list[list[int]]) -> int:
     """Signed permutation expansion of the determinant."""
     size = len(matrix)

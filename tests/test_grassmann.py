@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flamingo import grassmann, verification
 from flamingo.grassmann import (
     Extensor,
     alternating_diagonal,
@@ -21,7 +22,7 @@ from flamingo.grassmann import (
     translation_sign,
 )
 from flamingo.invariants import jellyfish_invariant
-from flamingo.partitions import enumerate_ordered_partitions, parse_partition
+from flamingo.partitions import FlamingoContext, enumerate_ordered_partitions, parse_partition
 from flamingo.specht import SpechtShape, spanning_set
 from flamingo.verification import partitions_up_to
 
@@ -223,6 +224,73 @@ class TestGrassmannCayley:
     def test_gc_rejects_underfilled_top_wedge(self):
         with pytest.raises(ValueError):
             gc_jellyfish(parse_partition("1 2|3"), 2)
+
+
+class TestCapTable:
+    """``gc_jellyfish`` with one cap table shared by a sweep, as
+    ``check_gc_equivalence`` keeps it."""
+
+    def test_shared_table_gives_the_fresh_terms(self):
+        # one table across all three depths, in the check's order
+        caps = {}
+        for r in (1, 2, 3):
+            for partition in partitions_up_to(6, r):
+                shared = gc_jellyfish(partition, r, caps)
+                assert list(shared.terms.items()) == list(gc_jellyfish(partition, r).terms.items())
+        # each piece is still the cap of the inputs it is keyed by
+        for (n, tentacles, top), piece in caps.items():
+            fresh = cap(Extensor.basis(index_set(tentacles)), Extensor.basis(index_set(top)), n)
+            assert list(piece.terms.items()) == list(fresh.terms.items())
+
+    def test_the_check_builds_each_piece_once(self, monkeypatch):
+        tables, built = [], []
+        original_sign, original_cap = verification.resolved_global_sign, grassmann.cap
+
+        def spy_sign(partition, r, caps=None):
+            tables.append(caps)
+            return original_sign(partition, r, caps)
+
+        def spy_cap(x, y, n):
+            built.append(n)
+            return original_cap(x, y, n)
+
+        monkeypatch.setattr(verification, "resolved_global_sign", spy_sign)
+        monkeypatch.setattr(grassmann, "cap", spy_cap)
+        assert verification.check_gc_equivalence(n_max=6).ok
+        # the last call is the running example's, with a fresh table
+        *sweep, (running) = tables
+        assert running is None
+        assert len(sweep) == 5511 and all(table is sweep[0] for table in sweep)
+        inputs = set()
+        for r in verification.DEPTHS:
+            for p in partitions_up_to(6, r):
+                ctx = FlamingoContext.from_admissible(p, r)
+                for block in p.blocks[:-1]:
+                    inputs.add((p.n, ctx.tentacle_rows, ctx.tail_rows + tuple(x + p.n for x in block)))
+        assert len(inputs) == 411
+        assert len(sweep[0]) == len(inputs)
+        # and the running example caps its first d - 1 blocks twice: for its
+        # sign and for its term bijection
+        assert len(built) == len(inputs) + 2 * (verification.RUNNING_PARTITION.d - 1)
+
+    def test_a_corrupted_piece_fails_the_check_where_it_did_unshared(self, monkeypatch):
+        # a cap that drops its first term whenever it caps onto tail row 6
+        # and block {1, 3, 5} at n = 6; the detail is the one the check gave
+        # when every partition built its own pieces
+        target = Extensor.basis((6, 7, 9, 11))
+        original = grassmann.cap
+
+        def corrupted(x, y, n):
+            out = original(x, y, n)
+            if y == target:
+                first = next(iter(out.terms))
+                return Extensor({key: c for key, c in out.terms.items() if key != first})
+            return out
+
+        monkeypatch.setattr(grassmann, "cap", corrupted)
+        result = verification.check_gc_equivalence(n_max=6)
+        assert not result.ok
+        assert result.detail == "no global sign for (1 3 5|2 4 6) at depth 1"
 
 
 # -- differential tests against the algebra on index tuples -----------------

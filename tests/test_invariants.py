@@ -7,16 +7,19 @@ from hypothesis import strategies as st
 from flamingo import invariants
 from flamingo.invariants import ColumnAction, jellyfish_invariant, verify_block_reorder, verify_equivariance
 from flamingo.partitions import (
+    OrderedSetPartition,
+    act_elements,
     enumerate_ordered_partitions,
     long_cycle,
     longest_permutation,
     parse_partition,
+    partitions_up_to,
     simple_transposition,
 )
 from flamingo.polynomials import MatrixPolynomial, _unpack
 from flamingo.tableaux import enumerate_tableaux
 
-from oracles import det_leibniz, perm_compose, random_int_matrix
+from oracles import det_leibniz, determinant_invariant, perm_compose, random_int_matrix, tuple_terms
 
 EXAMPLE = parse_partition("2 3 6 10|5 7 8 9|1 4")
 
@@ -128,6 +131,27 @@ class TestEquivariance:
             assert action.apply(poly.terms) == MatrixPolynomial(n, moved).terms
         assert action.images.keys() == {m for poly in polys for m in poly.terms}
 
+    def test_act_is_act_elements(self):
+        # every generator x partition x depth of the column-equivariance sweep
+        # at n <= 6; the image must also pass the checking constructor
+        images = 0
+        for n in range(2, 7):
+            generators = [simple_transposition(n, i) for i in range(1, n)]
+            actions = [ColumnAction(w, n) for w in generators + [long_cycle(n), longest_permutation(n)]]
+            for r in (1, 2, 3):
+                for d in range(1, n // r + 1):
+                    for p in enumerate_ordered_partitions(n, d, r):
+                        for action in actions:
+                            image = action.act(p)
+                            assert image == act_elements(action.w, p)
+                            assert image == OrderedSetPartition(image.n, image.blocks)
+                            images += 1
+        assert images == 37780
+
+    def test_act_rejects_a_partition_of_another_n(self):
+        with pytest.raises(ValueError):
+            ColumnAction((2, 1, 3), 3).act(parse_partition("1|2"))
+
     @pytest.mark.parametrize("r", [1, 2])
     def test_block_reorder_sign_power(self, r):
         p = parse_partition("1 2 5|3 4 6")
@@ -144,3 +168,40 @@ class TestEquivariance:
     def test_all_depth_one_partitions_reorder_freely(self):
         for p in enumerate_ordered_partitions(5, 2, 2):
             assert verify_block_reorder((2, 1), p, 2)
+
+
+def _random_partition(rng: random.Random, n: int, d: int, r: int) -> OrderedSetPartition:
+    """A random ordered partition of [n] into d blocks of at least r
+    elements each."""
+    sizes = [r] * d
+    for _ in range(n - d * r):
+        sizes[rng.randrange(d)] += 1
+    elements = list(range(1, n + 1))
+    rng.shuffle(elements)
+    cuts = [sum(sizes[:i]) for i in range(d + 1)]
+    return OrderedSetPartition.from_blocks(elements[cuts[i] : cuts[i + 1]] for i in range(d))
+
+
+class TestDeterminantOracle:
+    """Against ``oracles.determinant_invariant``, one n x n determinant per
+    pair, which shares no tableau, reading word or minor expansion with the
+    package; terms are compared by the row tuples of the JSON form."""
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_every_pair_up_to_six(self, r):
+        for p in partitions_up_to(6, r):
+            assert determinant_invariant(p, r) == tuple_terms(jellyfish_invariant(p, r))
+
+    def test_seeded_sample_at_eight(self):
+        # d = 1 has one partition, the full determinant, which the sweep
+        # above meets at every n <= 6; at n = 8 it alone would take 0.4 s
+        rng = random.Random(8)
+        for _ in range(200):
+            r = rng.choice((1, 2, 3))
+            p = _random_partition(rng, 8, rng.randint(2, 8 // r), r)
+            assert determinant_invariant(p, r) == tuple_terms(jellyfish_invariant(p, r))
+
+    @pytest.mark.parametrize("text,r", [("1 2|3", 2), ("1|2 3 4", 2), ("1 2 3|4 5", 3), ("1 2|3 4", 3)])
+    def test_zero_when_a_block_is_small(self, text, r):
+        p = parse_partition(text)
+        assert determinant_invariant(p, r) == {} and jellyfish_invariant(p, r).is_zero
