@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .invariants import jellyfish_invariant
-from .partitions import FlamingoContext, OrderedSetPartition, word_inversions
+from .partitions import FlamingoContext, OrderedSetPartition, require_admissible, word_inversions
 from .polynomials import (
     ColumnCollision,
     MatrixPolynomial,
@@ -287,8 +287,9 @@ def gc_jellyfish(partition: OrderedSetPartition, r: int, caps: dict | None = Non
     E and a block B.  A sweep passes one table for all its partitions, so
     each distinct piece is built once; pieces are shared and never changed.
     Without it the pieces go into a fresh table."""
-    ctx = FlamingoContext.from_admissible(partition, r)
-    n, nu = partition.n, ctx.nu
+    require_admissible(partition, r)
+    n = partition.n
+    nu = n - (partition.d - 1) * r
     if caps is None:
         caps = {}
     tentacles = (1 << nu) - (1 << r)  # rows r + 1 .. nu

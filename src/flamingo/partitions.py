@@ -254,10 +254,12 @@ def enumerate_unordered_partitions(n: int, d: int, r: int) -> list[OrderedSetPar
 
 def partitions_up_to(n_max: int, r: int) -> Iterator[OrderedSetPartition]:
     """Every ordered partition of [n] into blocks of size at least r, for
-    n = r .. n_max, by n and then by the number of blocks."""
+    n = r .. n_max, by n and then by the number of blocks, each in the order
+    of ``enumerate_ordered_partitions``.  A generator that holds no list."""
     for n in range(max(r, 1), n_max + 1):
         for d in range(1, n // r + 1):
-            yield from enumerate_ordered_partitions(n, d, r)
+            for blocks in block_tuples(range(1, n + 1), d, r):
+                yield OrderedSetPartition._trusted(n, blocks)
 
 
 def is_noncrossing(partition: OrderedSetPartition) -> bool:
@@ -362,6 +364,16 @@ def transposition_distance_to_noncrossing(partition: OrderedSetPartition, k: int
 # The size bookkeeping shared by tableaux, invariants, and diagrams.
 
 
+def require_admissible(partition: OrderedSetPartition, r: int) -> None:
+    """Raise ValueError unless r >= 1, and BlockTooSmall unless every block
+    holds at least r elements."""
+    if r < 1:
+        raise ValueError(f"r must be at least 1, got {r}")
+    smallest = min(map(len, partition.blocks), default=r)
+    if smallest < r:
+        raise BlockTooSmall(f"every block needs at least r = {r} elements, the smallest has {smallest}")
+
+
 @dataclass(frozen=True)
 class FlamingoContext:
     """Derived sizes for a partition considered at tentacle depth r.
@@ -388,11 +400,8 @@ class FlamingoContext:
     @classmethod
     def from_admissible(cls, partition: OrderedSetPartition, r: int) -> "FlamingoContext":
         """The context, when every block holds at least r elements."""
-        ctx = cls.from_partition(partition, r)
-        if not ctx.admissible:
-            smallest = r + min(ctx.tentacle_counts)
-            raise BlockTooSmall(f"every block needs at least r = {r} elements, the smallest has {smallest}")
-        return ctx
+        require_admissible(partition, r)
+        return cls.from_partition(partition, r)
 
     @property
     def nu(self) -> int:

@@ -12,10 +12,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
+import pickle
 import random
+import signal
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .diagrams import boundary_degrees, build_tensor_diagram, validate
 from .grassmann import (
@@ -128,6 +131,79 @@ def signed_minor_expansion(
             product = product * minor(rows, block, partition.n)
         total = total + product * sign
     return total
+
+
+Item = TypeVar("Item")
+
+
+def _shard(
+    items: Iterable[Item], check: Callable[[Item], int | str], start: int, step: int
+) -> tuple[int, tuple[int, str] | None]:
+    """Check the items at positions start, start + step, ...: their summed
+    instance count, and the position and detail of the first that fails."""
+    count = 0
+    for position, item in zip(itertools.count(start, step), itertools.islice(items, start, None, step)):
+        outcome = check(item)
+        if isinstance(outcome, str):
+            return count, (position, outcome)
+        count += outcome
+    return count, None
+
+
+def _split_sweep(items: Iterable[Item], check: Callable[[Item], int | str]) -> tuple[int, str | None]:
+    """Check every item of a sweep whose items are independent: the summed
+    instance count, and the detail of the first failure in item order or
+    None.  ``check`` returns an item's instance count, or its failure's
+    detail.
+
+    With two or more CPUs in this process's affinity set, the items split
+    into two interleaved shards: this process checks the even positions and
+    one forked child the odd ones, each up to its own first failure.  The
+    failure at the lesser position is the one reported, so the outcome is
+    the serial loop's.  With one CPU the one shard runs here and nothing
+    forks.  The child returns only its result through a pipe, so what it
+    adds to a cache is lost: a sweep splits only where no later check needs
+    its cache entries.  The package starts no thread, so forking is safe.
+    An exception in the child is raised here with its type; an exception
+    here kills the child first; and no child outlives the call.
+    """
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    if len(cpus) < 2:
+        shards = [_shard(items, check, 0, 1)]
+    else:
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child: its shard's result or exception to the pipe, then out
+            status = 1
+            try:
+                os.close(read_end)
+                try:
+                    result = _shard(items, check, 1, 2)
+                except BaseException as exc:
+                    result = exc
+                with os.fdopen(write_end, "wb") as pipe:
+                    pickle.dump(result, pipe)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_end)
+        with os.fdopen(read_end, "rb") as pipe:
+            try:
+                mine = _shard(items, check, 0, 2)
+                sent = pipe.read()
+            except BaseException:
+                os.kill(pid, signal.SIGKILL)
+                raise
+            finally:
+                os.waitpid(pid, 0)
+        if not sent:
+            raise ChildProcessError("the sweep's second shard ended without a result")
+        theirs = pickle.loads(sent)  # written by the child above
+        if isinstance(theirs, BaseException):
+            raise theirs
+        shards = [mine, theirs]
+    failures = [failure for _, failure in shards if failure]
+    return sum(count for count, _ in shards), min(failures)[1] if failures else None
 
 
 # -- the thirteen checks ----------------------------------------------------
@@ -244,17 +320,26 @@ def _abc_instances(n: int, r: int, prefix_min: int) -> Iterator[tuple[list, set,
                         yield list(prefix), set(A), set(B), set(C)
 
 
-@_check("recurrence-identities")
-def check_recurrence(n_max: int = 7) -> tuple[bool, str]:
-    checked = 0
+def _recurrence_items(n_max: int) -> Iterator[tuple]:
     for n in range(3, n_max + 1):
         for r in DEPTHS:
-            if r > n - 2:
-                continue
-            for prefix, A, B, C in _abc_instances(n, r, prefix_min=r):
-                if not verify_recurrence(prefix, A, B, C, r):
-                    return False, f"failed at n={n}, r={r}, prefix={prefix}, A={A}, B={B}, C={C}"
-                checked += 1
+            if r <= n - 2:
+                for prefix, A, B, C in _abc_instances(n, r, prefix_min=r):
+                    yield n, r, prefix, A, B, C
+
+
+def _recurrence_holds(item: tuple) -> int | str:
+    n, r, prefix, A, B, C = item
+    if not verify_recurrence(prefix, A, B, C, r):
+        return f"failed at n={n}, r={r}, prefix={prefix}, A={A}, B={B}, C={C}"
+    return 1
+
+
+@_check("recurrence-identities")
+def check_recurrence(n_max: int = 7) -> tuple[bool, str]:
+    checked, failure = _split_sweep(_recurrence_items(n_max), _recurrence_holds)
+    if failure:
+        return False, failure
     three = 0
     for n in range(3, min(n_max, 6) + 1):
         ground = list(range(1, n + 1))
@@ -286,26 +371,41 @@ def check_specht_membership(n_max: int = 7) -> tuple[bool, str]:
     return True, f"{shapes} spanning ranks match dimensions; {members} invariants are members"
 
 
-@_check("column-equivariance")
-def check_equivariance(n_max: int = 6) -> tuple[bool, str]:
-    checked = 0
+def _equivariance_items(n_max: int) -> Iterator[tuple]:
+    """(partition, r, actions) for every partition of [n], n = 2..n_max, at
+    each depth, with one action per generator of the n shared by them all."""
     for n in range(2, n_max + 1):
         generators = [simple_transposition(n, i) for i in range(1, n)]
-        generators.append(long_cycle(n))
-        generators.append(longest_permutation(n))
-        if perm_sign(long_cycle(n)) != (-1) ** (n - 1):
-            return False, "long cycle sign is off"
-        if perm_sign(longest_permutation(n)) != (-1) ** (n * (n - 1) // 2):
-            return False, "reversal sign is off"
-        # one action per generator, shared by every identity at this n
+        generators += [long_cycle(n), longest_permutation(n)]
         actions = [ColumnAction(w, n) for w in generators]
         for r in DEPTHS:
             for d in range(1, n // r + 1):
                 for partition in enumerate_ordered_partitions(n, d, r):
-                    for action in actions:
-                        if not action.holds_for(partition, r):
-                            return False, f"equivariance failed for w={action.w}, {partition}, r={r}"
-                        checked += 1
+                    yield partition, r, actions
+
+
+def _equivariance_holds(item: tuple) -> int | str:
+    partition, r, actions = item
+    for action in actions:
+        if not action.holds_for(partition, r):
+            return f"equivariance failed for w={action.w}, {partition}, r={r}"
+    return len(actions)
+
+
+@_check("column-equivariance")
+def check_equivariance(n_max: int = 6) -> tuple[bool, str]:
+    sign_failure = None
+    for n in range(2, n_max + 1):
+        if perm_sign(long_cycle(n)) != (-1) ** (n - 1):
+            sign_failure = "long cycle sign is off"
+        elif perm_sign(longest_permutation(n)) != (-1) ** (n * (n - 1) // 2):
+            sign_failure = "reversal sign is off"
+        if sign_failure:
+            n_max = n - 1  # the sign laws at n come before the identities at n
+            break
+    checked, failure = _split_sweep(_equivariance_items(n_max), _equivariance_holds)
+    if failure or sign_failure:
+        return False, failure or sign_failure
     return True, f"{checked} (w, partition, depth) identities hold with exact signs"
 
 
@@ -374,31 +474,36 @@ def check_conjecture(n_max: int = 8) -> tuple[bool, str]:
     return True, f"{agree} depth-3 families equal noncrossing and are independent; depth 4: {depth_four}"
 
 
+def _diagram_holds(item: tuple[OrderedSetPartition, int]) -> int | str:
+    partition, r = item
+    diagram = build_tensor_diagram(partition, r)
+    problems = validate(diagram)
+    if problems:
+        return f"{partition} at depth {r}: {problems[0]}"
+    degrees = boundary_degrees(diagram)
+    n, d = partition.n, partition.d
+    nu = n - (d - 1) * r  # the tentacle rows are r+1..nu, the tail rows nu+1..n
+    for v in range(1, r + 1):
+        if degrees[v] != 0:
+            return f"boundary {v} should be unused for {partition}"
+    for v in range(r + 1, nu + 1):
+        if degrees[v] != d - 1:
+            return f"boundary {v} degree {degrees[v]} != d-1 for {partition}"
+    for v in range(nu + 1, n + 1):
+        if degrees[v] != d:
+            return f"boundary {v} degree {degrees[v]} != d for {partition}"
+    for v in range(n + 1, 2 * n + 1):
+        if degrees[v] != 1:
+            return f"boundary {v} degree {degrees[v]} != 1 for {partition}"
+    return 1
+
+
 @_check("tensor-diagram-validation")
 def check_diagrams(n_max: int = 8) -> tuple[bool, str]:
-    built = 0
-    for r in DEPTHS:
-        for partition in partitions_up_to(n_max, r):
-            diagram = build_tensor_diagram(partition, r)
-            problems = validate(diagram)
-            if problems:
-                return False, f"{partition} at depth {r}: {problems[0]}"
-            degrees = boundary_degrees(diagram)
-            n, d = partition.n, partition.d
-            nu = n - (d - 1) * r  # the tentacle rows are r+1..nu, the tail rows nu+1..n
-            for v in range(1, r + 1):
-                if degrees[v] != 0:
-                    return False, f"boundary {v} should be unused for {partition}"
-            for v in range(r + 1, nu + 1):
-                if degrees[v] != d - 1:
-                    return False, f"boundary {v} degree {degrees[v]} != d-1 for {partition}"
-            for v in range(nu + 1, n + 1):
-                if degrees[v] != d:
-                    return False, f"boundary {v} degree {degrees[v]} != d for {partition}"
-            for v in range(n + 1, 2 * n + 1):
-                if degrees[v] != 1:
-                    return False, f"boundary {v} degree {degrees[v]} != 1 for {partition}"
-            built += 1
+    items = ((partition, r) for r in DEPTHS for partition in partitions_up_to(n_max, r))
+    built, failure = _split_sweep(items, _diagram_holds)
+    if failure:
+        return False, failure
     return True, f"{built} diagrams validate with the expected boundary profile"
 
 

@@ -21,6 +21,7 @@ from flamingo.partitions import (
     FlamingoContext,
     OrderedSetPartition,
     act_elements,
+    enumerate_ordered_partitions,
     enumerate_unordered_partitions,
     permute_blocks,
     word_inversions,
@@ -31,6 +32,7 @@ from flamingo.polynomials import (
     add_into,
     add_minor_product,
     extend_minor_product,
+    map_monomial,
     minor,
     variable_position,
 )
@@ -116,6 +118,14 @@ def brute_ordered_partitions(n: int, d: int, r: int) -> list[tuple[tuple[int, ..
         if all(len(b) >= r for b in blocks):
             out.append(tuple(blocks))
     return out
+
+
+def partitions_up_to_by_lists(n_max: int, r: int):
+    """``partitions_up_to`` as it was: one list per (n, d) from
+    ``enumerate_ordered_partitions``, yielded in turn."""
+    for n in range(max(r, 1), n_max + 1):
+        for d in range(1, n // r + 1):
+            yield from enumerate_ordered_partitions(n, d, r)
 
 
 def has_crossing_by_quadruples(blocks: tuple[tuple[int, ...], ...]) -> bool:
@@ -264,6 +274,27 @@ def equivariance_per_call(w: Sequence[int], partition: OrderedSetPartition, r: i
     there reaches it too."""
     acc = substitute_columns_per_call(invariants.jellyfish_invariant(partition, r), tuple(w))
     add_into(acc, invariants.jellyfish_invariant(act_elements(w, partition), r).terms, -invariants.perm_sign(w))
+    return not acc
+
+
+def apply_action(action: invariants.ColumnAction, terms: Mapping[int, int]) -> dict[int, int]:
+    """``ColumnAction.apply`` as it was: the terms with each monomial moved
+    to its image, in a fresh dict, a monomial not met before mapped once and
+    remembered in the action."""
+    out = {}
+    for m, c in terms.items():
+        image = action.images.get(m)
+        if image is None:
+            image = action.images[m] = map_monomial(m, action.moved)
+        out[image] = c
+    return out
+
+
+def holds_by_signed_sum(action: invariants.ColumnAction, partition: OrderedSetPartition, r: int) -> bool:
+    """``ColumnAction.holds_for`` as it was: the moved [pi]_r and
+    -sgn(w) [w . pi]_r added into one dict, which must come out empty."""
+    acc = apply_action(action, invariants.jellyfish_invariant(partition, r).terms)
+    add_into(acc, invariants.jellyfish_invariant(action.act(partition), r).terms, -action.sign)
     return not acc
 
 

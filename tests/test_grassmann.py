@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -224,6 +225,15 @@ class TestGrassmannCayley:
     def test_gc_rejects_underfilled_top_wedge(self):
         with pytest.raises(ValueError):
             gc_jellyfish(parse_partition("1 2|3"), 2)
+
+    @pytest.mark.parametrize("text, r", [("1 2|3", 2), ("1 2 3|4 5", 3), ("1 2|3 4", 0), ("1 2|3 4", -1)])
+    def test_gc_rejects_what_the_context_rejects(self, text, r):
+        # the same exception type and message as FlamingoContext.from_admissible
+        p = parse_partition(text)
+        with pytest.raises(ValueError) as expected:
+            FlamingoContext.from_admissible(p, r)
+        with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+            gc_jellyfish(p, r)
 
 
 class TestCapTable:

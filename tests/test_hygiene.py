@@ -210,3 +210,48 @@ def test_no_module_level_mutable_state():
         for name in _module_level_mutables(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert found == []
+
+
+# The one place that forks: the two-shard sweep of verification.py, which
+# reaps its child on every path.  A fork anywhere else would need the same
+# care, so it has to be added here on purpose.
+FORKING = [("verification.py", "_split_sweep")]
+
+
+def _forks(tree: ast.Module) -> list[str]:
+    """The enclosing top-level function (or "module") of every reference
+    to ``os.fork``, by attribute or by a name imported from os."""
+    aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "os"
+        for alias in node.names
+        if alias.name == "fork"
+    }
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Attribute) and node.attr == "fork" and isinstance(node.value, ast.Name)) or (
+                isinstance(node, ast.Name) and node.id in aliases
+            ):
+                found.append(top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "module")
+    return found
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("import os\ndef f():\n    return os.fork()", ["f"]),
+        ("from os import fork as spawn\npid = spawn()", ["module"]),
+        ("class C:\n    def m(self):\n        os.fork()", ["C"]),
+        ("import os\ndef f():\n    return os.forkpty, os.getpid()", []),
+    ],
+)
+def test_the_fork_scan_finds_what_it_should(source, found):
+    assert _forks(ast.parse(source)) == found
+
+
+def test_only_the_split_sweep_forks():
+    paths = sorted((ROOT / "src" / "flamingo").glob("*.py"))
+    found = [(path.name, where) for path in paths for where in _forks(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == FORKING

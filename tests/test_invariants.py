@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -19,7 +20,15 @@ from flamingo.partitions import (
 from flamingo.polynomials import MatrixPolynomial, _unpack
 from flamingo.tableaux import enumerate_tableaux
 
-from oracles import det_leibniz, determinant_invariant, perm_compose, random_int_matrix, tuple_terms
+from oracles import (
+    apply_action,
+    det_leibniz,
+    determinant_invariant,
+    holds_by_signed_sum,
+    perm_compose,
+    random_int_matrix,
+    tuple_terms,
+)
 
 EXAMPLE = parse_partition("2 3 6 10|5 7 8 9|1 4")
 
@@ -128,7 +137,7 @@ class TestEquivariance:
                 for j, row in enumerate(_unpack(m, n)):
                     image[w[j] - 1] = row
                 moved[tuple(image)] = c
-            assert action.apply(poly.terms) == MatrixPolynomial(n, moved).terms
+            assert apply_action(action, poly.terms) == MatrixPolynomial(n, moved).terms
         assert action.images.keys() == {m for poly in polys for m in poly.terms}
 
     def test_act_is_act_elements(self):
@@ -147,6 +156,47 @@ class TestEquivariance:
                             assert image == OrderedSetPartition(image.n, image.blocks)
                             images += 1
         assert images == 37780
+
+    def test_in_place_comparison_is_the_signed_sum(self):
+        # every generator x partition x depth of the column-equivariance
+        # sweep at n <= 6, each side with its own actions
+        outcomes = []
+        for n, r, p, actions, others in _equivariance_sweep(6):
+            outcomes += [(a.holds_for(p, r), holds_by_signed_sum(b, p, r)) for a, b in zip(actions, others)]
+        assert len(outcomes) == 37780
+        assert all(ours and theirs for ours, theirs in outcomes)
+
+    @pytest.mark.parametrize("plant", ["flipped-sign", "dropped-term", "extra-term"])
+    def test_in_place_comparison_fails_on_a_planted_target(self, monkeypatch, plant):
+        # [w . pi]_r changed in one term, for every identity at n <= 5 whose
+        # w moves pi: both comparisons must fail
+        original = invariants.jellyfish_invariant
+        planted = {}
+        monkeypatch.setattr(
+            invariants, "jellyfish_invariant", lambda q, s: planted[q, s] if (q, s) in planted else original(q, s)
+        )
+        cases = 0
+        for n, r, p, actions, others in _equivariance_sweep(5):
+            for a, b in zip(actions, others):
+                target = a.act(p)
+                if target == p:
+                    continue
+                terms = dict(original(target, r).terms)
+                first = next(iter(terms))
+                if plant == "flipped-sign":
+                    terms[first] = -terms[first]
+                elif plant == "dropped-term":
+                    del terms[first]
+                else:
+                    keys = (_packed(n, rows) for rows in itertools.product(range(1, n + 1), repeat=n))
+                    extra = next(m for m in keys if m not in terms)
+                    terms[extra] = 1
+                planted.clear()
+                planted[target, r] = MatrixPolynomial._trusted(n, terms, n)
+                assert not a.holds_for(p, r)
+                assert not holds_by_signed_sum(b, p, r)
+                cases += 1
+        assert cases == 3418
 
     def test_act_rejects_a_partition_of_another_n(self):
         with pytest.raises(ValueError):
@@ -168,6 +218,26 @@ class TestEquivariance:
     def test_all_depth_one_partitions_reorder_freely(self):
         for p in enumerate_ordered_partitions(5, 2, 2):
             assert verify_block_reorder((2, 1), p, 2)
+
+
+def _equivariance_sweep(n_max: int):
+    """(n, r, partition, actions, other actions) in the order of the
+    column-equivariance check: two lists of actions for the same generators,
+    so two comparisons can each fill their own."""
+    for n in range(2, n_max + 1):
+        generators = [simple_transposition(n, i) for i in range(1, n)] + [long_cycle(n), longest_permutation(n)]
+        actions = [ColumnAction(w, n) for w in generators]
+        others = [ColumnAction(w, n) for w in generators]
+        for r in (1, 2, 3):
+            for d in range(1, n // r + 1):
+                for p in enumerate_ordered_partitions(n, d, r):
+                    yield n, r, p, actions, others
+
+
+def _packed(n: int, rows: tuple[int, ...]) -> int:
+    """The packed key of the monomial with row rows[j] in column j + 1."""
+    (key,) = MatrixPolynomial(n, {rows: 1}).terms
+    return key
 
 
 def _random_partition(rng: random.Random, n: int, d: int, r: int) -> OrderedSetPartition:

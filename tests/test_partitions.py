@@ -1,3 +1,4 @@
+import inspect
 import itertools
 
 import pytest
@@ -16,6 +17,7 @@ from flamingo.partitions import (
     long_cycle,
     longest_permutation,
     parse_partition,
+    partitions_up_to,
     perm_inverse,
     perm_sign,
     permute_blocks,
@@ -25,7 +27,13 @@ from flamingo.partitions import (
     word_inversions,
 )
 
-from oracles import brute_ordered_partitions, has_crossing_by_quadruples, perm_compose, word_inversions_by_pairs
+from oracles import (
+    brute_ordered_partitions,
+    has_crossing_by_quadruples,
+    partitions_up_to_by_lists,
+    perm_compose,
+    word_inversions_by_pairs,
+)
 
 
 def partitions_strategy(max_n=7):
@@ -129,6 +137,14 @@ class TestEnumeration:
         ordered = {p.canonical() for p in enumerate_ordered_partitions(n, d, r)}
         assert set(unordered) == ordered
         assert len(unordered) == len(ordered)
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_partitions_up_to_streams_the_lists_in_order(self, r):
+        streamed = partitions_up_to(7, r)
+        assert inspect.isgenerator(streamed)
+        streamed = list(streamed)
+        assert streamed == list(partitions_up_to_by_lists(7, r))
+        assert streamed == [OrderedSetPartition(p.n, p.blocks) for p in streamed]
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -119,12 +119,34 @@ def _failing_at(k):
     return lambda *args: next(calls) != k
 
 
+def _mask_order_recurrences():
+    """(n, prefix, A, B, C, r) for every recurrence instance of
+    ``check_recurrence(n_max=7)``, in the order of the mask loops."""
+    return [
+        (n, *instance, r)
+        for n in range(3, 8)
+        for r in DEPTHS
+        if r <= n - 2
+        for instance in recurrence_sweep_by_masks(n, r, r)
+    ]
+
+
+def _failing_on(*instances):
+    """A stand-in for ``verify_recurrence`` that fails on the given
+    (n, prefix, A, B, C, r) instances only, keyed by their arguments, so it
+    fails there in whichever process checks them."""
+    failing = [(prefix, A, B, C, r) for _, prefix, A, B, C, r in instances]
+    return lambda *args: args not in failing
+
+
 class TestSweepOrder:
     """The recurrence and three-term sweeps visit their instances in the
     order of the mask loops in ``oracles``, so a failure names the same
-    instance."""
+    instance.  The spies count calls in this process, so these tests run
+    the sweeps as one shard; their two-shard twins plant failures keyed by
+    the instance."""
 
-    def test_check_sweeps_in_mask_order(self, monkeypatch):
+    def test_check_sweeps_in_mask_order(self, monkeypatch, one_cpu):
         recurrence, three = [], []
         monkeypatch.setattr(verification, "verify_recurrence", lambda *args: recurrence.append(args) or True)
         monkeypatch.setattr(verification, "verify_three_term", lambda *args: three.append(args) or True)
@@ -138,11 +160,32 @@ class TestSweepOrder:
         ]
         assert three == [split for n in range(3, 7) for split in three_term_splits_by_masks(n)]
 
-    def test_recurrence_failure_names_its_instance(self, monkeypatch):
+    def test_recurrence_failure_names_its_instance(self, monkeypatch, one_cpu):
         monkeypatch.setattr(verification, "verify_recurrence", _failing_at(20000))
         result = check_recurrence(n_max=7)
         assert not result.ok
         assert result.detail == "failed at n=7, r=1, prefix=[(3,), (1,), (2, 6)], A={5}, B={7}, C={4}"
+
+    def test_recurrence_failure_names_its_instance_in_two_shards(self, monkeypatch, two_cpus):
+        # the instance the serial run names, failing in whichever shard checks it
+        instance = _mask_order_recurrences()[20000 - 1]
+        assert instance == (7, [(3,), (1,), (2, 6)], {5}, {7}, {4}, 1)
+        monkeypatch.setattr(verification, "verify_recurrence", _failing_on(instance))
+        result = check_recurrence(n_max=7)
+        assert not result.ok
+        assert result.detail == "failed at n=7, r=1, prefix=[(3,), (1,), (2, 6)], A={5}, B={7}, C={4}"
+
+    @pytest.mark.parametrize("first, second", [(19999, 20000), (20000, 20001), (1, 39840), (2, 3)])
+    def test_two_shards_name_the_first_failure_in_mask_order(self, monkeypatch, two_cpus, first, second):
+        # two failures, one in each shard: the one earlier in the mask
+        # order is named, as the serial loop names it
+        instances = _mask_order_recurrences()
+        assert len(instances) == 39840
+        n, prefix, A, B, C, r = instances[first - 1]
+        monkeypatch.setattr(verification, "verify_recurrence", _failing_on(instances[first - 1], instances[second - 1]))
+        result = check_recurrence(n_max=7)
+        assert not result.ok
+        assert result.detail == f"failed at n={n}, r={r}, prefix={prefix}, A={A}, B={B}, C={C}"
 
     def test_three_term_failure_names_its_split(self, monkeypatch):
         monkeypatch.setattr(verification, "verify_recurrence", lambda *args: True)
