@@ -11,11 +11,12 @@ Every index set in [2n] is an int mask with bit i - 1 for index i, the
 bitmap representation of basis blades (Dorst, Fontijne and Mann, *Geometric
 Algebra for Computer Science*, ch. 19).  An ``Extensor`` term is keyed by
 (index mask, sorted tuple of factor masks), and a ``PlueckerExpression``
-term by the sorted tuple of its factor masks; :func:`index_set` decodes a
-mask back into its increasing indices.  Two index sets wedge to zero when
-their masks meet.  Otherwise the reordering sign of x followed by y is the
-parity of the pairs (a in x, b in y) with a > b: one popcount of y against
-the mask of positions that have an odd number of x's indices above them.
+term by the sorted tuple of its factor masks; ``phi_star`` hands the
+minor kernel masks, and :func:`index_set` decodes only at I/O and in
+checks.  Two index sets wedge to zero when their masks meet.  Otherwise the
+reordering sign of x followed by y is the parity of the pairs (a in x,
+b in y) with a > b: one popcount of y against the mask of positions that
+have an odd number of x's indices above them.
 
 The translation sign from a Pluecker coordinate to a minor of M is
 computed from first principles by Laplace expansion along the unit
@@ -35,6 +36,7 @@ from .partitions import FlamingoContext, OrderedSetPartition, require_admissible
 from .polynomials import (
     ColumnCollision,
     MatrixPolynomial,
+    _mask,
     add_into,
     add_minor_product,
     extend_minor_product,
@@ -44,23 +46,24 @@ from .tableaux import top_justified_tableau
 # -- index sets as masks ----------------------------------------------------
 
 
-def _mask(indices: Iterable[int]) -> int:
-    """The mask of a set of positive indices, bit i - 1 for index i."""
-    mask = 0
-    for i in indices:
-        mask |= 1 << (i - 1)
-    return mask
-
-
 def index_set(mask: int) -> tuple[int, ...]:
     """The indices of a mask in increasing order: the decoding of an
-    Extensor index set or of a Pluecker factor."""
+    Extensor index set or of a Pluecker factor, for output and checks."""
     out = []
     while mask:
         low = mask & -mask
         out.append(low.bit_length())
         mask ^= low
     return tuple(out)
+
+
+def _checked_mask(indices: Iterable[int], top: int) -> int:
+    """The mask of indices that are ints in [1, top], not bools, by the
+    partition constructor's rule; a repeat counts once."""
+    indices = tuple(indices)
+    if not all(type(i) is int and 1 <= i <= top for i in indices):
+        raise ValueError(f"indices must be ints in [1, {top}], got {indices}")
+    return _mask(indices)
 
 
 def _odd_above(x: int) -> int:
@@ -110,29 +113,25 @@ def _translation_exponent(kept: int) -> int:
 def delta_index_set(rows: Iterable[int], cols: Iterable[int], n: int) -> tuple[int, ...]:
     """Column set K in [2n] whose Pluecker coordinate pulls back to the
     minor on the given rows and columns: K = ([n] minus rows) union (cols + n)."""
-    I = set(rows)
-    J = set(cols)
-    if len(I) != len(J):
+    I, J = _checked_mask(rows, n), _checked_mask(cols, n)
+    if I.bit_count() != J.bit_count():
         raise ValueError("need |rows| = |cols|")
-    if not I <= set(range(1, n + 1)) or not J <= set(range(1, n + 1)):
-        raise ValueError("row and column sets must lie in [n]")
-    return index_set((((1 << n) - 1) ^ _mask(I)) | (_mask(J) << n))
+    return index_set((((1 << n) - 1) ^ I) | (J << n))
 
 
-def translation_sign(rows: Sequence[int], n: int) -> int:
+def translation_sign(rows: Iterable[int], n: int) -> int:
     """Exact sign relating the Pluecker coordinate on delta_index_set(I, J, n)
     to the minor on rows I and columns J; it depends only on n and |I|."""
-    kept = ((1 << n) - 1) & ~_mask(rows)
+    kept = ((1 << n) - 1) & ~_checked_mask(rows, n)
     return -1 if _translation_exponent(kept) % 2 else 1
 
 
 def delta_to_minor(K: Iterable[int], n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """Split a size-n column set K in [2n] into (sign, rows I, cols J) with
     the Pluecker coordinate on K equal to sign times the minor M_I^J."""
-    Kset = set(K)
-    if len(Kset) != n or not Kset <= set(range(1, 2 * n + 1)):
+    mask = _checked_mask(K, 2 * n)
+    if mask.bit_count() != n:
         raise ValueError("K must be a size-n subset of [2n]")
-    mask = _mask(Kset)
     full = (1 << n) - 1
     I = index_set(full ^ (mask & full))
     return translation_sign(I, n), I, index_set(mask >> n)  # |J| = n - |kept| = |I|
@@ -168,8 +167,8 @@ class Extensor:
         zero when an index repeats."""
         mask = above = odd = 0
         for i in indices:
-            if i < 1:
-                raise ValueError(f"indices must be positive, got {i}")
+            if type(i) is not int or i < 1:
+                raise ValueError(f"indices must be positive ints, got {i!r}")
             bit = 1 << (i - 1)
             if mask & bit:
                 return cls()
@@ -232,7 +231,7 @@ def cap(x: Extensor, y: Extensor, n: int) -> Extensor:
         raise ValueError("degree mismatch in cap")
     acc: dict = {}
     for (idx1, fac1), c1 in x.terms.items():
-        bits = [1 << (i - 1) for i in index_set(idx1)]
+        bits = [1 << i for i in range(idx1.bit_length()) if idx1 >> i & 1]
         for chosen in itertools.combinations(bits, b):
             moved = sum(chosen)
             kept = idx1 ^ moved
@@ -335,9 +334,9 @@ def phi_star(expr: PlueckerExpression) -> MatrixPolynomial:
             used |= J
             exponent += _translation_exponent(kept)
             I = full ^ kept
-            minors.append((index_set(I), index_set(J)))
+            minors.append((I, J))
             k = max(k, I.bit_length())
-        last = minors.pop() if minors else ((), ())
+        last = minors.pop() if minors else (0, 0)
         partial = [(0, c)]
         for I, J in minors:
             partial = extend_minor_product(partial, I, J, n)

@@ -5,15 +5,15 @@ jellyfish tableaux.  Partitions with a block smaller than r get the zero
 polynomial rather than an error.
 
 It is built without tableau objects: the deep rows are chosen column by
-column in the order of ``iter_tableaux``, and the product of the minors of
-the columns chosen so far is carried down as a list of partial terms, so
-tableaux that agree on their first columns share that work.  Each finished
-term is added in place into one dict, signed by the parity of the
-tableau's reading word, and the polynomial is adopted once through
-``MatrixPolynomial._trusted``; the walk meets its precondition, since
-cancelled terms leave the dict and no row exceeds nu.  ``JellyfishTableau``
-with its ``sign`` and ``minor_product`` is the independent reference the
-tests compare against.
+column in the order of ``iter_tableaux``, as row masks, and the product of
+the minors of the columns chosen so far is carried down as a list of
+partial terms, so tableaux that agree on their first columns share that
+work.  Each finished term is added in place into one dict, signed by the
+parity of the tableau's reading word, and the polynomial is adopted once
+through ``MatrixPolynomial._trusted``; the walk meets its precondition,
+since cancelled terms leave the dict and no row exceeds nu.  The tests'
+independent references are the tableau sum multiplied pair by pair
+(``oracles.pairwise_product``) and ``oracles.determinant_invariant``.
 
 The symmetric group acts on columns; the laws verified here are
 
@@ -45,6 +45,7 @@ from .partitions import (
 )
 from .polynomials import (
     MatrixPolynomial,
+    _mask,
     add_into,
     add_minor_product,
     column_map,
@@ -59,28 +60,31 @@ def _invariant_cached(partition: OrderedSetPartition, r: int) -> MatrixPolynomia
     if not ctx.admissible:
         return MatrixPolynomial.zero(partition.n, k=0)
     blocks = partition.blocks
+    n = partition.n
     last = ctx.d - 1
-    top = tuple(range(1, r + 1))
-    deep_rows = ctx.tentacle_rows
+    top = (1 << r) - 1  # rows 1..r
+    cols = [_mask(block) for block in blocks]
+    deep_rows = [1 << a for a in range(r, ctx.nu)]  # rows r + 1 .. nu, one bit each
     # rows 1..r of the reading word; the deep rows follow, one entry each
     head_word = [block[t] for t in range(r) for block in blocks]
-    entry: dict[int, int] = {}  # deep row -> its entry along the current path
+    entry: dict[int, int] = {}  # deep row's bit -> its entry along the current path
     acc: dict = {}
 
     def walk(i: int, remaining: list[int], partial: list) -> None:
         for chosen in itertools.combinations(remaining, ctx.tentacle_counts[i]):
-            for row, element in zip(chosen, blocks[i][r:]):
-                entry[row] = element
+            for bit, element in zip(chosen, blocks[i][r:]):
+                entry[bit] = element
+            rows = top | sum(chosen)
             if i < last:
-                rest = [row for row in remaining if row not in chosen]
-                walk(i + 1, rest, extend_minor_product(partial, top + chosen, blocks[i], partition.n))
+                rest = [bit for bit in remaining if not bit & rows]
+                walk(i + 1, rest, extend_minor_product(partial, rows, cols[i], n))
             else:
-                word = head_word + [entry[row] for row in deep_rows]
+                word = head_word + [entry[bit] for bit in deep_rows]
                 sign = -1 if word_inversions(word) % 2 else 1
-                add_minor_product(acc, partial, top + chosen, blocks[i], partition.n, sign)
+                add_minor_product(acc, partial, rows, cols[i], n, sign)
 
-    walk(0, list(deep_rows), [(0, 1)])
-    return MatrixPolynomial._trusted(partition.n, acc, ctx.nu)
+    walk(0, deep_rows, [(0, 1)])
+    return MatrixPolynomial._trusted(n, acc, ctx.nu)
 
 
 def jellyfish_invariant(partition: OrderedSetPartition, r: int) -> MatrixPolynomial:

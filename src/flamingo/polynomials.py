@@ -12,13 +12,14 @@ of the row paired with each column, 0 for an absent column.
 Coefficients are arbitrary-precision signed integers, so every computation
 here is exact.
 
-Products in this package always combine factors with disjoint column
-support; multiplying two polynomials whose supports share a column raises
-:class:`ColumnCollision` rather than silently squaring a variable.
+Every product here is one of minors on disjoint column sets, expanded by
+the kernel at the end of this module from masks of rows and columns; a
+polynomial is multiplied only by an int.  ``phi_star`` raises
+:class:`ColumnCollision` when two of its factors share a column.
 
 The constructor and ``from_json_dict`` validate input from outside.  The
-ring operations and ``substitute_columns`` combine operands that are
-already valid, so they adopt their results through
+ring operations, the kernel and ``substitute_columns`` combine operands
+that are already valid, so they adopt their results through
 ``MatrixPolynomial._trusted``.  A column permutation acts through
 :func:`column_map`, built once per permutation and validated there, and
 :func:`map_monomial`.  :func:`add_into` is the one accumulate: it
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import json
-import operator
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .partitions import is_permutation
@@ -39,7 +39,7 @@ Monomial = int
 
 
 class ColumnCollision(ValueError):
-    """Two monomials being multiplied both use some column."""
+    """Two factors of a product of minors share a column."""
 
 
 def variable_position(row: int, col: int, n: int) -> int:
@@ -195,31 +195,13 @@ class MatrixPolynomial:
         return self.__add__(-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return MatrixPolynomial.zero(self.n, self.k)
-            return MatrixPolynomial._trusted(self.n, {m: c * other for m, c in self.terms.items()}, self.k)
-        if not isinstance(other, MatrixPolynomial):
+        if type(other) is not int:
             return NotImplemented
-        if self.n != other.n:
-            raise ValueError("column-count mismatch")
-        if self.terms and other.terms:
-            # some pair of terms shares a column exactly when the column
-            # supports do; unpacking a union of monomials marks each column it uses
-            mine, theirs = (_unpack(functools.reduce(operator.or_, p.terms), self.n) for p in (self, other))
-            for j, (a, b) in enumerate(zip(mine, theirs)):
-                if a and b:
-                    raise ColumnCollision(f"column {j + 1} used by both factors")
-        terms: dict[Monomial, int] = {}
-        for m1, c1 in self.terms.items():
-            # m1 | m2 determines m2, so the products for one m1 are distinct keys
-            add_into(terms, {m1 | m2: c2 for m2, c2 in other.terms.items()}, c1)
-        return MatrixPolynomial._trusted(self.n, terms, max(self.k, other.k))
+        if other == 0:
+            return MatrixPolynomial.zero(self.n, self.k)
+        return MatrixPolynomial._trusted(self.n, {m: c * other for m, c in self.terms.items()}, self.k)
 
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.__mul__(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MatrixPolynomial):
@@ -341,16 +323,26 @@ class MatrixPolynomial:
 # terms (packed monomial, coefficient).  Column sets are disjoint, so
 # multiplying in the next minor ORs each head with each of its terms; the
 # intermediate products build no MatrixPolynomial and share every prefix of
-# blocks.
+# blocks.  Row and column sets are masks, bit i - 1 for index i.  Once every
+# minor is folded in, the partial terms are the product's distinct terms.
+
+
+def _mask(indices: Iterable[int]) -> int:
+    """The mask of a set of positive indices, bit i - 1 for index i."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << (i - 1)
+    return mask
 
 
 @functools.lru_cache(maxsize=None)
-def _minor_terms(rows: tuple[int, ...], cols: tuple[int, ...], n: int) -> tuple[tuple[Monomial, int], ...]:
-    """Terms of the minor on the given increasing rows and columns of an
-    n-column matrix, as (packed monomial, sign), expanded along the rows in
-    turn, so the terms follow the permutations in lexicographic order."""
-    partial = [(0, 1, cols)]
-    for row in rows:
+def _minor_terms(rows: int, cols: int, n: int) -> tuple[tuple[Monomial, int], ...]:
+    """Terms of the minor on the rows and columns of two masks of equal
+    size, over an n-column matrix, as (packed monomial, sign), expanded
+    along the rows in increasing order, so the terms follow the
+    permutations in lexicographic order."""
+    partial = [(0, 1, tuple(j for j in range(1, n + 1) if cols >> (j - 1) & 1))]
+    for row in (a for a in range(1, n + 1) if rows >> (a - 1) & 1):
         partial = [
             (bits | 1 << _bit(row, col, n), -sign if t % 2 else sign, rest[:t] + rest[t + 1 :])
             for bits, sign, rest in partial
@@ -363,26 +355,27 @@ def minor(rows: Iterable[int], cols: Iterable[int], n: int) -> MatrixPolynomial:
     """Determinant of the submatrix on the given rows and columns, both taken
     in increasing order, as a polynomial over an n-column matrix.
 
-    The empty minor is the constant 1.
+    The empty minor is the constant 1.  Rows and columns are ints in [1, n].
     """
-    I = tuple(sorted(set(rows)))
-    J = tuple(sorted(set(cols)))
+    rows, cols = tuple(rows), tuple(cols)
+    if any(type(x) is not int for x in rows + cols):
+        raise ValueError("row and column indices must be ints")
+    I = sorted(set(rows))
+    J = sorted(set(cols))
     if len(I) != len(J):
         raise ValueError(f"minor needs |rows| = |cols|, got {len(I)} and {len(J)}")
     if I and (I[0] < 1 or I[-1] > n):
         raise ValueError(f"row indices must lie in [1, {n}]")
     if J and (J[0] < 1 or J[-1] > n):
         raise ValueError(f"column indices must lie in [1, {n}]")
-    if not I:
-        return MatrixPolynomial.one(n)
-    return MatrixPolynomial._trusted(n, dict(_minor_terms(I, J, n)), I[-1])
+    return MatrixPolynomial._trusted(n, dict(_minor_terms(_mask(I), _mask(J), n)), max(I, default=0))
 
 
 def extend_minor_product(
-    partial: list[tuple[Monomial, int]], rows: tuple[int, ...], cols: tuple[int, ...], n: int
+    partial: list[tuple[Monomial, int]], rows: int, cols: int, n: int
 ) -> list[tuple[Monomial, int]]:
-    """Multiply partial terms by the minor on the given increasing rows and
-    columns, which no head uses."""
+    """Multiply partial terms by the minor on the rows and columns of two
+    masks; no head uses those columns."""
     terms = _minor_terms(rows, cols, n)
     return [(head | tail, c * s) for head, c in partial for tail, s in terms]
 
@@ -390,14 +383,14 @@ def extend_minor_product(
 def add_minor_product(
     acc: dict[Monomial, int],
     partial: list[tuple[Monomial, int]],
-    rows: tuple[int, ...],
-    cols: tuple[int, ...],
+    rows: int,
+    cols: int,
     n: int,
     coeff: int,
 ) -> None:
-    """Add coeff times the partial terms times the minor on the given rows
-    and columns into ``acc``, in place; monomials whose coefficient cancels
-    to 0 leave ``acc``."""
+    """Add coeff times the partial terms times the minor on the rows and
+    columns of two masks into ``acc``, in place; monomials whose
+    coefficient cancels to 0 leave ``acc``."""
     terms = _minor_terms(rows, cols, n)
     get = acc.get
     for head, c in partial:

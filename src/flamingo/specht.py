@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 from .invariants import jellyfish_invariant
 from .partitions import OrderedSetPartition, enumerate_unordered_partitions
-from .polynomials import MatrixPolynomial, Monomial, add_into, add_minor_product, extend_minor_product
+from .polynomials import MatrixPolynomial, Monomial, _mask, add_into, extend_minor_product
 
 
 # -- shapes -----------------------------------------------------------------
@@ -88,13 +88,10 @@ def spanning_set(shape: SpechtShape) -> list[MatrixPolynomial]:
     gens = []
     for partition in enumerate_unordered_partitions(n, shape.d, shape.r):
         if max(partition.block_sizes()) == shape.nu:
-            *head, last = partition.blocks
             partial = [(0, 1)]
-            for cols in head:
-                partial = extend_minor_product(partial, tuple(range(1, len(cols) + 1)), cols, n)
-            acc: dict[Monomial, int] = {}
-            add_minor_product(acc, partial, tuple(range(1, len(last) + 1)), last, n, 1)
-            gens.append(MatrixPolynomial._trusted(n, acc, shape.nu))
+            for cols in partition.blocks:
+                partial = extend_minor_product(partial, (1 << len(cols)) - 1, _mask(cols), n)
+            gens.append(MatrixPolynomial._trusted(n, dict(partial), shape.nu))
     return gens
 
 

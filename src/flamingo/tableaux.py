@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Iterator, Sequence
 
 from .partitions import FlamingoContext, OrderedSetPartition, permute_blocks, word_inversions
-from .polynomials import MatrixPolynomial, minor
+from .polynomials import MatrixPolynomial, _mask, extend_minor_product
 
 
 @dataclass(frozen=True)
@@ -96,12 +96,12 @@ class JellyfishTableau:
 
     def minor_product(self) -> MatrixPolynomial:
         """The product over columns i of the minor on rows column_rows(i)
-        and columns pi_i, fully expanded."""
+        and columns pi_i, fully expanded by the minor-product kernel."""
         n = self.partition.n
-        result = MatrixPolynomial.one(n, k=self.context.nu)
+        partial = [(0, 1)]
         for i, block in enumerate(self.partition.blocks, start=1):
-            result = result * minor(self.column_rows(i), block, n)
-        return result
+            partial = extend_minor_product(partial, _mask(self.column_rows(i)), _mask(block), n)
+        return MatrixPolynomial._trusted(n, dict(partial), self.context.nu)
 
     def permute_columns(self, sigma: Sequence[int]) -> "JellyfishTableau":
         """The tableau for the block-reordered partition in which each

@@ -44,7 +44,7 @@ from .partitions import (
     rotation_orbit,
     simple_transposition,
 )
-from .polynomials import MatrixPolynomial, integer_determinant, minor
+from .polynomials import MatrixPolynomial, _mask, add_into, extend_minor_product, integer_determinant
 from .relations import (
     conjecture_family,
     conjecture_report,
@@ -123,14 +123,17 @@ def _check(name: str) -> Callable[[Callable[..., tuple[bool, str]]], Callable[..
 def signed_minor_expansion(
     partition: OrderedSetPartition, terms: Sequence[tuple[int, tuple[tuple[int, ...], ...]]]
 ) -> MatrixPolynomial:
-    """Assemble a signed sum of minor products from explicit row sets."""
-    total = MatrixPolynomial.zero(partition.n)
+    """Assemble a signed sum of minor products from explicit row sets, each
+    product folded through the minor-product kernel."""
+    n = partition.n
+    acc: dict = {}
     for sign, row_sets in terms:
-        product = MatrixPolynomial.one(partition.n)
+        partial = [(0, sign)]
         for rows, block in zip(row_sets, partition.blocks):
-            product = product * minor(rows, block, partition.n)
-        total = total + product * sign
-    return total
+            partial = extend_minor_product(partial, _mask(rows), _mask(block), n)
+        add_into(acc, dict(partial))
+    k = max((max(rows, default=0) for _, row_sets in terms for rows in row_sets), default=0)
+    return MatrixPolynomial._trusted(n, acc, k)
 
 
 Item = TypeVar("Item")

@@ -9,9 +9,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import factorial, gcd
 from typing import Iterable, Mapping, Sequence
 
@@ -29,11 +30,12 @@ from flamingo.partitions import (
 from flamingo.polynomials import (
     ColumnCollision,
     MatrixPolynomial,
+    _bit,
+    _unpack,
     add_into,
     add_minor_product,
     extend_minor_product,
     map_monomial,
-    minor,
     variable_position,
 )
 from flamingo.tableaux import JellyfishTableau, enumerate_tableaux
@@ -88,6 +90,77 @@ def determinant_invariant(partition: OrderedSetPartition, r: int) -> dict[tuple[
         states = advanced
     sign = -1 if math.comb(d, 2) * math.comb(r, 2) % 2 else 1
     return {m: sign * c for m, c in states.get((1 << n) - 1, {}).items() if c}
+
+
+# The minor expansion keyed on row and column tuples and the product of two
+# polynomials with its column-collision scan, as the package had them before
+# index sets became masks all the way down to the minor kernel and every
+# product of minors went through that kernel.
+
+
+def minor_terms_by_tuples(rows: tuple[int, ...], cols: tuple[int, ...], n: int) -> tuple[tuple[int, int], ...]:
+    """Terms of the minor on the given increasing rows and columns of an
+    n-column matrix, as (packed monomial, sign), expanded along the rows in
+    turn, so the terms follow the permutations in lexicographic order."""
+    partial = [(0, 1, cols)]
+    for row in rows:
+        partial = [
+            (bits | 1 << _bit(row, col, n), -sign if t % 2 else sign, rest[:t] + rest[t + 1 :])
+            for bits, sign, rest in partial
+            for t, col in enumerate(rest)
+        ]
+    return tuple((bits, sign) for bits, sign, _ in partial)
+
+
+@lru_cache(maxsize=None)
+def minor_by_tuples(rows: tuple[int, ...], cols: tuple[int, ...], n: int) -> MatrixPolynomial:
+    """The minor on the given increasing rows and columns, from
+    ``minor_terms_by_tuples``; the empty minor is 1."""
+    return MatrixPolynomial._trusted(n, dict(minor_terms_by_tuples(rows, cols, n)), max(rows, default=0))
+
+
+def pairwise_product(p: MatrixPolynomial, q: MatrixPolynomial) -> MatrixPolynomial:
+    """p * q term by term; raises ColumnCollision when the column supports
+    of p and q meet, rather than squaring a variable."""
+    if p.n != q.n:
+        raise ValueError("column-count mismatch")
+    if p.terms and q.terms:
+        # some pair of terms shares a column exactly when the column
+        # supports do; unpacking a union of monomials marks each column it uses
+        mine, theirs = (_unpack(reduce(operator.or_, f.terms), p.n) for f in (p, q))
+        for j, (a, b) in enumerate(zip(mine, theirs)):
+            if a and b:
+                raise ColumnCollision(f"column {j + 1} used by both factors")
+    terms: dict[int, int] = {}
+    for m1, c1 in p.terms.items():
+        # m1 | m2 determines m2, so the products for one m1 are distinct keys
+        add_into(terms, {m1 | m2: c2 for m2, c2 in q.terms.items()}, c1)
+    return MatrixPolynomial._trusted(p.n, terms, max(p.k, q.k))
+
+
+def product_of_minors(n: int, minors, k: int = 0) -> MatrixPolynomial:
+    """The product of the minors on the given (rows, cols) pairs, taken
+    pair by pair from the constant 1 with declared row count k."""
+    product = MatrixPolynomial.one(n, k)
+    for rows, cols in minors:
+        product = pairwise_product(product, minor_by_tuples(tuple(rows), tuple(cols), n))
+    return product
+
+
+def tableau_minor_product(tableau: JellyfishTableau) -> MatrixPolynomial:
+    """``JellyfishTableau.minor_product`` as it was: the column minors
+    multiplied pair by pair, with k = nu."""
+    columns = [(tableau.column_rows(i), block) for i, block in enumerate(tableau.partition.blocks, start=1)]
+    return product_of_minors(tableau.partition.n, columns, tableau.context.nu)
+
+
+def signed_minor_expansion(partition: OrderedSetPartition, terms) -> MatrixPolynomial:
+    """``verification.signed_minor_expansion`` as it was: each signed
+    product of minors taken pair by pair and summed."""
+    total = MatrixPolynomial.zero(partition.n)
+    for sign, row_sets in terms:
+        total = total + product_of_minors(partition.n, zip(row_sets, partition.blocks)) * sign
+    return total
 
 
 def det_leibniz(matrix: list[list[int]]) -> int:
@@ -730,11 +803,11 @@ def phi_star(expr: PlueckerExpression) -> MatrixPolynomial:
         used = [j for _, _, J in minors for j in J]
         if len(set(used)) < len(used):
             raise ColumnCollision("two factors of a product share a column")
+        masks = [(sum(1 << (i - 1) for i in I), sum(1 << (j - 1) for j in J)) for _, I, J in minors]
         partial = [(0, c)]
-        for _, I, J in minors[:-1]:
+        for I, J in masks[:-1]:
             partial = extend_minor_product(partial, I, J, n)
-        _, I, J = minors[-1]
-        add_minor_product(acc, partial, I, J, n, math.prod(sign for sign, _, _ in minors))
+        add_minor_product(acc, partial, *masks[-1], n, math.prod(sign for sign, _, _ in minors))
         k = max([k] + [I[-1] for _, I, _ in minors if I])
     return MatrixPolynomial._trusted(n, acc, k)
 
@@ -746,8 +819,6 @@ def spanning_set(shape: SpechtShape) -> list[MatrixPolynomial]:
     gens = []
     for partition in enumerate_unordered_partitions(shape.n, shape.d, shape.r):
         if max(partition.block_sizes()) == shape.nu:
-            poly = MatrixPolynomial.one(shape.n)
-            for cols in partition.blocks:
-                poly = poly * minor(range(1, len(cols) + 1), cols, shape.n)
-            gens.append(poly)
+            columns = [(range(1, len(cols) + 1), cols) for cols in partition.blocks]
+            gens.append(product_of_minors(shape.n, columns))
     return gens

@@ -151,6 +151,26 @@ class TestTranslation:
             sub = [[matrix[i - 1][j - 1] for j in cols] for i in rows]
             assert delta == sign * det_leibniz(sub)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: Extensor.basis((True, 2)), id="basis-bool"),
+            pytest.param(lambda: Extensor.basis((1.0, 2)), id="basis-float"),
+            pytest.param(lambda: delta_index_set((True,), (1,), 2), id="delta-index-set-bool-row"),
+            pytest.param(lambda: delta_index_set((1,), (True,), 2), id="delta-index-set-bool-column"),
+            pytest.param(lambda: delta_index_set((1.0,), (1,), 2), id="delta-index-set-float-row"),
+            pytest.param(lambda: delta_index_set((3,), (1,), 2), id="delta-index-set-row-above-n"),
+            pytest.param(lambda: delta_to_minor((True, 4), 2), id="delta-to-minor-bool"),
+            pytest.param(lambda: delta_to_minor((1.0, 4), 2), id="delta-to-minor-float"),
+            pytest.param(lambda: delta_to_minor((1, 5), 2), id="delta-to-minor-above-2n"),
+            pytest.param(lambda: translation_sign((True,), 2), id="translation-sign-bool"),
+        ],
+    )
+    def test_indices_must_be_ints_in_range(self, call):
+        # the partition constructor's rule: a bool is not index 1
+        with pytest.raises(ValueError, match="ints"):
+            call()
+
     @given(st.integers(min_value=1, max_value=6), st.randoms(use_true_random=False))
     def test_translation_sign_is_a_sign(self, n, rng):
         kept = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, n))))
@@ -188,7 +208,7 @@ class TestGrassmannCayley:
             pos = by_rows[cols]
             t = tableaux[pos]
             single = phi_star(PlueckerExpression(n, {factors: coeff}))
-            assert single == t.minor_product() * t.sign()
+            assert single == oracles.tableau_minor_product(t) * t.sign()
             emitted.append(pos)
         assert emitted == [5, 4, 3, 2, 1, 0]
 

@@ -123,6 +123,7 @@ KEPT_WITHOUT_CALLER = {
     "relations.resolve_crossing_r1": "the two depth-1 crossing resolutions, each re-verified",
     "diagrams.unclasping_is_forest": "the unclasped tensor diagram is a forest",
     "diagrams.from_json": "the reader of the diagram JSON export",
+    "polynomials.minor": "the validated single minor, the public entry to the kernel",
 }
 
 

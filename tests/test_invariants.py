@@ -27,6 +27,7 @@ from oracles import (
     holds_by_signed_sum,
     perm_compose,
     random_int_matrix,
+    tableau_minor_product,
     tuple_terms,
 )
 
@@ -56,7 +57,7 @@ class TestConstruction:
         p = parse_partition("1 2 5|3 4 6")
         total = MatrixPolynomial.zero(6)
         for t in enumerate_tableaux(p, 2):
-            total = total + t.minor_product() * t.sign()
+            total = total + tableau_minor_product(t) * t.sign()
         assert jellyfish_invariant(p, 2) == total
 
     def test_example_depth_three_vanishes(self):

@@ -1,19 +1,27 @@
-"""Differential tests of the minor-product kernel behind the invariants and
-phi_star, against the generic tableau and polynomial arithmetic."""
+"""Differential tests of the minor-product kernel behind the invariants,
+phi_star, the tableau products and the worked examples, against the
+tuple-keyed minor expansion and the pairwise product of ``oracles``."""
+
+import itertools
+import math
 
 import pytest
 
+from flamingo import verification
 from flamingo.grassmann import PlueckerExpression, delta_to_minor, gc_jellyfish, index_set, phi_star
 from flamingo.invariants import jellyfish_invariant
-from flamingo.polynomials import ColumnCollision, MatrixPolynomial, minor
+from flamingo.polynomials import ColumnCollision, MatrixPolynomial, _mask, _minor_terms
 from flamingo.tableaux import iter_tableaux
 from flamingo.verification import partitions_up_to
+
+import oracles
+from oracles import minor_by_tuples, minor_terms_by_tuples, pairwise_product, tableau_minor_product
 
 
 def tableau_sum(partition, r):
     total = MatrixPolynomial.zero(partition.n)
     for tableau in iter_tableaux(partition, r):
-        total = total + tableau.minor_product() * tableau.sign()
+        total = total + tableau_minor_product(tableau) * tableau.sign()
     return total
 
 
@@ -24,7 +32,7 @@ def factor_by_factor(expr):
         term = MatrixPolynomial.one(n) * c
         for K in factors:
             sign, I, J = delta_to_minor(index_set(K), n)
-            term = term * (minor(I, J, n) * sign)
+            term = pairwise_product(term, minor_by_tuples(I, J, n) * sign)
         total = total + term
     return total
 
@@ -75,3 +83,36 @@ def test_phi_star_rejects_factors_sharing_a_column():
         phi_star(expr)
     with pytest.raises(ColumnCollision):
         factor_by_factor(expr)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_mask_keyed_minor_terms_equal_the_tuple_keyed_ones(n):
+    # every (I, J) with |I| = |J|, the empty minor included, term for term
+    # and in the same order
+    checked = 0
+    for size in range(n + 1):
+        for I, J in itertools.product(itertools.combinations(range(1, n + 1), size), repeat=2):
+            assert _minor_terms(_mask(I), _mask(J), n) == minor_terms_by_tuples(I, J, n)
+            checked += 1
+    assert checked == math.comb(2 * n, n)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_minor_product_equals_the_pairwise_product(r):
+    for partition in partitions_up_to(6, r):
+        for tableau in iter_tableaux(partition, r):
+            assert_same(tableau.minor_product(), tableau_minor_product(tableau))
+
+
+@pytest.mark.parametrize(
+    "partition, terms",
+    [
+        (verification.RUNNING_PARTITION, verification.RUNNING_R2_TERMS),
+        (verification.THREE_ROW_PARTITION, verification.THREE_ROW_TERMS),
+    ],
+    ids=["running-example", "three-row-example"],
+)
+def test_signed_minor_expansion_equals_the_pairwise_product(partition, terms):
+    assert_same(
+        verification.signed_minor_expansion(partition, terms), oracles.signed_minor_expansion(partition, terms)
+    )

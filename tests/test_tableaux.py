@@ -20,6 +20,7 @@ from oracles import (
     arrangement_sign_by_pairs,
     grid_reading_word,
     multinomial,
+    pairwise_product,
     validated_permute_columns,
 )
 
@@ -145,7 +146,7 @@ class TestMinorProduct:
     def test_matches_explicit_minors(self):
         p = parse_partition("1 2 5|3 4 6")
         t = enumerate_tableaux(p, 2)[0]
-        expected = minor(t.column_rows(1), (1, 2, 5), 6) * minor(t.column_rows(2), (3, 4, 6), 6)
+        expected = pairwise_product(minor(t.column_rows(1), (1, 2, 5), 6), minor(t.column_rows(2), (3, 4, 6), 6))
         assert t.minor_product() == expected
 
     def test_product_k_is_nu(self):
