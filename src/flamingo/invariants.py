@@ -88,7 +88,11 @@ def _invariant_cached(partition: OrderedSetPartition, r: int) -> MatrixPolynomia
 
 
 def jellyfish_invariant(partition: OrderedSetPartition, r: int) -> MatrixPolynomial:
-    """[pi]_r as an exact polynomial, for r >= 1; zero when some block has size < r."""
+    """[pi]_r as an exact polynomial, for an int r >= 1; zero when some
+    block has size < r.  A depth that is not an int, a bool included, is
+    rejected before the cache lookup, where it would hash like its int."""
+    if type(r) is not int:
+        raise ValueError(f"r must be an int, got {r!r}")
     return _invariant_cached(partition, r)
 
 

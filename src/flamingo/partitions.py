@@ -106,6 +106,8 @@ class OrderedSetPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int:
+            raise ValueError(f"n must be an int, got {self.n!r}")
         seen: set[int] = set()
         for block in self.blocks:
             if not block:
@@ -365,10 +367,10 @@ def transposition_distance_to_noncrossing(partition: OrderedSetPartition, k: int
 
 
 def require_admissible(partition: OrderedSetPartition, r: int) -> None:
-    """Raise ValueError unless r >= 1, and BlockTooSmall unless every block
-    holds at least r elements."""
-    if r < 1:
-        raise ValueError(f"r must be at least 1, got {r}")
+    """Raise ValueError unless r is an int >= 1, a bool excluded, and
+    BlockTooSmall unless every block holds at least r elements."""
+    if type(r) is not int or r < 1:
+        raise ValueError(f"r must be an int of at least 1, got {r!r}")
     smallest = min(map(len, partition.blocks), default=r)
     if smallest < r:
         raise BlockTooSmall(f"every block needs at least r = {r} elements, the smallest has {smallest}")
@@ -392,8 +394,8 @@ class FlamingoContext:
 
     @classmethod
     def from_partition(cls, partition: OrderedSetPartition, r: int) -> "FlamingoContext":
-        if r < 1:
-            raise ValueError(f"r must be at least 1, got {r}")
+        if type(r) is not int or r < 1:
+            raise ValueError(f"r must be an int of at least 1, got {r!r}")
         counts = tuple(len(b) - r for b in partition.blocks)
         return cls(partition.n, partition.d, r, counts)
 

@@ -14,7 +14,11 @@ here is exact.
 
 Every product here is one of minors on disjoint column sets, expanded by
 the kernel at the end of this module from masks of rows and columns; a
-polynomial is multiplied only by an int.  ``phi_star`` raises
+polynomial is multiplied only by an int.  The kernel caches each minor's
+table of terms and builds it from the cached tables one row smaller, by
+expansion along its first row, so minors that end on the same rows and
+columns share those tables; the terms keep the order of the row-by-row
+expansion, the permutations in lexicographic order.  ``phi_star`` raises
 :class:`ColumnCollision` when two of its factors share a column.
 
 The constructor and ``from_json_dict`` validate input from outside.  The
@@ -338,17 +342,25 @@ def _mask(indices: Iterable[int]) -> int:
 @functools.lru_cache(maxsize=None)
 def _minor_terms(rows: int, cols: int, n: int) -> tuple[tuple[Monomial, int], ...]:
     """Terms of the minor on the rows and columns of two masks of equal
-    size, over an n-column matrix, as (packed monomial, sign), expanded
-    along the rows in increasing order, so the terms follow the
-    permutations in lexicographic order."""
-    partial = [(0, 1, tuple(j for j in range(1, n + 1) if cols >> (j - 1) & 1))]
-    for row in (a for a in range(1, n + 1) if rows >> (a - 1) & 1):
-        partial = [
-            (bits | 1 << _bit(row, col, n), -sign if t % 2 else sign, rest[:t] + rest[t + 1 :])
-            for bits, sign, rest in partial
-            for t, col in enumerate(rest)
-        ]
-    return tuple((bits, sign) for bits, sign, _ in partial)
+    size, over an n-column matrix, as (packed monomial, sign).  The table is
+    built from the cached tables one row smaller: expanded along its first
+    row, each column in increasing order with alternating sign, so the terms
+    follow the permutations in lexicographic order."""
+    if not rows:
+        return ((0, 1),)
+    low = rows & -rows
+    row, rest = low.bit_length(), rows ^ low
+    terms: list[tuple[Monomial, int]] = []
+    negate = False
+    remaining = cols
+    while remaining:
+        col = remaining & -remaining
+        remaining ^= col
+        x = 1 << _bit(row, col.bit_length(), n)
+        sub = _minor_terms(rest, cols ^ col, n)
+        terms += [(bits | x, -s) for bits, s in sub] if negate else [(bits | x, s) for bits, s in sub]
+        negate = not negate
+    return tuple(terms)
 
 
 def minor(rows: Iterable[int], cols: Iterable[int], n: int) -> MatrixPolynomial:

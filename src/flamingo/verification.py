@@ -510,6 +510,37 @@ def check_diagrams(n_max: int = 8) -> tuple[bool, str]:
     return True, f"{built} diagrams validate with the expected boundary profile"
 
 
+def _sign_panel(r: int, exhaustive_n: int) -> list[OrderedSetPartition]:
+    """The partitions whose tableau signs the sign-properties check tests
+    at depth r: every one up to ``exhaustive_n``; from each pool of the
+    ordered partitions of [n] into d blocks (n = 6, 7, 8, d = 2, 3), in the
+    order of ``enumerate_ordered_partitions``, its first three and its
+    middle one; then the worked example of that depth.  A pool's size is
+    the sum of the multinomials of its block sizes, and the pool is read
+    only up to its middle, so no pool is held."""
+    panel = list(partitions_up_to(exhaustive_n, r))
+    for n in (6, 7, 8):
+        for d in (2, 3):
+            size = sum(
+                math.factorial(n) // math.prod(map(math.factorial, sizes))
+                for sizes in itertools.product(range(r, n + 1), repeat=d)
+                if sum(sizes) == n
+            )
+            if not size:
+                continue
+            pool = block_tuples(range(1, n + 1), d, r)
+            picked = list(itertools.islice(pool, 3))
+            # a pool of [n >= 6] into two or more blocks holds at least 20,
+            # so its middle lies past the first three
+            picked.append(next(itertools.islice(pool, size // 2 - 3, None)))
+            panel.extend(OrderedSetPartition._trusted(n, blocks) for blocks in picked)
+    if r <= 2:
+        panel.append(RUNNING_PARTITION)
+    if r == 3:
+        panel.append(THREE_ROW_PARTITION)
+    return panel
+
+
 @_check("sign-properties")
 def check_sign_properties(seed: int = 2024, exhaustive_n: int = 5) -> tuple[bool, str]:
     rng = random.Random(seed)
@@ -531,19 +562,7 @@ def check_sign_properties(seed: int = 2024, exhaustive_n: int = 5) -> tuple[bool
     swap_checked = 0
     arrangement_checked = 0
     for r in (1, 2, 3):
-        panels = list(partitions_up_to(exhaustive_n, r))
-        for n in (6, 7, 8):
-            for d in (2, 3):
-                if n < r * d:
-                    continue
-                pool = enumerate_ordered_partitions(n, d, r)
-                panels.extend(pool[:3])
-                panels.append(pool[len(pool) // 2])
-        if r <= 2:
-            panels.append(RUNNING_PARTITION)
-        if r == 3:
-            panels.append(THREE_ROW_PARTITION)
-        for partition in panels:
+        for partition in _sign_panel(r, exhaustive_n):
             d = partition.d
             tableaux = enumerate_tableaux(partition, r)
             signs = [t.sign() for t in tableaux]

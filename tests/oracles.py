@@ -201,6 +201,28 @@ def partitions_up_to_by_lists(n_max: int, r: int):
             yield from enumerate_ordered_partitions(n, d, r)
 
 
+def sign_panel_by_lists(r: int, exhaustive_n: int) -> list[OrderedSetPartition]:
+    """The sign-properties panel at depth r as it was built from whole
+    lists: every partition up to ``exhaustive_n``, then ``pool[:3]`` and
+    ``pool[len(pool) // 2]`` of each list of ordered partitions of [n] into
+    d blocks (n = 6, 7, 8, d = 2, 3), then the worked example."""
+    from flamingo.verification import RUNNING_PARTITION, THREE_ROW_PARTITION
+
+    panel = list(partitions_up_to_by_lists(exhaustive_n, r))
+    for n in (6, 7, 8):
+        for d in (2, 3):
+            if n < r * d:
+                continue
+            pool = enumerate_ordered_partitions(n, d, r)
+            panel.extend(pool[:3])
+            panel.append(pool[len(pool) // 2])
+    if r <= 2:
+        panel.append(RUNNING_PARTITION)
+    if r == 3:
+        panel.append(THREE_ROW_PARTITION)
+    return panel
+
+
 def has_crossing_by_quadruples(blocks: tuple[tuple[int, ...], ...]) -> bool:
     """Literal scan over all quadruples a < b < c < d."""
     owner = {x: i for i, block in enumerate(blocks) for x in block}

@@ -24,7 +24,7 @@ from flamingo.relations import resolve_crossing_r1, verify_recurrence, verify_th
 from flamingo.tableaux import JellyfishTableau
 from flamingo.verification import _abc_instances
 
-from oracles import crossing_resolutions, equivariance_per_call, substitute_columns_per_call
+from oracles import crossing_resolutions, equivariance_per_call, sign_panel_by_lists, substitute_columns_per_call
 
 
 def _partitions(n_max, depths):
@@ -262,3 +262,10 @@ class TestFlippedSignFails:
         result = verification.check_sign_properties(seed=2024, exhaustive_n=5)
         assert not result.ok
         assert result.detail == "column-swap sign fails for (1 2|3), sigma=(2, 1)"
+
+
+@pytest.mark.parametrize("exhaustive_n", [0, 3, 5])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_streamed_sign_panel_equals_the_list_based_one(r, exhaustive_n):
+    # each pool is counted and read up to its middle, never listed
+    assert verification._sign_panel(r, exhaustive_n) == sign_panel_by_lists(r, exhaustive_n)

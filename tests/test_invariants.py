@@ -6,6 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flamingo import invariants
+from flamingo.diagrams import build_tensor_diagram
+from flamingo.grassmann import gc_jellyfish
 from flamingo.invariants import ColumnAction, jellyfish_invariant, verify_block_reorder, verify_equivariance
 from flamingo.partitions import (
     OrderedSetPartition,
@@ -18,7 +20,7 @@ from flamingo.partitions import (
     simple_transposition,
 )
 from flamingo.polynomials import MatrixPolynomial, _unpack
-from flamingo.tableaux import enumerate_tableaux
+from flamingo.tableaux import enumerate_tableaux, iter_tableaux, tableau_count
 
 from oracles import (
     apply_action,
@@ -69,6 +71,26 @@ class TestConstruction:
         a = jellyfish_invariant(EXAMPLE, 1)
         b = jellyfish_invariant(EXAMPLE, 1)
         assert a is b
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
+    @pytest.mark.parametrize("r", [1.0, True], ids=["float", "bool"])
+    def test_rejects_depth_that_is_not_an_int(self, r, warm):
+        # 1.0 and True hash like 1, so a cached (p, 1) must not answer them
+        invariants._invariant_cached.cache_clear()
+        if warm:
+            jellyfish_invariant(EXAMPLE, 1)
+        with pytest.raises(ValueError):
+            jellyfish_invariant(EXAMPLE, r)
+
+    @pytest.mark.parametrize("r", [1.0, True], ids=["float", "bool"])
+    @pytest.mark.parametrize(
+        "build",
+        [lambda p, r: list(iter_tableaux(p, r)), tableau_count, gc_jellyfish, build_tensor_diagram],
+        ids=["tableaux", "tableau-count", "grassmann-cayley", "diagram"],
+    )
+    def test_every_depth_entry_rejects_a_depth_that_is_not_an_int(self, build, r):
+        with pytest.raises(ValueError):
+            build(EXAMPLE, r)
 
     @pytest.mark.parametrize("text", SMALL_PARTITIONS)
     def test_numeric_cross_check(self, text):

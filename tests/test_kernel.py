@@ -3,7 +3,7 @@ phi_star, the tableau products and the worked examples, against the
 tuple-keyed minor expansion and the pairwise product of ``oracles``."""
 
 import itertools
-import math
+import random
 
 import pytest
 
@@ -85,16 +85,41 @@ def test_phi_star_rejects_factors_sharing_a_column():
         factor_by_factor(expr)
 
 
-@pytest.mark.parametrize("n", range(6))
+def _index_sets(n):
+    return [I for size in range(n + 1) for I in itertools.combinations(range(1, n + 1), size)]
+
+
+@pytest.mark.parametrize("n", range(7))
 def test_mask_keyed_minor_terms_equal_the_tuple_keyed_ones(n):
-    # every (I, J) with |I| = |J|, the empty minor included, term for term
-    # and in the same order
+    # every (I, J), unequal sizes and the empty minor included, term for
+    # term and in the same order
     checked = 0
-    for size in range(n + 1):
-        for I, J in itertools.product(itertools.combinations(range(1, n + 1), size), repeat=2):
-            assert _minor_terms(_mask(I), _mask(J), n) == minor_terms_by_tuples(I, J, n)
-            checked += 1
-    assert checked == math.comb(2 * n, n)
+    for I, J in itertools.product(_index_sets(n), repeat=2):
+        assert _minor_terms(_mask(I), _mask(J), n) == minor_terms_by_tuples(I, J, n)
+        checked += 1
+    assert checked == 4**n
+
+
+@pytest.mark.parametrize("n", [7, 8, 10, 12])
+def test_minor_terms_equal_the_tuple_keyed_ones_on_seeded_pairs(n):
+    # up to 7 x 7 minors of wider matrices; the three-row example has n = 12
+    rng = random.Random(n)
+    for _ in range(60):
+        size = rng.randint(0, 7)
+        I = tuple(sorted(rng.sample(range(1, n + 1), size)))
+        J = tuple(sorted(rng.sample(range(1, n + 1), size)))
+        assert _minor_terms(_mask(I), _mask(J), n) == minor_terms_by_tuples(I, J, n)
+
+
+def test_minor_terms_built_from_a_cold_cache_in_any_order():
+    # each table is built from cached sub-tables; asked for in a shuffled
+    # order from an empty cache, a sub-table keyed with the wrong n or mask
+    # would surface in a later table
+    pairs = [(I, J, n) for n in range(6) for I, J in itertools.product(_index_sets(n), repeat=2)]
+    random.Random(2024).shuffle(pairs)
+    _minor_terms.cache_clear()
+    for I, J, n in pairs:
+        assert _minor_terms(_mask(I), _mask(J), n) == minor_terms_by_tuples(I, J, n)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])

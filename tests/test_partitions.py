@@ -83,6 +83,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             OrderedSetPartition(2, blocks)
 
+    @pytest.mark.parametrize(
+        "n, blocks",
+        [(2.0, ((1,), (2,))), (True, ((1,),)), ("2", ((1,), (2,))), (None, ())],
+        ids=["float-n", "bool-n", "str-n", "none-n"],
+    )
+    def test_rejects_n_that_is_not_an_int(self, n, blocks):
+        # a float or bool n would equal and hash like its int twin
+        with pytest.raises(ValueError):
+            OrderedSetPartition(n, blocks)
+
     def test_block_of(self):
         p = parse_partition("2 3|1 4")
         assert p.block_of(1) == 2
@@ -277,6 +287,14 @@ class TestContext:
         p = parse_partition("1 2|3")
         ctx = FlamingoContext.from_partition(p, 2)
         assert not ctx.admissible
+
+    @pytest.mark.parametrize("r", [1.0, True, 2.0, "1", 0, -1], ids=repr)
+    def test_depth_must_be_a_positive_int(self, r):
+        p = parse_partition("1 2|3 4")
+        with pytest.raises(ValueError):
+            FlamingoContext.from_partition(p, r)
+        with pytest.raises(ValueError):
+            FlamingoContext.from_admissible(p, r)
 
     @given(partitions_strategy())
     def test_nu_consistency(self, p):
