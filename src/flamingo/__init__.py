@@ -9,7 +9,6 @@ All arithmetic is exact integer arithmetic.
 
 from .invariants import jellyfish_invariant, verify_block_reorder, verify_equivariance
 from .partitions import (
-    FlamingoContext,
     OrderedSetPartition,
     enumerate_noncrossing,
     enumerate_ordered_partitions,
@@ -34,7 +33,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ColumnCollision",
     "Extensor",
-    "FlamingoContext",
     "JellyfishTableau",
     "MatrixPolynomial",
     "OrderedSetPartition",

@@ -24,10 +24,11 @@ from .diagrams import build_tensor_diagram, export
 from .grassmann import predicted_global_sign, resolved_global_sign
 from .invariants import jellyfish_invariant
 from .partitions import (
-    FlamingoContext,
     OrderedSetPartition,
     enumerate_noncrossing,
     parse_partition,
+    require_admissible,
+    require_depth,
     rotation_orbit,
 )
 from .relations import conjecture_family, recurrence_left, recurrence_terms, verify_recurrence
@@ -54,7 +55,7 @@ def _usage(make: Callable[..., T], *args) -> T:
 def _filled(text: str, r: int) -> OrderedSetPartition:
     """The partition, when every block fills the r top rows of a tableau."""
     partition = _usage(parse_partition, text)
-    _usage(FlamingoContext.from_admissible, partition, r)
+    _usage(require_admissible, partition, r)
     return partition
 
 
@@ -80,7 +81,7 @@ def _rank(family: Sequence[OrderedSetPartition], r: int) -> int:
 
 def cmd_invariant(args) -> int:
     partition = _usage(parse_partition, args.partition)
-    _usage(FlamingoContext.from_partition, partition, args.r)
+    _usage(require_depth, args.r)
     poly = jellyfish_invariant(partition, args.r)
     if args.pretty:
         print(poly)

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .partitions import FlamingoContext, OrderedSetPartition
+from .partitions import OrderedSetPartition, require_admissible
 
 Vertex = int | str
 Edge = tuple[Vertex, Vertex, int]
@@ -41,9 +41,9 @@ def build_tensor_diagram(partition: OrderedSetPartition, r: int) -> TensorDiagra
     """The diagram whose white vertex w_i fans out to the tail range and to
     block i shifted by n, with u_i collecting the tentacle range and b_i
     balancing the weights so every interior sum is n."""
-    ctx = FlamingoContext.from_admissible(partition, r)
-    n, d, nu = partition.n, partition.d, ctx.nu
-    tail, tentacles = ctx.tail_rows, ctx.tentacle_rows
+    nu = require_admissible(partition, r)
+    n, d = partition.n, partition.d
+    tail, tentacles = range(nu + 1, n + 1), range(r + 1, nu + 1)
     ws = [f"w{i}" for i in range(1, d + 1)]
     us = [f"u{i}" for i in range(1, d)]
     bs = [f"b{i}" for i in range(1, d)]
@@ -53,14 +53,14 @@ def build_tensor_diagram(partition: OrderedSetPartition, r: int) -> TensorDiagra
             edges.append((w, e, 1))
         for x in block:
             edges.append((w, x + n, 1))
-    for u, b, w, block, count in zip(us, bs, ws, partition.blocks, ctx.tentacle_counts):
+    for u, b, w, block in zip(us, bs, ws, partition.blocks):
         for s in tentacles:
             edges.append((u, s, 1))
         if nu - len(block):
             edges.append((b, w, nu - len(block)))
         edges.append((b, u, r * d))
-        if count:
-            edges.append((b, ws[-1], count))
+        if len(block) > r:
+            edges.append((b, ws[-1], len(block) - r))
     return TensorDiagram(n, (*ws, *us), tuple(bs), tuple(edges))
 
 

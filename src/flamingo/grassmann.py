@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .invariants import jellyfish_invariant
-from .partitions import FlamingoContext, OrderedSetPartition, require_admissible, word_inversions
+from .partitions import OrderedSetPartition, require_admissible, word_inversions
 from .polynomials import (
     ColumnCollision,
     MatrixPolynomial,
@@ -286,9 +286,8 @@ def gc_jellyfish(partition: OrderedSetPartition, r: int, caps: dict | None = Non
     E and a block B.  A sweep passes one table for all its partitions, so
     each distinct piece is built once; pieces are shared and never changed.
     Without it the pieces go into a fresh table."""
-    require_admissible(partition, r)
+    nu = require_admissible(partition, r)
     n = partition.n
-    nu = n - (partition.d - 1) * r
     if caps is None:
         caps = {}
     tentacles = (1 << nu) - (1 << r)  # rows r + 1 .. nu
@@ -359,12 +358,9 @@ def predicted_global_sign(partition: OrderedSetPartition, r: int) -> int:
     expansion to the tableau sum: built from the top-justified tableau's
     reading word and the tentacle counts.  Reported by experiment scripts,
     never asserted."""
-    ctx = FlamingoContext.from_admissible(partition, r)
+    nu = require_admissible(partition, r)
     word = top_justified_tableau(partition, r).reading_word()
-    cross = sum(
-        ctx.tentacle_counts[i] * (ctx.nu - len(partition.blocks[i]))
-        for i in range(ctx.d)
-    )
+    cross = sum((len(block) - r) * (nu - len(block)) for block in partition.blocks)
     if cross % 2:
         raise ArithmeticError(f"cross-term exponent {cross} must be even")
     exponent = word_inversions(word) + cross // 2

@@ -37,10 +37,12 @@ from functools import lru_cache
 from typing import Sequence
 
 from .partitions import (
-    FlamingoContext,
+    BlockTooSmall,
     OrderedSetPartition,
     perm_sign,
     permute_blocks,
+    require_admissible,
+    require_depth,
     word_inversions,
 )
 from .polynomials import (
@@ -56,22 +58,23 @@ from .polynomials import (
 
 @lru_cache(maxsize=16384)
 def _invariant_cached(partition: OrderedSetPartition, r: int) -> MatrixPolynomial:
-    ctx = FlamingoContext.from_partition(partition, r)
-    if not ctx.admissible:
+    try:
+        nu = require_admissible(partition, r)
+    except BlockTooSmall:
         return MatrixPolynomial.zero(partition.n, k=0)
     blocks = partition.blocks
     n = partition.n
-    last = ctx.d - 1
+    last = len(blocks) - 1
     top = (1 << r) - 1  # rows 1..r
     cols = [_mask(block) for block in blocks]
-    deep_rows = [1 << a for a in range(r, ctx.nu)]  # rows r + 1 .. nu, one bit each
+    deep_rows = [1 << a for a in range(r, nu)]  # rows r + 1 .. nu, one bit each
     # rows 1..r of the reading word; the deep rows follow, one entry each
     head_word = [block[t] for t in range(r) for block in blocks]
     entry: dict[int, int] = {}  # deep row's bit -> its entry along the current path
     acc: dict = {}
 
     def walk(i: int, remaining: list[int], partial: list) -> None:
-        for chosen in itertools.combinations(remaining, ctx.tentacle_counts[i]):
+        for chosen in itertools.combinations(remaining, len(blocks[i]) - r):
             for bit, element in zip(chosen, blocks[i][r:]):
                 entry[bit] = element
             rows = top | sum(chosen)
@@ -84,15 +87,14 @@ def _invariant_cached(partition: OrderedSetPartition, r: int) -> MatrixPolynomia
                 add_minor_product(acc, partial, rows, cols[i], n, sign)
 
     walk(0, deep_rows, [(0, 1)])
-    return MatrixPolynomial._trusted(n, acc, ctx.nu)
+    return MatrixPolynomial._trusted(n, acc, nu)
 
 
 def jellyfish_invariant(partition: OrderedSetPartition, r: int) -> MatrixPolynomial:
     """[pi]_r as an exact polynomial, for an int r >= 1; zero when some
-    block has size < r.  A depth that is not an int, a bool included, is
-    rejected before the cache lookup, where it would hash like its int."""
-    if type(r) is not int:
-        raise ValueError(f"r must be an int, got {r!r}")
+    block has size < r.  The depth is checked before the cache lookup,
+    where a float or a bool would hash like its int."""
+    require_depth(r)
     return _invariant_cached(partition, r)
 
 

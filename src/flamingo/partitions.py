@@ -14,6 +14,9 @@ Conventions used throughout the package:
   blocks whose union is ``[n]``; the block order matters.  The text form
   separates blocks with ``|`` and elements with spaces, for example
   ``"2 3 6 10|5 7 8 9|1 4"``.
+* A depth r is an int >= 1, checked by :func:`require_depth`.  The
+  tableau row layout at depth r is stated once, by
+  :func:`require_admissible`, which returns the tableau height nu.
 """
 
 from __future__ import annotations
@@ -363,60 +366,27 @@ def transposition_distance_to_noncrossing(partition: OrderedSetPartition, k: int
 
 
 # ---------------------------------------------------------------------------
-# The size bookkeeping shared by tableaux, invariants, and diagrams.
+# The depth rule and the row layout shared by tableaux, invariants, grassmann
+# and diagrams.
 
 
-def require_admissible(partition: OrderedSetPartition, r: int) -> None:
-    """Raise ValueError unless r is an int >= 1, a bool excluded, and
-    BlockTooSmall unless every block holds at least r elements."""
+def require_depth(r: int) -> None:
+    """Raise ValueError unless the depth r is an int >= 1, a bool excluded."""
     if type(r) is not int or r < 1:
         raise ValueError(f"r must be an int of at least 1, got {r!r}")
+
+
+def require_admissible(partition: OrderedSetPartition, r: int) -> int:
+    """The height nu = n - (d - 1) * r of the tableaux of the partition at
+    depth r.  Raises ValueError for a depth that ``require_depth`` rejects,
+    and BlockTooSmall unless every block holds at least r elements.
+
+    Rows 1 .. r are full, one entry per block.  Rows r + 1 .. nu are the
+    tentacle rows, one entry each: block i feeds |pi_i| - r of them, so
+    nu = r + sum(|pi_i| - r).  Rows nu + 1 .. n are the tail rows that the
+    cap-and-wedge and the tensor diagrams use."""
+    require_depth(r)
     smallest = min(map(len, partition.blocks), default=r)
     if smallest < r:
         raise BlockTooSmall(f"every block needs at least r = {r} elements, the smallest has {smallest}")
-
-
-@dataclass(frozen=True)
-class FlamingoContext:
-    """Derived sizes for a partition considered at tentacle depth r.
-
-    For blocks of sizes ``s_1, ..., s_d`` the tentacle counts are
-    ``nu_i = s_i - r`` and the total height is ``nu = n - (d - 1) * r``,
-    which equals ``r + sum(nu_i)``.  Rows r + 1 .. nu are the tentacle
-    rows; nu + 1 .. n is the trailing range used by the Grassmann and
-    diagram constructions.
-    """
-
-    n: int
-    d: int
-    r: int
-    tentacle_counts: tuple[int, ...]
-
-    @classmethod
-    def from_partition(cls, partition: OrderedSetPartition, r: int) -> "FlamingoContext":
-        if type(r) is not int or r < 1:
-            raise ValueError(f"r must be an int of at least 1, got {r!r}")
-        counts = tuple(len(b) - r for b in partition.blocks)
-        return cls(partition.n, partition.d, r, counts)
-
-    @classmethod
-    def from_admissible(cls, partition: OrderedSetPartition, r: int) -> "FlamingoContext":
-        """The context, when every block holds at least r elements."""
-        require_admissible(partition, r)
-        return cls.from_partition(partition, r)
-
-    @property
-    def nu(self) -> int:
-        return self.n - (self.d - 1) * self.r
-
-    @property
-    def admissible(self) -> bool:
-        return all(c >= 0 for c in self.tentacle_counts)
-
-    @property
-    def tentacle_rows(self) -> tuple[int, ...]:
-        return tuple(range(self.r + 1, self.nu + 1))
-
-    @property
-    def tail_rows(self) -> tuple[int, ...]:
-        return tuple(range(self.nu + 1, self.n + 1))
+    return partition.n - (partition.d - 1) * r

@@ -172,10 +172,6 @@ class MatrixPolynomial:
         return cls(n, {}, k)
 
     @classmethod
-    def one(cls, n: int, k: int = 0) -> "MatrixPolynomial":
-        return cls(n, {(0,) * n: 1}, k)
-
-    @classmethod
     def variable(cls, row: int, col: int, n: int) -> "MatrixPolynomial":
         if not 1 <= col <= n or not 1 <= row <= n:
             raise ValueError("variable indices out of range")

@@ -51,7 +51,8 @@ def syt_count(lam: Sequence[int]) -> int:
 
 @dataclass(frozen=True)
 class SpechtShape:
-    """The shape (d^r, 1^(n-rd)) together with its conjugate."""
+    """The shape lam = (d^r, 1^(n-rd)) for ints n, d, r, a bool excluded;
+    nu is the first part of its conjugate (nu, r^(d-1))."""
 
     n: int
     d: int
@@ -59,16 +60,14 @@ class SpechtShape:
 
     def __post_init__(self) -> None:
         n, d, r = self.n, self.d, self.r
+        if any(type(x) is not int for x in (n, d, r)):
+            raise ValueError(f"n, d and r must be ints, got n = {n!r}, d = {d!r}, r = {r!r}")
         if r < 1 or d < 1 or n < r * d:
             raise ValueError(f"need r, d >= 1 and n >= r*d, got n = {n}, d = {d}, r = {r}, r*d = {r * d}")
 
     @property
     def lam(self) -> tuple[int, ...]:
         return (self.d,) * self.r + (1,) * (self.n - self.r * self.d)
-
-    @property
-    def mu(self) -> tuple[int, ...]:
-        return (self.nu,) + (self.r,) * (self.d - 1)
 
     @property
     def nu(self) -> int:

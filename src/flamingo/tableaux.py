@@ -1,11 +1,14 @@
 """Jellyfish tableaux: enumeration, reading words, signs, and minor products.
 
 A tableau for an ordered set partition pi = (pi_1 | ... | pi_d) at depth r
-has d columns and nu rows.  Rows 1..r are fully filled, every deeper row
-holds exactly one entry, and column j contains exactly the elements of
-pi_j, increasing downward.  Such a tableau is determined by which column
-each row in [r + 1, nu] feeds, so that assignment is the whole stored
-state; entries are always derived by sorting the blocks into their rows.
+has d columns and nu rows, in the layout that
+``partitions.require_admissible`` states and whose height it returns.
+Rows 1..r are fully filled, every deeper row holds exactly one entry, and
+column j contains exactly the elements of pi_j, increasing downward, so it
+is fed by |pi_j| - r of the rows r + 1 .. nu.  Such a tableau is
+determined by which column each of those rows feeds, so that assignment is
+the whole stored state; entries are always derived by sorting the blocks
+into their rows.
 
 The reading word is read straight from the assignment, without a grid:
 row t <= r gives ``block[t - 1]`` of every block in order, and each deep
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from .partitions import FlamingoContext, OrderedSetPartition, permute_blocks, word_inversions
+from .partitions import OrderedSetPartition, permute_blocks, require_admissible, word_inversions
 from .polynomials import MatrixPolynomial, _mask, extend_minor_product
 
 
@@ -32,11 +35,10 @@ class JellyfishTableau:
     """assignment[t] is the 1-based column fed by row r + 1 + t."""
 
     def __post_init__(self) -> None:
-        ctx = self.context
-        if len(self.assignment) != ctx.nu - self.r:
+        if len(self.assignment) != self.nu - self.r:
             raise ValueError("assignment must cover rows r+1 .. nu")
-        for i in range(1, ctx.d + 1):
-            if self.assignment.count(i) != ctx.tentacle_counts[i - 1]:
+        for i, block in enumerate(self.partition.blocks, start=1):
+            if self.assignment.count(i) != len(block) - self.r:
                 raise ValueError(f"column {i} must receive exactly |pi_{i}| - r deep rows")
 
     @classmethod
@@ -53,8 +55,9 @@ class JellyfishTableau:
         return self
 
     @cached_property
-    def context(self) -> FlamingoContext:
-        return FlamingoContext.from_admissible(self.partition, self.r)
+    def nu(self) -> int:
+        """The number of rows."""
+        return require_admissible(self.partition, self.r)
 
     def column_rows(self, i: int) -> tuple[int, ...]:
         """Sorted row indices occupied by column i (1-based)."""
@@ -65,8 +68,7 @@ class JellyfishTableau:
 
     def grid(self) -> list[list[int | None]]:
         """nu rows by d columns; None marks an empty cell."""
-        ctx = self.context
-        cells: list[list[int | None]] = [[None] * ctx.d for _ in range(ctx.nu)]
+        cells: list[list[int | None]] = [[None] * self.partition.d for _ in range(self.nu)]
         for i, block in enumerate(self.partition.blocks, start=1):
             for row, element in zip(self.column_rows(i), block):
                 cells[row - 1][i - 1] = element
@@ -101,7 +103,7 @@ class JellyfishTableau:
         partial = [(0, 1)]
         for i, block in enumerate(self.partition.blocks, start=1):
             partial = extend_minor_product(partial, _mask(self.column_rows(i)), _mask(block), n)
-        return MatrixPolynomial._trusted(n, dict(partial), self.context.nu)
+        return MatrixPolynomial._trusted(n, dict(partial), self.nu)
 
     def permute_columns(self, sigma: Sequence[int]) -> "JellyfishTableau":
         """The tableau for the block-reordered partition in which each
@@ -124,10 +126,9 @@ class JellyfishTableau:
 
 def tableau_count(partition: OrderedSetPartition, r: int) -> int:
     """|J_r(pi)| = (nu - r)! / prod((|pi_i| - r)!)."""
-    ctx = FlamingoContext.from_admissible(partition, r)
-    total = math.factorial(ctx.nu - r)
-    for c in ctx.tentacle_counts:
-        total //= math.factorial(c)
+    total = math.factorial(require_admissible(partition, r) - r)
+    for block in partition.blocks:
+        total //= math.factorial(len(block) - r)
     return total
 
 
@@ -135,19 +136,19 @@ def iter_tableaux(partition: OrderedSetPartition, r: int) -> Iterator[JellyfishT
     """All tableaux, choosing the deep rows of column 1 first, then column 2
     from what remains, and so on; each choice runs in ascending combination
     order."""
-    ctx = FlamingoContext.from_admissible(partition, r)
-    deep_rows = list(ctx.tentacle_rows)
+    deep_rows = list(range(r + 1, require_admissible(partition, r) + 1))
+    blocks = partition.blocks
     assignment: dict[int, int] = {}
 
     def rec(i: int, remaining: list[int]) -> Iterator[JellyfishTableau]:
-        if i > ctx.d:
+        if i > len(blocks):
             yield JellyfishTableau(
                 partition,
                 r,
                 tuple(assignment[row] for row in deep_rows),
             )
             return
-        for chosen in itertools.combinations(remaining, ctx.tentacle_counts[i - 1]):
+        for chosen in itertools.combinations(remaining, len(blocks[i - 1]) - r):
             for row in chosen:
                 assignment[row] = i
             rest = [row for row in remaining if row not in chosen]
@@ -164,11 +165,11 @@ def enumerate_tableaux(partition: OrderedSetPartition, r: int) -> list[Jellyfish
 
 def top_justified_tableau(partition: OrderedSetPartition, r: int) -> JellyfishTableau:
     """The tableau filling deep rows greedily: column 1 takes the first
-    nu_1 rows below r, column 2 the next nu_2, and so on."""
-    ctx = FlamingoContext.from_admissible(partition, r)
+    |pi_1| - r rows below r, column 2 the next |pi_2| - r, and so on."""
+    require_admissible(partition, r)
     assignment = []
-    for i, count in enumerate(ctx.tentacle_counts, start=1):
-        assignment.extend([i] * count)
+    for i, block in enumerate(partition.blocks, start=1):
+        assignment.extend([i] * (len(block) - r))
     return JellyfishTableau(partition, r, tuple(assignment))
 
 

@@ -19,7 +19,6 @@ from typing import Iterable, Mapping, Sequence
 from flamingo import invariants
 from flamingo.diagrams import Edge, TensorDiagram, Vertex
 from flamingo.partitions import (
-    FlamingoContext,
     OrderedSetPartition,
     act_elements,
     enumerate_ordered_partitions,
@@ -141,7 +140,7 @@ def pairwise_product(p: MatrixPolynomial, q: MatrixPolynomial) -> MatrixPolynomi
 def product_of_minors(n: int, minors, k: int = 0) -> MatrixPolynomial:
     """The product of the minors on the given (rows, cols) pairs, taken
     pair by pair from the constant 1 with declared row count k."""
-    product = MatrixPolynomial.one(n, k)
+    product = MatrixPolynomial(n, {(0,) * n: 1}, k)
     for rows, cols in minors:
         product = pairwise_product(product, minor_by_tuples(tuple(rows), tuple(cols), n))
     return product
@@ -149,9 +148,10 @@ def product_of_minors(n: int, minors, k: int = 0) -> MatrixPolynomial:
 
 def tableau_minor_product(tableau: JellyfishTableau) -> MatrixPolynomial:
     """``JellyfishTableau.minor_product`` as it was: the column minors
-    multiplied pair by pair, with k = nu."""
-    columns = [(tableau.column_rows(i), block) for i, block in enumerate(tableau.partition.blocks, start=1)]
-    return product_of_minors(tableau.partition.n, columns, tableau.context.nu)
+    multiplied pair by pair, with k = nu = n - (d - 1) * r."""
+    partition, r = tableau.partition, tableau.r
+    columns = [(tableau.column_rows(i), block) for i, block in enumerate(partition.blocks, start=1)]
+    return product_of_minors(partition.n, columns, partition.n - (partition.d - 1) * r)
 
 
 def signed_minor_expansion(partition: OrderedSetPartition, terms) -> MatrixPolynomial:
@@ -276,8 +276,8 @@ def arrangement_sign_by_pairs(tableau, orders) -> int:
     """The sign of a tableau with rearranged columns, from a grid labelled
     by column and a scan over every pair of the reading word that lies in
     two distinct columns."""
-    ctx = tableau.context
-    labeled = [[None] * ctx.d for _ in range(ctx.nu)]
+    n, d = tableau.partition.n, tableau.partition.d
+    labeled = [[None] * d for _ in range(n - (d - 1) * tableau.r)]
     for i, order in enumerate(orders, start=1):
         for row, element in zip(tableau.column_rows(i), order):
             labeled[row - 1][i - 1] = (element, i)
@@ -540,18 +540,20 @@ def evaluate_poly(poly, matrix) -> int:
 
 # The diagram builder, validator and degree count as they were before the
 # builder named each vertex once per diagram and the validator coloured
-# endpoints from one dict, kept verbatim as references for the
-# differential tests.
+# endpoints from one dict, kept as references for the differential tests.
+# The builder works out its tentacle rows r + 1 .. nu and tail rows
+# nu + 1 .. n from n, d and r, with nu = n - (d - 1) * r, and imports no
+# layout code from the package.
 
 
 def build_tensor_diagram(partition: OrderedSetPartition, r: int) -> TensorDiagram:
     """The diagram whose white vertex w_i fans out to the tail range and to
     block i shifted by n, with u_i collecting the tentacle range and b_i
     balancing the weights so every interior sum is n."""
-    ctx = FlamingoContext.from_admissible(partition, r)
     n, d = partition.n, partition.d
-    S = ctx.tentacle_rows
-    E = ctx.tail_rows
+    nu = n - (d - 1) * r
+    S = tuple(range(r + 1, nu + 1))
+    E = tuple(range(nu + 1, n + 1))
     whites = tuple(f"w{i}" for i in range(1, d + 1)) + tuple(
         f"u{i}" for i in range(1, d)
     )
@@ -565,12 +567,13 @@ def build_tensor_diagram(partition: OrderedSetPartition, r: int) -> TensorDiagra
     for i in range(1, d):
         for s in S:
             edges.append((f"u{i}", s, 1))
-        to_w = ctx.nu - len(partition.blocks[i - 1])
+        to_w = nu - len(partition.blocks[i - 1])
         if to_w:
             edges.append((f"b{i}", f"w{i}", to_w))
         edges.append((f"b{i}", f"u{i}", r * d))
-        if ctx.tentacle_counts[i - 1]:
-            edges.append((f"b{i}", f"w{d}", ctx.tentacle_counts[i - 1]))
+        tentacles = len(partition.blocks[i - 1]) - r
+        if tentacles:
+            edges.append((f"b{i}", f"w{d}", tentacles))
     return TensorDiagram(n, whites, blacks, tuple(edges))
 
 
@@ -626,9 +629,11 @@ def boundary_degrees(diagram: TensorDiagram) -> dict[int, int]:
 
 # The exterior algebra, the Pluecker pull-back and the Specht spanning set
 # as they were on index tuples, before index sets became int masks and the
-# spanning products went through the minor-product kernel, kept verbatim
-# as references for the differential tests.  Keys here are tuples: an
-# Extensor term is (sorted indices, sorted tuple of sorted factors).
+# spanning products went through the minor-product kernel, kept as
+# references for the differential tests; ``gc_jellyfish`` works out its row
+# ranges from n, d and r as the diagram builder above does.  Keys here are
+# tuples: an Extensor term is (sorted indices, sorted tuple of sorted
+# factors).
 
 
 def translation_sign(rows: Sequence[int], n: int) -> int:
@@ -791,14 +796,14 @@ def gc_jellyfish(partition: OrderedSetPartition, r: int) -> PlueckerExpression:
     tentacle wedge onto each of the first d - 1 shifted blocks, wedge the
     results, then close with the last shifted block.  Terms are degree-d
     products of Pluecker coordinates."""
-    ctx = FlamingoContext.from_admissible(partition, r)
-    n = partition.n
-    S = ctx.tentacle_rows
-    E = ctx.tail_rows
+    n, d = partition.n, partition.d
+    nu = n - (d - 1) * r
+    S = tuple(range(r + 1, nu + 1))
+    E = tuple(range(nu + 1, n + 1))
     blocks_shifted = [tuple(x + n for x in block) for block in partition.blocks]
     v_S = Extensor.basis(S)
     result = Extensor.scalar_one()
-    for i in range(ctx.d - 1):
+    for i in range(d - 1):
         piece = cap(v_S, Extensor.basis(E + blocks_shifted[i]), n)
         result = result.wedge(piece)
     result = result.wedge(Extensor.basis(E + blocks_shifted[-1]))

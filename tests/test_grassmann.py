@@ -23,7 +23,7 @@ from flamingo.grassmann import (
     translation_sign,
 )
 from flamingo.invariants import jellyfish_invariant
-from flamingo.partitions import FlamingoContext, enumerate_ordered_partitions, parse_partition
+from flamingo.partitions import enumerate_ordered_partitions, parse_partition, require_admissible
 from flamingo.specht import SpechtShape, spanning_set
 from flamingo.verification import partitions_up_to
 
@@ -248,10 +248,10 @@ class TestGrassmannCayley:
 
     @pytest.mark.parametrize("text, r", [("1 2|3", 2), ("1 2 3|4 5", 3), ("1 2|3 4", 0), ("1 2|3 4", -1)])
     def test_gc_rejects_what_the_context_rejects(self, text, r):
-        # the same exception type and message as FlamingoContext.from_admissible
+        # the same exception type and message as partitions.require_admissible
         p = parse_partition(text)
         with pytest.raises(ValueError) as expected:
-            FlamingoContext.from_admissible(p, r)
+            require_admissible(p, r)
         with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
             gc_jellyfish(p, r)
 
@@ -294,9 +294,10 @@ class TestCapTable:
         inputs = set()
         for r in verification.DEPTHS:
             for p in partitions_up_to(6, r):
-                ctx = FlamingoContext.from_admissible(p, r)
+                nu = p.n - (p.d - 1) * r
+                tentacles, tail = tuple(range(r + 1, nu + 1)), tuple(range(nu + 1, p.n + 1))
                 for block in p.blocks[:-1]:
-                    inputs.add((p.n, ctx.tentacle_rows, ctx.tail_rows + tuple(x + p.n for x in block)))
+                    inputs.add((p.n, tentacles, tail + tuple(x + p.n for x in block)))
         assert len(inputs) == 411
         assert len(sweep[0]) == len(inputs)
         # and the running example caps its first d - 1 blocks twice: for its

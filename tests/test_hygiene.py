@@ -115,8 +115,9 @@ def test_every_cache_is_one_the_benchmark_clears():
     assert sorted(found) == CLEARED_CACHES
 
 
-# Public module-level names that nothing in the package, the scripts or the
-# benchmark refers to, each kept for the reason given; the tests state each.
+# Public names, module-level or methods and properties of the package's
+# classes, that nothing in the package, the scripts or the benchmark refers
+# to, each kept for the reason given; the tests state each.
 KEPT_WITHOUT_CALLER = {
     "invariants.verify_block_reorder": "the block-reorder law [pi]_r = sgn(sigma)^r [sigma(pi)]_r",
     "invariants.verify_equivariance": "the column law w . [pi]_r = sgn(w) [w . pi]_r for one w",
@@ -124,6 +125,9 @@ KEPT_WITHOUT_CALLER = {
     "diagrams.unclasping_is_forest": "the unclasped tensor diagram is a forest",
     "diagrams.from_json": "the reader of the diagram JSON export",
     "polynomials.minor": "the validated single minor, the public entry to the kernel",
+    "polynomials.MatrixPolynomial.variable": "a single matrix entry x[row][col] as a polynomial",
+    "polynomials.MatrixPolynomial.substitute_columns": "the column action x[a][j] -> x[a][w(j)] on one polynomial",
+    "polynomials.MatrixPolynomial.from_json": "the reader of the invariant JSON export",
 }
 
 
@@ -137,21 +141,37 @@ def _references(node: ast.AST) -> Counter:
     )
 
 
+def _public_definitions(module: str, tree: ast.Module):
+    """(dotted name, node) for each public module-level function or class
+    of a module, and each public method or property of its classes."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, (*functions, ast.ClassDef)) and not node.name.startswith("_"):
+            yield f"{module}.{node.name}", node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, functions) and not member.name.startswith("_"):
+                    yield f"{module}.{node.name}.{member.name}", member
+
+
 def test_every_public_name_has_a_caller():
-    """Every public module-level function or class of the package is
-    referred to outside its own definition by the package, the scripts or
-    the benchmark, or is listed in KEPT_WITHOUT_CALLER; an entry there that
-    has gained a caller, or is gone, is stale."""
+    """Every public module-level function or class of the package, and
+    every public method or property of its classes, is referred to outside
+    its own definition by the package, the scripts or the benchmark, or is
+    listed in KEPT_WITHOUT_CALLER; an entry there that has gained a caller,
+    or is gone, is stale.
+
+    References are matched by name alone, so a method counts as called
+    when anything else of its name is: ``grassmann.Extensor.scale`` passes
+    on the benchmark's ``pace.scale`` whatever its own callers."""
     callers = SOURCES + sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in callers}
     everywhere = sum((_references(tree) for tree in trees.values()), Counter())
     uncalled = {
-        f"{path.stem}.{node.name}"
+        name
         for path in SOURCES
-        for node in trees[path].body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and everywhere[node.name] == _references(node)[node.name]
+        for name, node in _public_definitions(path.stem, trees[path])
+        if everywhere[node.name] == _references(node)[node.name]
     }
     assert sorted(uncalled - KEPT_WITHOUT_CALLER.keys()) == [], "public names without a caller"
     assert sorted(KEPT_WITHOUT_CALLER.keys() - uncalled) == [], "stale entries in KEPT_WITHOUT_CALLER"

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from flamingo import invariants
 from flamingo.diagrams import build_tensor_diagram
-from flamingo.grassmann import gc_jellyfish
+from flamingo.grassmann import gc_jellyfish, predicted_global_sign
 from flamingo.invariants import ColumnAction, jellyfish_invariant, verify_block_reorder, verify_equivariance
 from flamingo.partitions import (
     OrderedSetPartition,
@@ -20,7 +21,13 @@ from flamingo.partitions import (
     simple_transposition,
 )
 from flamingo.polynomials import MatrixPolynomial, _unpack
-from flamingo.tableaux import enumerate_tableaux, iter_tableaux, tableau_count
+from flamingo.tableaux import (
+    JellyfishTableau,
+    enumerate_tableaux,
+    iter_tableaux,
+    tableau_count,
+    top_justified_tableau,
+)
 
 from oracles import (
     apply_action,
@@ -49,7 +56,9 @@ SMALL_PARTITIONS = [
 class TestConstruction:
     def test_zero_when_a_block_is_small(self):
         p = parse_partition("1 2|3")
-        assert jellyfish_invariant(p, 2).is_zero
+        zero = jellyfish_invariant(p, 2)
+        assert zero.is_zero and zero.k == 0
+        assert jellyfish_invariant(p, 2) is zero
 
     def test_positive_depth_required(self):
         with pytest.raises(ValueError):
@@ -82,14 +91,33 @@ class TestConstruction:
         with pytest.raises(ValueError):
             jellyfish_invariant(EXAMPLE, r)
 
-    @pytest.mark.parametrize("r", [1.0, True], ids=["float", "bool"])
+    @pytest.mark.parametrize("r", [1.0, True, 0, -1], ids=["float", "bool", "zero", "negative"])
     @pytest.mark.parametrize(
         "build",
-        [lambda p, r: list(iter_tableaux(p, r)), tableau_count, gc_jellyfish, build_tensor_diagram],
-        ids=["tableaux", "tableau-count", "grassmann-cayley", "diagram"],
+        [
+            lambda p, r: list(iter_tableaux(p, r)),
+            tableau_count,
+            gc_jellyfish,
+            build_tensor_diagram,
+            jellyfish_invariant,
+            top_justified_tableau,
+            predicted_global_sign,
+            lambda p, r: JellyfishTableau(p, r, ()),
+        ],
+        ids=[
+            "tableaux",
+            "tableau-count",
+            "grassmann-cayley",
+            "diagram",
+            "invariant",
+            "top-justified-tableau",
+            "predicted-global-sign",
+            "tableau-constructor",
+        ],
     )
     def test_every_depth_entry_rejects_a_depth_that_is_not_an_int(self, build, r):
-        with pytest.raises(ValueError):
+        # one rule, one message, wherever a depth comes in
+        with pytest.raises(ValueError, match=f"^r must be an int of at least 1, got {re.escape(repr(r))}$"):
             build(EXAMPLE, r)
 
     @pytest.mark.parametrize("text", SMALL_PARTITIONS)

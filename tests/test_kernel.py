@@ -29,7 +29,7 @@ def factor_by_factor(expr):
     n = expr.n
     total = MatrixPolynomial.zero(n)
     for factors, c in expr.terms.items():
-        term = MatrixPolynomial.one(n) * c
+        term = MatrixPolynomial(n, {(0,) * n: c})
         for K in factors:
             sign, I, J = delta_to_minor(index_set(K), n)
             term = pairwise_product(term, minor_by_tuples(I, J, n) * sign)

@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import re
 
 import pytest
 from hypothesis import example, given
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from flamingo.partitions import (
     BlockTooSmall,
-    FlamingoContext,
     OrderedSetPartition,
     act_elements,
     enumerate_noncrossing,
@@ -21,6 +21,8 @@ from flamingo.partitions import (
     perm_inverse,
     perm_sign,
     permute_blocks,
+    require_admissible,
+    require_depth,
     rotate,
     simple_transposition,
     transposition_distance_to_noncrossing,
@@ -275,32 +277,31 @@ class TestGroupActions:
 
 
 class TestContext:
+    """``require_admissible``: the depth rule, the block-size rule and the
+    height nu of the tableau row layout."""
+
     def test_running_example_rows(self):
+        # blocks of 4, 4 and 2 at depth 2: rows 1..2 full, 3..6 tentacles, 7..10 tail
         p = parse_partition("2 3 6 10|5 7 8 9|1 4")
-        ctx = FlamingoContext.from_partition(p, 2)
-        assert ctx.nu == 6
-        assert ctx.tentacle_counts == (2, 2, 0)
-        assert ctx.tentacle_rows == (3, 4, 5, 6)
-        assert ctx.tail_rows == (7, 8, 9, 10)
+        assert require_admissible(p, 2) == 6
 
     def test_inadmissible_when_blocks_small(self):
         p = parse_partition("1 2|3")
-        ctx = FlamingoContext.from_partition(p, 2)
-        assert not ctx.admissible
+        with pytest.raises(BlockTooSmall, match="^every block needs at least r = 2 elements, the smallest has 1$"):
+            require_admissible(p, 2)
 
     @pytest.mark.parametrize("r", [1.0, True, 2.0, "1", 0, -1], ids=repr)
     def test_depth_must_be_a_positive_int(self, r):
         p = parse_partition("1 2|3 4")
-        with pytest.raises(ValueError):
-            FlamingoContext.from_partition(p, r)
-        with pytest.raises(ValueError):
-            FlamingoContext.from_admissible(p, r)
+        message = f"^r must be an int of at least 1, got {re.escape(repr(r))}$"
+        with pytest.raises(ValueError, match=message) as raised:
+            require_admissible(p, r)
+        assert type(raised.value) is ValueError
+        with pytest.raises(ValueError, match=message):
+            require_depth(r)
 
     @given(partitions_strategy())
     def test_nu_consistency(self, p):
         for r in (1, 2):
-            ctx = FlamingoContext.from_partition(p, r)
-            if ctx.admissible:
-                assert ctx.nu == r + sum(ctx.tentacle_counts)
-                assert len(ctx.tentacle_rows) == ctx.nu - r
-                assert len(ctx.tail_rows) == p.n - ctx.nu
+            if min(p.block_sizes()) >= r:
+                assert require_admissible(p, r) == r + sum(size - r for size in p.block_sizes())

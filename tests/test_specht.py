@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flamingo import specht
 from flamingo.invariants import jellyfish_invariant
 from flamingo.partitions import enumerate_noncrossing, enumerate_ordered_partitions, parse_partition
 from flamingo.polynomials import MatrixPolynomial, minor
@@ -36,12 +37,24 @@ class TestShapes:
     def test_shape_lambda_mu(self):
         shape = SpechtShape(10, 3, 2)
         assert shape.lam == (3, 3, 1, 1, 1, 1)
-        assert shape.mu == (6, 2, 2)
         assert shape.nu == 6
 
     def test_shape_requires_room(self):
         with pytest.raises(ValueError):
             SpechtShape(5, 2, 3)
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
+    @pytest.mark.parametrize(
+        "sizes", [(4.0, 2, 1), (4, True, 1), (4, 2, 1.0), (4, 2, True)], ids=["float-n", "bool-d", "float-r", "bool-r"]
+    )
+    def test_rejects_a_size_that_is_not_an_int(self, sizes, warm):
+        # 4.0 and True hash like 4 and 1, so the cached span of the int
+        # twin must not answer for them
+        specht._span_checker.cache_clear()
+        if warm:
+            spanning_rank(SpechtShape(*map(int, sizes)))
+        with pytest.raises(ValueError, match="^n, d and r must be ints, got "):
+            spanning_rank(SpechtShape(*sizes))
 
     @given(
         st.integers(min_value=1, max_value=3),
