@@ -7,7 +7,7 @@ the matching polynomial module, and draws the associated tensor diagrams.
 All arithmetic is exact integer arithmetic.
 """
 
-from .invariants import jellyfish_invariant, verify_block_reorder, verify_equivariance
+from .invariants import jellyfish_invariant, verify_block_reorder
 from .partitions import (
     OrderedSetPartition,
     enumerate_noncrossing,
@@ -61,7 +61,6 @@ __all__ = [
     "spanning_rank",
     "tableau_count",
     "verify_block_reorder",
-    "verify_equivariance",
     "verify_recurrence",
     "verify_three_term",
 ]

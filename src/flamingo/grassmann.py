@@ -182,11 +182,6 @@ class Extensor:
         add_into(terms, other.terms)
         return Extensor._trusted(terms)
 
-    def scale(self, c: int) -> "Extensor":
-        if not c:
-            return Extensor()
-        return Extensor._trusted({key: c * v for key, v in self.terms.items()})
-
     def wedge(self, other: "Extensor") -> "Extensor":
         terms: dict = {}
         for (idx1, fac1), c1 in self.terms.items():

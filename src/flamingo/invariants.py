@@ -26,8 +26,7 @@ map, sgn(w) and the image of each monomial met so far; it moves a
 partition through w without checking w again, and compares the two sides
 of the law term by term without building the moved polynomial.  A sweep
 builds one per generator and n and shares it across every partition of
-[n], so each distinct monomial is mapped once; ``verify_equivariance``
-builds a fresh one.
+[n], so each distinct monomial is mapped once.
 """
 
 from __future__ import annotations
@@ -142,12 +141,6 @@ class ColumnAction:
             if target.get(image) != sign * c:
                 return False
         return True
-
-
-def verify_equivariance(w: Sequence[int], partition: OrderedSetPartition, r: int) -> bool:
-    """Check w . [pi]_r == sgn(w) [w . pi]_r exactly, where w acts on a
-    polynomial by x[a,j] -> x[a,w(j)]."""
-    return ColumnAction(w, partition.n).holds_for(partition, r)
 
 
 def verify_block_reorder(sigma: Sequence[int], partition: OrderedSetPartition, r: int) -> bool:

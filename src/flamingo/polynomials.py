@@ -22,13 +22,13 @@ expansion, the permutations in lexicographic order.  ``phi_star`` raises
 :class:`ColumnCollision` when two of its factors share a column.
 
 The constructor and ``from_json_dict`` validate input from outside.  The
-ring operations, the kernel and ``substitute_columns`` combine operands
-that are already valid, so they adopt their results through
-``MatrixPolynomial._trusted``.  A column permutation acts through
-:func:`column_map`, built once per permutation and validated there, and
-:func:`map_monomial`.  :func:`add_into` is the one accumulate: it
-adds a signed multiple of a term dict into another in place, for any
-hashable keys, and every identity check is "the signed sum is empty".
+ring operations and the kernel combine operands that are already valid,
+so they adopt their results through ``MatrixPolynomial._trusted``.  A
+column permutation acts on packed monomials through :func:`column_map`,
+built once per permutation and validated there, and :func:`map_monomial`.
+:func:`add_into` is the one accumulate: it adds a signed multiple of a
+term dict into another in place, for any hashable keys, and every
+identity check is "the signed sum is empty".
 """
 
 from __future__ import annotations
@@ -171,12 +171,6 @@ class MatrixPolynomial:
     def zero(cls, n: int, k: int = 0) -> "MatrixPolynomial":
         return cls(n, {}, k)
 
-    @classmethod
-    def variable(cls, row: int, col: int, n: int) -> "MatrixPolynomial":
-        if not 1 <= col <= n or not 1 <= row <= n:
-            raise ValueError("variable indices out of range")
-        return cls._trusted(n, {1 << _bit(row, col, n): 1}, row)
-
     # -- ring structure -----------------------------------------------
 
     def __add__(self, other: "MatrixPolynomial") -> "MatrixPolynomial":
@@ -251,12 +245,6 @@ class MatrixPolynomial:
                     break
             total += value
         return total
-
-    def substitute_columns(self, w: Sequence[int]) -> "MatrixPolynomial":
-        """Replace each variable x[a][j] by x[a][w(j)], w a permutation of [n]."""
-        moved = column_map(w, self.n)
-        terms = {map_monomial(m, moved): c for m, c in self.terms.items()}
-        return MatrixPolynomial._trusted(self.n, terms, self.k)
 
     # -- presentation -------------------------------------------------
 

@@ -135,18 +135,16 @@ def tableau_count(partition: OrderedSetPartition, r: int) -> int:
 def iter_tableaux(partition: OrderedSetPartition, r: int) -> Iterator[JellyfishTableau]:
     """All tableaux, choosing the deep rows of column 1 first, then column 2
     from what remains, and so on; each choice runs in ascending combination
-    order."""
+    order.  The walk meets what the constructor checks (every block holds
+    at least r elements, and column i takes |pi_i| - r deep rows), so each
+    tableau is adopted through ``JellyfishTableau._trusted``."""
     deep_rows = list(range(r + 1, require_admissible(partition, r) + 1))
     blocks = partition.blocks
     assignment: dict[int, int] = {}
 
     def rec(i: int, remaining: list[int]) -> Iterator[JellyfishTableau]:
         if i > len(blocks):
-            yield JellyfishTableau(
-                partition,
-                r,
-                tuple(assignment[row] for row in deep_rows),
-            )
+            yield JellyfishTableau._trusted(partition, r, tuple(assignment[row] for row in deep_rows))
             return
         for chosen in itertools.combinations(remaining, len(blocks[i - 1]) - r):
             for row in chosen:

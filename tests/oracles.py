@@ -334,10 +334,20 @@ def tableaux_cli_output(partition: OrderedSetPartition, r: int) -> tuple[str, st
     return "\n".join(text) + "\n", doc + "\n"
 
 
-def substitute_columns_per_call(poly: MatrixPolynomial, w: Sequence[int]) -> dict[int, int]:
-    """The terms of ``poly.substitute_columns(w)`` as it was computed before
-    the column map was shared: the map rebuilt on every call for the rows
-    up to k, and every monomial mapped bit by bit."""
+def variable(row: int, col: int, n: int) -> MatrixPolynomial:
+    """The matrix entry x[row][col] as a polynomial over n columns, through
+    the checking constructor: the 1 x 1 minor ``minor((row,), (col,), n)``
+    without the kernel.  It was ``MatrixPolynomial.variable``."""
+    if not 1 <= col <= n or not 1 <= row <= n:
+        raise ValueError("variable indices out of range")
+    return MatrixPolynomial(n, {tuple(row if j == col else 0 for j in range(1, n + 1)): 1})
+
+
+def substitute_columns(poly: MatrixPolynomial, w: Sequence[int]) -> MatrixPolynomial:
+    """``poly`` with each x[a][j] replaced by x[a][w(j)], as the removed
+    ``MatrixPolynomial.substitute_columns`` gave it before the column map
+    was shared: the map rebuilt on every call for the rows up to k, and
+    every monomial mapped bit by bit."""
     n = poly.n
     if sorted(w) != list(range(1, n + 1)):
         raise ValueError("w must be a permutation of the columns")
@@ -359,15 +369,16 @@ def substitute_columns_per_call(poly: MatrixPolynomial, w: Sequence[int]) -> dic
             m ^= 1 << b
             image |= moved[b]
         terms[image] = c
-    return terms
+    return MatrixPolynomial._trusted(n, terms, poly.k)
 
 
 def equivariance_per_call(w: Sequence[int], partition: OrderedSetPartition, r: int) -> bool:
-    """``verify_equivariance`` as it was: a fresh substitution, then the
-    ``add_into`` signed sum with -sgn(w).  It reads ``jellyfish_invariant``
-    and ``perm_sign`` through ``flamingo.invariants``, so a monkeypatch
-    there reaches it too."""
-    acc = substitute_columns_per_call(invariants.jellyfish_invariant(partition, r), tuple(w))
+    """The column law w . [pi]_r == sgn(w) [w . pi]_r as the removed
+    ``invariants.verify_equivariance`` first checked it: a fresh
+    substitution, then the ``add_into`` signed sum with -sgn(w).  It reads
+    ``jellyfish_invariant`` and ``perm_sign`` through
+    ``flamingo.invariants``, so a monkeypatch there reaches it too."""
+    acc = substitute_columns(invariants.jellyfish_invariant(partition, r), tuple(w)).terms
     add_into(acc, invariants.jellyfish_invariant(act_elements(w, partition), r).terms, -invariants.perm_sign(w))
     return not acc
 
@@ -849,3 +860,34 @@ def spanning_set(shape: SpechtShape) -> list[MatrixPolynomial]:
             columns = [(range(1, len(cols) + 1), cols) for cols in partition.blocks]
             gens.append(product_of_minors(shape.n, columns))
     return gens
+
+
+def highest_weight(p: MatrixPolynomial, shape) -> bool:
+    """Whether p lies in the Specht module of the shape lam = (d^r,
+    1^(n - rd)), by Schur-Weyl duality instead of a spanning set; only n, d
+    and r are read from ``shape``, and nothing of ``flamingo.specht``.
+
+    GL_nu acts on the rows of the nu x n matrix, nu = n - (d - 1) r, and the
+    part of the ring that is multilinear in the columns is the sum of
+    V_lam (x) S^lam, so the module is the space of highest-weight vectors of
+    weight lam.  p is one when every monomial has row content lam (rows
+    1..r d times each, rows r + 1 .. nu once, no deeper row), and
+    E_{a,a+1} p = sum_j x[a][j] d/dx[a+1][j] p is 0 for a = 1 .. nu - 1:
+    on a multilinear monomial E_{a,a+1} moves one x[a+1][j] to row a."""
+    n, d, r = shape.n, shape.d, shape.r
+    nu = n - (d - 1) * r
+    # lam's rows, one per column: a monomial of content lam uses every column
+    content = sorted(list(range(1, r + 1)) * d + list(range(r + 1, nu + 1)))
+    terms = tuple_terms(p)
+    if any(sorted(m) != content for m in terms):
+        return False
+    for a in range(1, nu):
+        raised: dict[tuple[int, ...], int] = {}
+        for m, c in terms.items():
+            for j, row in enumerate(m):
+                if row == a + 1:
+                    image = m[:j] + (a,) + m[j + 1 :]
+                    raised[image] = raised.get(image, 0) + c
+        if any(raised.values()):
+            return False
+    return True

@@ -120,38 +120,59 @@ def test_every_cache_is_one_the_benchmark_clears():
 # to, each kept for the reason given; the tests state each.
 KEPT_WITHOUT_CALLER = {
     "invariants.verify_block_reorder": "the block-reorder law [pi]_r = sgn(sigma)^r [sigma(pi)]_r",
-    "invariants.verify_equivariance": "the column law w . [pi]_r = sgn(w) [w . pi]_r for one w",
     "relations.resolve_crossing_r1": "the two depth-1 crossing resolutions, each re-verified",
     "diagrams.unclasping_is_forest": "the unclasped tensor diagram is a forest",
     "diagrams.from_json": "the reader of the diagram JSON export",
     "polynomials.minor": "the validated single minor, the public entry to the kernel",
-    "polynomials.MatrixPolynomial.variable": "a single matrix entry x[row][col] as a polynomial",
-    "polynomials.MatrixPolynomial.substitute_columns": "the column action x[a][j] -> x[a][w(j)] on one polynomial",
     "polynomials.MatrixPolynomial.from_json": "the reader of the invariant JSON export",
 }
 
 
-def _references(node: ast.AST) -> Counter:
-    """How often each name appears under ``node`` as a Name, as the
-    attribute of an Attribute, or as an imported name."""
-    return Counter(
-        ref.id if isinstance(ref, ast.Name) else ref.attr if isinstance(ref, ast.Attribute) else ref.name
-        for ref in ast.walk(node)
-        if isinstance(ref, (ast.Name, ast.Attribute, ast.alias))
-    )
+def _foreign_modules(tree: ast.Module, in_package: bool) -> set[str]:
+    """The names a file binds by importing from outside ``flamingo``: an
+    attribute of one of them, such as the benchmark's ``pace.scale``, is
+    never a reference to a package name.  A relative import is the
+    package's own only inside the package."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            tops = [(alias.asname, alias.name.split(".")[0]) for alias in node.names]
+            found |= {asname or top for asname, top in tops if top != "flamingo"}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            package = in_package if node.level else (node.module or "").split(".")[0] == "flamingo"
+            if not package:
+                found |= {alias.asname or alias.name for alias in node.names}
+    return found
+
+
+def _references(node: ast.AST, foreign: set[str], member: bool) -> Counter:
+    """How often each name appears under ``node`` as the attribute of an
+    Attribute, and unless ``member`` also as a Name or an imported name.
+    An attribute of a module in ``foreign`` does not count."""
+    found = Counter()
+    for ref in ast.walk(node):
+        if isinstance(ref, ast.Attribute):
+            if not (isinstance(ref.value, ast.Name) and ref.value.id in foreign):
+                found[ref.attr] += 1
+        elif isinstance(ref, ast.Name) and not member:
+            found[ref.id] += 1
+        elif isinstance(ref, ast.alias) and not member:
+            found[ref.name] += 1
+    return found
 
 
 def _public_definitions(module: str, tree: ast.Module):
-    """(dotted name, node) for each public module-level function or class
-    of a module, and each public method or property of its classes."""
+    """(dotted name, node, is a member) for each public module-level
+    function or class of a module, and each public method or property of
+    its classes."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
         if isinstance(node, (*functions, ast.ClassDef)) and not node.name.startswith("_"):
-            yield f"{module}.{node.name}", node
+            yield f"{module}.{node.name}", node, False
         if isinstance(node, ast.ClassDef):
             for member in node.body:
                 if isinstance(member, functions) and not member.name.startswith("_"):
-                    yield f"{module}.{node.name}.{member.name}", member
+                    yield f"{module}.{node.name}.{member.name}", member, True
 
 
 def test_every_public_name_has_a_caller():
@@ -161,17 +182,23 @@ def test_every_public_name_has_a_caller():
     listed in KEPT_WITHOUT_CALLER; an entry there that has gained a caller,
     or is gone, is stale.
 
-    References are matched by name alone, so a method counts as called
-    when anything else of its name is: ``grassmann.Extensor.scale`` passes
-    on the benchmark's ``pace.scale`` whatever its own callers."""
+    A module-level name counts as referred to by a Name, an import or an
+    attribute of its name; a method or property only by an attribute
+    ``x.name``, so a local variable of its name is no caller.  An attribute
+    of a module imported from outside the package is no caller of either:
+    the benchmark's ``pace.scale`` does not call an ``Extensor.scale``."""
     callers = SOURCES + sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in callers}
-    everywhere = sum((_references(tree) for tree in trees.values()), Counter())
+    foreign = {path: _foreign_modules(tree, path in SOURCES) for path, tree in trees.items()}
+    everywhere = {
+        member: sum((_references(tree, foreign[path], member) for path, tree in trees.items()), Counter())
+        for member in (False, True)
+    }
     uncalled = {
         name
         for path in SOURCES
-        for name, node in _public_definitions(path.stem, trees[path])
-        if everywhere[node.name] == _references(node)[node.name]
+        for name, node, member in _public_definitions(path.stem, trees[path])
+        if everywhere[member][node.name] == _references(node, foreign[path], member)[node.name]
     }
     assert sorted(uncalled - KEPT_WITHOUT_CALLER.keys()) == [], "public names without a caller"
     assert sorted(KEPT_WITHOUT_CALLER.keys() - uncalled) == [], "stale entries in KEPT_WITHOUT_CALLER"

@@ -7,7 +7,7 @@ import itertools
 import pytest
 
 from flamingo import invariants, relations, verification
-from flamingo.invariants import ColumnAction, verify_block_reorder, verify_equivariance
+from flamingo.invariants import ColumnAction, verify_block_reorder
 from flamingo.partitions import (
     OrderedSetPartition,
     act_elements,
@@ -24,7 +24,7 @@ from flamingo.relations import resolve_crossing_r1, verify_recurrence, verify_th
 from flamingo.tableaux import JellyfishTableau
 from flamingo.verification import _abc_instances
 
-from oracles import crossing_resolutions, equivariance_per_call, sign_panel_by_lists, substitute_columns_per_call
+from oracles import crossing_resolutions, equivariance_per_call, sign_panel_by_lists, substitute_columns
 
 
 def _partitions(n_max, depths):
@@ -69,7 +69,7 @@ def generic_resolutions_hold(partition):
 
 
 def generic_equivariance(w, partition, r):
-    lhs = invariants.jellyfish_invariant(partition, r).substitute_columns(w)
+    lhs = substitute_columns(invariants.jellyfish_invariant(partition, r), w)
     rhs = invariants.jellyfish_invariant(act_elements(w, partition), r) * invariants.perm_sign(w)
     return lhs == rhs
 
@@ -145,7 +145,7 @@ class TestAgreesWithGenericSum:
 
     def test_every_equivariance_instance(self, broken):
         outcomes = [
-            (verify_equivariance(w, p, r), generic_equivariance(w, p, r))
+            (ColumnAction(w, p.n).holds_for(p, r), generic_equivariance(w, p, r))
             for p, r in _partitions(4, (1, 2, 3))
             for w in itertools.permutations(range(1, p.n + 1))
         ]
@@ -167,7 +167,7 @@ class TestAgreesWithGenericSum:
                 # every remembered image is the one a fresh substitution gives
                 labels = {m: i for i, m in enumerate(action.images, start=1)}
                 probe = MatrixPolynomial._trusted(n, labels, n)
-                assert substitute_columns_per_call(probe, action.w) == {
+                assert substitute_columns(probe, action.w).terms == {
                     action.images[m]: i for m, i in labels.items()
                 }
         assert len(outcomes) == 37780
@@ -220,10 +220,10 @@ class TestFlippedSignFails:
         p = parse_partition("1 3|2 4")
         w = (2, 1, 3, 4)
         assert invariants.jellyfish_invariant(p, 1) and invariants.perm_sign(w) == -1
-        assert verify_equivariance(w, p, 1)
+        assert ColumnAction(w, p.n).holds_for(p, 1)
         original = invariants.perm_sign
         monkeypatch.setattr(invariants, "perm_sign", lambda v: -original(v))
-        assert not verify_equivariance(w, p, 1)
+        assert not ColumnAction(w, p.n).holds_for(p, 1)
 
     @pytest.mark.parametrize(
         "flipped, r, n_max, detail",

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from flamingo import invariants
 from flamingo.diagrams import build_tensor_diagram
 from flamingo.grassmann import gc_jellyfish, predicted_global_sign
-from flamingo.invariants import ColumnAction, jellyfish_invariant, verify_block_reorder, verify_equivariance
+from flamingo.invariants import ColumnAction, jellyfish_invariant, verify_block_reorder
 from flamingo.partitions import (
     OrderedSetPartition,
     act_elements,
@@ -70,6 +71,19 @@ class TestConstruction:
         for t in enumerate_tableaux(p, 2):
             total = total + tableau_minor_product(t) * t.sign()
         assert jellyfish_invariant(p, 2) == total
+
+    def test_term_count_is_tableaux_times_block_factorials(self):
+        # a monomial fixes the row set of each block's columns, so no two
+        # tableaux share one and nothing cancels: each tableau gives the
+        # prod |pi_i|! terms of its minor product; a kernel that drops or
+        # merges terms breaks the count
+        pairs = 0
+        for r in range(1, 7):
+            for p in partitions_up_to(6, r):
+                per_tableau = math.prod(math.factorial(len(block)) for block in p.blocks)
+                assert len(jellyfish_invariant(p, r).terms) == tableau_count(p, r) * per_tableau
+                pairs += 1
+        assert pairs == 5517
 
     def test_example_depth_three_vanishes(self):
         # one block has only two elements, so depth 3 kills the whole sum
@@ -149,25 +163,26 @@ class TestEquivariance:
             if min(p.block_sizes()) < r:
                 continue
             for i in range(1, p.n):
-                assert verify_equivariance(simple_transposition(p.n, i), p, r)
+                assert ColumnAction(simple_transposition(p.n, i), p.n).holds_for(p, r)
 
     def test_rotation_and_reflection(self):
         p = parse_partition("1 2 5|3 4 6")
         for r in (1, 2):
-            assert verify_equivariance(long_cycle(p.n), p, r)
-            assert verify_equivariance(longest_permutation(p.n), p, r)
+            assert ColumnAction(long_cycle(p.n), p.n).holds_for(p, r)
+            assert ColumnAction(longest_permutation(p.n), p.n).holds_for(p, r)
 
     def test_action_composes(self):
         p = parse_partition("1 3|2 4")
         w = long_cycle(4)
-        poly = jellyfish_invariant(p, 1)
-        twice = poly.substitute_columns(w).substitute_columns(w)
-        assert twice == poly.substitute_columns(perm_compose(w, w))
+        terms = jellyfish_invariant(p, 1).terms
+        action = ColumnAction(w, 4)
+        twice = apply_action(action, apply_action(action, terms))
+        assert twice == apply_action(ColumnAction(perm_compose(w, w), 4), terms)
 
     @pytest.mark.parametrize("w", [(True, 2), (2.0, 1.0), (1, 1), (1, 2, 3), (2,)])
     def test_rejects_what_is_not_a_permutation_of_the_columns(self, w):
-        with pytest.raises(ValueError):
-            verify_equivariance(w, parse_partition("1|2"), 1)
+        with pytest.raises(ValueError, match="permutation of the columns"):
+            ColumnAction(w, 2)
 
     @given(st.data())
     def test_remembered_images_are_the_column_substitution(self, data):

@@ -5,17 +5,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flamingo.invariants import ColumnAction
 from flamingo.partitions import parse_partition
 from flamingo.polynomials import (
     ColumnCollision,
     MatrixPolynomial,
     add_into,
+    column_map,
     integer_determinant,
+    map_monomial,
     minor,
     variable_position,
 )
 
-from oracles import det_leibniz, evaluate_poly, monomial_key, pairwise_product, random_int_matrix, tuple_terms
+from oracles import (
+    det_leibniz,
+    evaluate_poly,
+    monomial_key,
+    pairwise_product,
+    random_int_matrix,
+    substitute_columns,
+    tuple_terms,
+    variable,
+)
 
 
 def packed(m):
@@ -148,9 +160,9 @@ class TestPackedMonomials:
                 "length",
                 id="json-wrong-length",
             ),
-            pytest.param(lambda: MatrixPolynomial.variable(3, 1, 2), "out of range", id="variable-row-above-n"),
-            pytest.param(lambda: MatrixPolynomial.variable(-1, 1, 2), "out of range", id="variable-negative-row"),
-            pytest.param(lambda: MatrixPolynomial.variable(1, 3, 2), "out of range", id="variable-column-above-n"),
+            pytest.param(lambda: minor((3,), (1,), 2), "row indices", id="variable-row-above-n"),
+            pytest.param(lambda: minor((-1,), (1,), 2), "row indices", id="variable-negative-row"),
+            pytest.param(lambda: minor((1,), (3,), 2), "column indices", id="variable-column-above-n"),
             pytest.param(lambda: minor((1, 3), (1, 2), 2), "row indices", id="minor-row-above-n"),
             pytest.param(lambda: minor((-1, 1), (1, 2), 2), "row indices", id="minor-negative-row"),
             pytest.param(lambda: minor((1.0,), (1,), 2), "must be ints", id="minor-float-row"),
@@ -192,13 +204,13 @@ class TestArithmetic:
             pairwise_product(q, p)
 
     def test_zero_factor_never_collides(self):
-        p = MatrixPolynomial.variable(1, 1, 2)
+        p = variable(1, 1, 2)
         assert pairwise_product(p, MatrixPolynomial.zero(2)).is_zero
         assert pairwise_product(MatrixPolynomial.zero(2), p).is_zero
 
     def test_product_collision_propagates(self):
-        p = MatrixPolynomial.variable(1, 1, 2)
-        q = MatrixPolynomial.variable(2, 1, 2)
+        p = variable(1, 1, 2)
+        q = variable(2, 1, 2)
         with pytest.raises(ColumnCollision):
             pairwise_product(p, q)
 
@@ -209,21 +221,21 @@ class TestArithmetic:
             pytest.param(lambda p: True * p, id="true-times"),
             pytest.param(lambda p: p * False, id="times-false"),
             pytest.param(lambda p: p * 2.0, id="times-float"),
-            pytest.param(lambda p: p * MatrixPolynomial.variable(2, 2, 2), id="times-polynomial"),
-            pytest.param(lambda p: MatrixPolynomial.variable(2, 2, 2) * p, id="polynomial-times"),
+            pytest.param(lambda p: p * variable(2, 2, 2), id="times-polynomial"),
+            pytest.param(lambda p: variable(2, 2, 2) * p, id="polynomial-times"),
         ],
     )
     def test_scales_only_by_an_int(self, multiply):
         with pytest.raises(TypeError):
-            multiply(MatrixPolynomial.variable(1, 1, 2))
+            multiply(variable(1, 1, 2))
 
     def test_addition_cancels(self):
-        p = MatrixPolynomial.variable(1, 1, 3)
+        p = variable(1, 1, 3)
         assert (p - p).is_zero
         assert not (p + p).is_zero
 
     def test_scalar_multiplication(self):
-        p = MatrixPolynomial.variable(2, 3, 3)
+        p = variable(2, 3, 3)
         assert 3 * p == MatrixPolynomial(3, {(0, 0, 2): 3})
         assert (p * 0).is_zero
 
@@ -266,6 +278,14 @@ class TestMinor:
 
     def test_empty_minor_is_one(self):
         assert minor((), (), 3) == MatrixPolynomial(3, {(0, 0, 0): 1})
+
+    def test_one_by_one_minor_is_the_matrix_entry(self):
+        for n in range(1, 6):
+            for row in range(1, n + 1):
+                for col in range(1, n + 1):
+                    entry = minor((row,), (col,), n)
+                    assert (entry, entry.k) == (variable(row, col, n), row)
+                    assert tuple_terms(entry) == {tuple(row if j == col else 0 for j in range(1, n + 1)): 1}
 
     def test_term_count_is_factorial(self):
         assert len(minor((1, 2, 3), (1, 2, 4), 4).terms) == 6
@@ -399,6 +419,10 @@ def _polys(n):
 
 
 class TestSubstituteColumns:
+    """x[a][j] -> x[a][w(j)] as the package does it, on packed monomials
+    through ``column_map`` and ``map_monomial``, which
+    ``invariants.ColumnAction`` holds per w."""
+
     @given(st.data())
     def test_moves_each_variable_to_its_image_column(self, data):
         # x[a][j] -> x[a][w(j)], read on the row tuples of the JSON form
@@ -411,12 +435,16 @@ class TestSubstituteColumns:
             for j, row in enumerate(m):
                 image[w[j] - 1] = row
             moved[tuple(image)] = c
-        assert tuple_terms(p.substitute_columns(w)) == moved
+        bits = column_map(w, n)
+        image = MatrixPolynomial._trusted(n, {map_monomial(m, bits): c for m, c in p.terms.items()}, p.k)
+        assert tuple_terms(image) == moved == tuple_terms(substitute_columns(p, w))
 
     @pytest.mark.parametrize("w", [(True, 2), (2.0, 1.0), (1, 1), (1, 2, 3), (2,)])
     def test_rejects_what_is_not_a_permutation_of_the_columns(self, w):
-        with pytest.raises(ValueError):
-            MatrixPolynomial(2, {(1, 2): 1}).substitute_columns(w)
+        with pytest.raises(ValueError, match="permutation of the columns"):
+            column_map(w, 2)
+        with pytest.raises(ValueError, match="permutation of the columns"):
+            ColumnAction(w, 2)
 
 
 class TestValidationBoundary:
@@ -453,14 +481,15 @@ class TestValidationBoundary:
         n = data.draw(st.integers(1, 4))
         p, q = data.draw(_polys(n)), data.draw(_polys(n))
         c = data.draw(st.integers(-3, 3))
-        w = data.draw(st.permutations(range(1, n + 1)))
+        moved = column_map(data.draw(st.permutations(range(1, n + 1))), n)
         results = [
             (p + q, max(p.k, q.k)),
             (p - q, max(p.k, q.k)),
             (-p, p.k),
             (p * c, p.k),
             (c * p, p.k),
-            (p.substitute_columns(w), p.k),
+            # the column action's images must be packed monomials too
+            (MatrixPolynomial._trusted(n, {map_monomial(m, moved): c for m, c in p.terms.items()}, p.k), p.k),
         ]
         for result, k in results:
             assert (result.n, result.k) == (n, k)

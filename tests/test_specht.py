@@ -1,5 +1,6 @@
 import copy
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from flamingo import specht
 from flamingo.invariants import jellyfish_invariant
-from flamingo.partitions import enumerate_noncrossing, enumerate_ordered_partitions, parse_partition
+from flamingo.partitions import enumerate_noncrossing, enumerate_ordered_partitions, parse_partition, partitions_up_to
 from flamingo.polynomials import MatrixPolynomial, minor
 from flamingo.specht import (
     SpanChecker,
@@ -21,8 +22,9 @@ from flamingo.specht import (
     spanning_set,
     syt_count,
 )
+from flamingo.tableaux import enumerate_tableaux
 
-from oracles import LeadingTermSpan, rational_rank, syt_count_by_corners
+from oracles import LeadingTermSpan, highest_weight, rational_rank, syt_count_by_corners
 
 
 class TestShapes:
@@ -152,7 +154,7 @@ class TestMembership:
 
     def test_non_member_rejected(self):
         shape = SpechtShape(4, 2, 1)
-        stray = MatrixPolynomial.variable(1, 1, 4)
+        stray = minor((1,), (1,), 4)
         assert not membership_test(stray, shape)
 
     def test_zero_is_member(self):
@@ -194,17 +196,20 @@ class TestReducedEchelon:
     @pytest.mark.parametrize("shape", SHAPES_UP_TO_6, ids=lambda s: f"{s.n}-{s.d}-{s.r}")
     def test_membership_matches_references(self, shape):
         """Every invariant of the shape and a perturbed copy of each: the
-        same verdict as the leading-term echelon, and, once per invariant up
-        to sign, as the rank over the rationals."""
+        same verdict as the leading-term echelon and as the highest-weight
+        test, which needs no spanning set, and, once per invariant up to
+        sign, as the rank over the rationals."""
         gens = spanning_set(shape)
+        assert all(highest_weight(g, shape) for g in gens)
         reference = LeadingTermSpan(gens)
         rank = spanning_rank(shape)
         assert rank == reference.rank == shape.dimension()
         up_to_sign = {}
         for partition in enumerate_ordered_partitions(shape.n, shape.d, shape.r):
             invariant = jellyfish_invariant(partition, shape.r)
+            assert membership_test(invariant, shape) and highest_weight(invariant, shape)
             for p in (invariant, _perturbed(invariant)):
-                assert membership_test(p, shape) == reference.contains(p)
+                assert membership_test(p, shape) == reference.contains(p) == highest_weight(p, shape)
             if frozenset((m, -c) for m, c in invariant.terms.items()) not in up_to_sign:
                 up_to_sign.setdefault(frozenset(invariant.terms.items()), invariant)
         for invariant in up_to_sign.values():
@@ -246,3 +251,52 @@ class TestReducedEchelon:
 
         run()
         assert max(largest_d) > 1
+
+
+class TestHighestWeightOracle:
+    """``oracles.highest_weight`` decides membership as a highest-weight
+    vector of weight lam, from no spanning set and no echelon; it must
+    agree with ``membership_test`` (every invariant at n <= 6 is in
+    ``TestReducedEchelon``)."""
+
+    def test_a_seeded_sample_of_invariants_at_seven(self):
+        rng = random.Random(2024)
+        for r in (1, 2, 3):
+            pool = [p for d in range(1, 7 // r + 1) for p in enumerate_ordered_partitions(7, d, r)]
+            for p in rng.sample(pool, min(100, len(pool))):
+                invariant, shape = jellyfish_invariant(p, r), SpechtShape(7, p.d, r)
+                assert highest_weight(invariant, shape)
+                assert membership_test(invariant, shape)
+
+    def test_single_tableau_products(self):
+        # one seeded tableau of each partition at n <= 6: its minor product
+        # has row content lam, but where two blocks exceed r some deep row
+        # a + 1 feeds a column that row a does not, and E_{a,a+1} keeps that
+        # term; adding the invariant keeps such a product out of the module
+        rng = random.Random(2024)
+        planted = members = 0
+        for r in (1, 2, 3):
+            for p in partitions_up_to(6, r):
+                shape = SpechtShape(p.n, p.d, r)
+                product = rng.choice(enumerate_tableaux(p, r)).minor_product()
+                if sum(len(block) > r for block in p.blocks) < 2:
+                    # one tableau, the top-justified one: a generator up to sign
+                    assert highest_weight(product, shape) and membership_test(product, shape)
+                    members += 1
+                    continue
+                for q in (product, jellyfish_invariant(p, r) + product):
+                    assert not highest_weight(q, shape)
+                    assert not membership_test(q, shape)
+                planted += 1
+        assert (planted, members) == (1716, 3795)
+
+    def test_wrong_row_content_is_rejected(self):
+        # a stray variable, an invariant of another depth, and one whose
+        # rows run past nu
+        shape = SpechtShape(4, 2, 1)
+        invariant = jellyfish_invariant(parse_partition("1 3|2 4"), 1)
+        assert highest_weight(invariant, shape)
+        other_depth = jellyfish_invariant(parse_partition("1 2|3 4"), 2)
+        for q in (minor((1,), (1,), 4), other_depth, minor((1, 2, 3, 4), (1, 2, 3, 4), 4)):
+            assert not highest_weight(q, shape)
+            assert not membership_test(q, shape)

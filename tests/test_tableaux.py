@@ -220,6 +220,24 @@ class TestAgainstReplacedCode:
                     checked += 1
         assert checked == 23582
 
+    def test_the_walk_gives_the_checked_tableaux(self):
+        # iter_tableaux adopts each tableau unchecked; every one at n <= 6
+        # and those of a seeded sample of partitions at n = 7 must equal the
+        # tableau the checking constructor builds from its assignment
+        rng = random.Random(2024)
+        checked = 0
+        for r in (1, 2, 3):
+            panel = list(partitions_up_to(6, r))
+            sevens = [p for p in partitions_up_to(7, r) if p.n == 7]
+            for partition in panel + rng.sample(sevens, min(300, len(sevens))):
+                walked = list(iter_tableaux(partition, r))
+                assert len(walked) == tableau_count(partition, r)
+                for t in walked:
+                    reference = JellyfishTableau(partition, r, t.assignment)
+                    assert t == reference and t.nu == reference.nu
+                    checked += 1
+        assert checked == 9096
+
     def test_permute_columns_still_rejects_a_bad_sigma(self):
         t = JellyfishTableau(parse_partition("1 3|2 4"), 1, (1, 2))
         with pytest.raises(ValueError, match="sigma must be a permutation"):
