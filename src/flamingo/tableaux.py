@@ -179,10 +179,12 @@ def column_arrangement_sign(tableau: JellyfishTableau, orders: Sequence[Sequence
     order they occupy column i's rows; for the blocks themselves this agrees
     with ``tableau.sign()``.  A column's entries appear in the reading word
     in that order, so the inversions within columns are those of the orders.
+    An element that is not an int is rejected, as a bool or a float would
+    sort like its int twin.
     """
     relabel: dict[int, int] = {}
     for i, (block, order) in enumerate(zip(tableau.partition.blocks, orders, strict=True), start=1):
-        if sorted(order) != list(block):
+        if any(type(x) is not int for x in order) or sorted(order) != list(block):
             raise ValueError(f"orders[{i - 1}] must rearrange block {i}")
         relabel.update(zip(block, order))
     inv = word_inversions([relabel[x] for x in tableau.reading_word()])

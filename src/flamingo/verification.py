@@ -17,6 +17,7 @@ import pickle
 import random
 import signal
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -137,27 +138,31 @@ def signed_minor_expansion(
 
 
 Item = TypeVar("Item")
+Count = TypeVar("Count", int, Counter)
 
 
 def _shard(
-    items: Iterable[Item], check: Callable[[Item], int | str], start: int, step: int
-) -> tuple[int, tuple[int, str] | None]:
-    """Check the items at positions start, start + step, ...: their summed
-    instance count, and the position and detail of the first that fails."""
-    count = 0
+    items: Iterable[Item], check: Callable[[Item], Count | str], start: int, step: int, zero: Count
+) -> tuple[Count, tuple[int, str] | None]:
+    """Check the items at positions start, start + step, ...: their instance
+    counts summed from ``zero`` (which stays as it was), and the position
+    and detail of the first that fails."""
+    count = zero
     for position, item in zip(itertools.count(start, step), itertools.islice(items, start, None, step)):
         outcome = check(item)
         if isinstance(outcome, str):
             return count, (position, outcome)
-        count += outcome
+        count = count + outcome
     return count, None
 
 
-def _split_sweep(items: Iterable[Item], check: Callable[[Item], int | str]) -> tuple[int, str | None]:
+def _split_sweep(
+    items: Iterable[Item], check: Callable[[Item], Count | str], zero: Count = 0
+) -> tuple[Count, str | None]:
     """Check every item of a sweep whose items are independent: the summed
-    instance count, and the detail of the first failure in item order or
-    None.  ``check`` returns an item's instance count, or its failure's
-    detail.
+    instance counts, and the detail of the first failure in item order or
+    None.  ``check`` returns an item's instance count, or a Counter of its
+    named counts summed from ``zero=Counter()``, or its failure's detail.
 
     With two or more CPUs in this process's affinity set, the items split
     into two interleaved shards: this process checks the even positions and
@@ -167,12 +172,16 @@ def _split_sweep(items: Iterable[Item], check: Callable[[Item], int | str]) -> t
     forks.  The child returns only its result through a pipe, so what it
     adds to a cache is lost: a sweep splits only where no later check needs
     its cache entries.  The package starts no thread, so forking is safe.
+    Where the items carry seeded random draws, the item generator makes
+    them, in item order, and both shards run it in full from one state of
+    the generator: a shard draws the other's items before it skips them, so
+    every item holds the serial loop's draws.
     An exception in the child is raised here with its type; an exception
     here kills the child first; and no child outlives the call.
     """
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
     if len(cpus) < 2:
-        shards = [_shard(items, check, 0, 1)]
+        shards = [_shard(items, check, 0, 1, zero)]
     else:
         read_end, write_end = os.pipe()
         pid = os.fork()
@@ -181,7 +190,7 @@ def _split_sweep(items: Iterable[Item], check: Callable[[Item], int | str]) -> t
             try:
                 os.close(read_end)
                 try:
-                    result = _shard(items, check, 1, 2)
+                    result = _shard(items, check, 1, 2, zero)
                 except BaseException as exc:
                     result = exc
                 with os.fdopen(write_end, "wb") as pipe:
@@ -192,7 +201,7 @@ def _split_sweep(items: Iterable[Item], check: Callable[[Item], int | str]) -> t
         os.close(write_end)
         with os.fdopen(read_end, "rb") as pipe:
             try:
-                mine = _shard(items, check, 0, 2)
+                mine = _shard(items, check, 0, 2, zero)
                 sent = pipe.read()
             except BaseException:
                 os.kill(pid, signal.SIGKILL)
@@ -206,7 +215,7 @@ def _split_sweep(items: Iterable[Item], check: Callable[[Item], int | str]) -> t
             raise theirs
         shards = [mine, theirs]
     failures = [failure for _, failure in shards if failure]
-    return sum(count for count, _ in shards), min(failures)[1] if failures else None
+    return sum((count for count, _ in shards), zero), min(failures)[1] if failures else None
 
 
 # -- the thirteen checks ----------------------------------------------------
@@ -541,6 +550,51 @@ def _sign_panel(r: int, exhaustive_n: int) -> list[OrderedSetPartition]:
     return panel
 
 
+def _sign_items(rng: random.Random, exhaustive_n: int) -> Iterator[tuple]:
+    """(r, partition, samples) for every partition of the sign panel at each
+    depth r, in order.  ``samples`` is None where a tableau has at most 64
+    column orders, which are all checked; otherwise it holds, for each of
+    the first max(1, tableau_count // 4) tableaux, 64 orders drawn from
+    ``rng`` here, as the serial loop drew them."""
+    for r in (1, 2, 3):
+        for partition in _sign_panel(r, exhaustive_n):
+            blocks = partition.blocks
+            samples = None
+            if math.prod(math.factorial(len(block)) for block in blocks) > 64:
+                samples = [
+                    [tuple(rng.sample(block, len(block)) for block in blocks) for _ in range(64)]
+                    for _ in range(max(1, tableau_count(partition, r) // 4))
+                ]
+            yield r, partition, samples
+
+
+def _sign_holds(item: tuple) -> Counter | str:
+    """The item's swap and arrangement counts, or its first failure: each
+    tableau with its columns reordered by sigma has sgn(sigma)^r times its
+    sign, for every sigma; then each of the first max(1, count // 4)
+    tableaux keeps its sign under every column order, or under its drawn
+    ones."""
+    r, partition, samples = item
+    tableaux = enumerate_tableaux(partition, r)
+    signs = [t.sign() for t in tableaux]
+    swaps = 0
+    for sigma in itertools.permutations(range(1, partition.d + 1)):
+        sgn = perm_sign(sigma) ** r
+        for t, base in zip(tableaux, signs):
+            if t.permute_columns(sigma).sign() != sgn * base:
+                return f"column-swap sign fails for {partition}, sigma={sigma}"
+            swaps += 1
+    if samples is None:
+        samples = itertools.repeat(list(itertools.product(*map(itertools.permutations, partition.blocks))))
+    arrangements = 0
+    for t, base, chosen in zip(tableaux, signs[: max(1, len(tableaux) // 4)], samples):
+        for orders in chosen:
+            if column_arrangement_sign(t, orders) != base:
+                return f"column arrangement sign varies for {partition}"
+            arrangements += 1
+    return Counter(swaps=swaps, arrangements=arrangements)
+
+
 @_check("sign-properties")
 def check_sign_properties(seed: int = 2024, exhaustive_n: int = 5) -> tuple[bool, str]:
     rng = random.Random(seed)
@@ -559,35 +613,12 @@ def check_sign_properties(seed: int = 2024, exhaustive_n: int = 5) -> tuple[bool
         value = sign * integer_determinant([[matrix[i - 1][j - 1] for j in J] for i in I])
         if direct != value:
             return False, f"translation sign failed for n={n}, I={I}, J={J}"
-    swap_checked = 0
-    arrangement_checked = 0
-    for r in (1, 2, 3):
-        for partition in _sign_panel(r, exhaustive_n):
-            d = partition.d
-            tableaux = enumerate_tableaux(partition, r)
-            signs = [t.sign() for t in tableaux]
-            for sigma in itertools.permutations(range(1, d + 1)):
-                sgn = perm_sign(sigma) ** r
-                for t, base in zip(tableaux, signs):
-                    if t.permute_columns(sigma).sign() != sgn * base:
-                        return False, f"column-swap sign fails for {partition}, sigma={sigma}"
-                    swap_checked += 1
-            for t, base in zip(tableaux, signs[: max(1, len(tableaux) // 4)]):
-                orders_pool = [list(itertools.permutations(block)) for block in partition.blocks]
-                if math.prod(len(p) for p in orders_pool) <= 64:
-                    chosen = itertools.product(*orders_pool)
-                else:
-                    chosen = (
-                        tuple(rng.sample(block, len(block)) for block in partition.blocks)
-                        for _ in range(64)
-                    )
-                for orders in chosen:
-                    if column_arrangement_sign(t, orders) != base:
-                        return False, f"column arrangement sign varies for {partition}"
-                    arrangement_checked += 1
+    counts, failure = _split_sweep(_sign_items(rng, exhaustive_n), _sign_holds, Counter())
+    if failure:
+        return False, failure
     return True, (
-        f"500 translation signs verified numerically; {swap_checked} column swaps and "
-        f"{arrangement_checked} within-column arrangements keep their signs"
+        f"500 translation signs verified numerically; {counts['swaps']} column swaps and "
+        f"{counts['arrangements']} within-column arrangements keep their signs"
     )
 
 

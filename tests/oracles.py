@@ -10,19 +10,21 @@ import itertools
 import json
 import math
 import operator
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import factorial, gcd
 from typing import Iterable, Mapping, Sequence
 
-from flamingo import invariants
+from flamingo import grassmann, invariants
 from flamingo.diagrams import Edge, TensorDiagram, Vertex
 from flamingo.partitions import (
     OrderedSetPartition,
     act_elements,
     enumerate_ordered_partitions,
     enumerate_unordered_partitions,
+    perm_sign,
     permute_blocks,
     word_inversions,
 )
@@ -34,10 +36,11 @@ from flamingo.polynomials import (
     add_into,
     add_minor_product,
     extend_minor_product,
+    integer_determinant,
     map_monomial,
     variable_position,
 )
-from flamingo.tableaux import JellyfishTableau, enumerate_tableaux
+from flamingo.tableaux import JellyfishTableau, column_arrangement_sign, enumerate_tableaux
 
 
 def monomial_key(m: tuple[int, ...]) -> tuple[int, ...]:
@@ -221,6 +224,61 @@ def sign_panel_by_lists(r: int, exhaustive_n: int) -> list[OrderedSetPartition]:
     if r == 3:
         panel.append(THREE_ROW_PARTITION)
     return panel
+
+
+def sign_properties_by_one_loop(seed: int, exhaustive_n: int) -> tuple[bool, str]:
+    """``check_sign_properties`` as it was before its swaps and arrangements
+    split into items: one loop drawing from one generator, the 500
+    translation signs first, then each panel partition's column swaps and
+    column arrangements, sampled from the same generator where a partition
+    has more than 64 column orders.  It calls ``column_arrangement_sign``
+    through this module, so a spy set here sees every call."""
+    rng = random.Random(seed)
+    for _ in range(500):
+        n = rng.randint(1, 8)
+        m = rng.randint(0, n)
+        I = tuple(sorted(rng.sample(range(1, n + 1), m)))
+        J = tuple(sorted(rng.sample(range(1, n + 1), m)))
+        matrix = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        big = grassmann.phi(matrix)
+        K = grassmann.delta_index_set(I, J, n)
+        direct = integer_determinant([[big[row][k - 1] for k in K] for row in range(n)])
+        sign, I2, J2 = grassmann.delta_to_minor(K, n)
+        if (I2, J2) != (I, J):
+            return False, f"index split failed for K={K}"
+        value = sign * integer_determinant([[matrix[i - 1][j - 1] for j in J] for i in I])
+        if direct != value:
+            return False, f"translation sign failed for n={n}, I={I}, J={J}"
+    swap_checked = 0
+    arrangement_checked = 0
+    for r in (1, 2, 3):
+        for partition in sign_panel_by_lists(r, exhaustive_n):
+            d = partition.d
+            tableaux = enumerate_tableaux(partition, r)
+            signs = [t.sign() for t in tableaux]
+            for sigma in itertools.permutations(range(1, d + 1)):
+                sgn = perm_sign(sigma) ** r
+                for t, base in zip(tableaux, signs):
+                    if t.permute_columns(sigma).sign() != sgn * base:
+                        return False, f"column-swap sign fails for {partition}, sigma={sigma}"
+                    swap_checked += 1
+            for t, base in zip(tableaux, signs[: max(1, len(tableaux) // 4)]):
+                orders_pool = [list(itertools.permutations(block)) for block in partition.blocks]
+                if math.prod(len(p) for p in orders_pool) <= 64:
+                    chosen = itertools.product(*orders_pool)
+                else:
+                    chosen = (
+                        tuple(rng.sample(block, len(block)) for block in partition.blocks)
+                        for _ in range(64)
+                    )
+                for orders in chosen:
+                    if column_arrangement_sign(t, orders) != base:
+                        return False, f"column arrangement sign varies for {partition}"
+                    arrangement_checked += 1
+    return True, (
+        f"500 translation signs verified numerically; {swap_checked} column swaps and "
+        f"{arrangement_checked} within-column arrangements keep their signs"
+    )
 
 
 def has_crossing_by_quadruples(blocks: tuple[tuple[int, ...], ...]) -> bool:

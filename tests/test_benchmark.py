@@ -1,13 +1,19 @@
 """The benchmark in ``perfbench/`` runs against the package as it stands:
-it imports its harness and workloads, which import ``flamingo``, and it
-expects the battery's checks by name.  A change to the package that would
-break either fails here."""
+it imports its harness and workloads, which import ``flamingo``, it
+expects the battery's checks by name, and its oracle accepts every
+battery entry.  A change to the package that would break any of these, or
+make the benchmark count a battery output as incorrect, fails here."""
 
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import types
+
+import pytest
+
+from flamingo.verification import battery
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -30,3 +36,25 @@ def test_benchmark_imports_and_expects_the_battery_checks():
     assert "6" in by_size
     for names, expected in by_size.values():
         assert names == expected
+
+
+def _benchmark_oracle() -> types.ModuleType:
+    """``perfbench/oracle.py``, executed from its source, so nothing is
+    written next to it."""
+    path = ROOT / "perfbench" / "oracle.py"
+    module = types.ModuleType("oracle")
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("n_max", [3, 6])
+def test_the_benchmark_oracle_accepts_every_battery_entry(monkeypatch, n_max, cpus):
+    oracle = _benchmark_oracle()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    expected = oracle.BATTERY_DETAILS[n_max]
+    entries = [run() for _, run in battery(n_max, 2024)]
+    assert [entry.name for entry in entries] == list(expected)
+    for entry in entries:
+        as_json = {"name": entry.name, "ok": entry.ok, "detail": entry.detail, "seconds": entry.seconds}
+        assert oracle.battery_entry_ok(as_json, expected[entry.name]), (entry.name, entry.detail)

@@ -3,6 +3,7 @@ empty, against the generic ring operations (``+``, ``*``, ``==``) and
 against deliberately flipped signs."""
 
 import itertools
+import os
 
 import pytest
 
@@ -254,14 +255,17 @@ class TestFlippedSignFails:
     def test_sign_properties_with_unpermuted_assignment(self, monkeypatch):
         # a permute_columns that moves the blocks but not their deep rows;
         # the check must still catch it with each tableau's sign taken once,
-        # with the detail it gave when that sign was taken once per sigma
+        # with the detail it gave when that sign was taken once per sigma,
+        # whether its partitions run in one shard or in two
         def forget_assignment(self, sigma):
             return JellyfishTableau._trusted(permute_blocks(sigma, self.partition), self.r, self.assignment)
 
         monkeypatch.setattr(JellyfishTableau, "permute_columns", forget_assignment)
-        result = verification.check_sign_properties(seed=2024, exhaustive_n=5)
-        assert not result.ok
-        assert result.detail == "column-swap sign fails for (1 2|3), sigma=(2, 1)"
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+            result = verification.check_sign_properties(seed=2024, exhaustive_n=5)
+            assert not result.ok
+            assert result.detail == "column-swap sign fails for (1 2|3), sigma=(2, 1)"
 
 
 @pytest.mark.parametrize("exhaustive_n", [0, 3, 5])

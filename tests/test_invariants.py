@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -19,6 +20,7 @@ from flamingo.partitions import (
     longest_permutation,
     parse_partition,
     partitions_up_to,
+    permute_blocks,
     simple_transposition,
 )
 from flamingo.polynomials import MatrixPolynomial, _unpack
@@ -341,3 +343,59 @@ class TestDeterminantOracle:
     def test_zero_when_a_block_is_small(self, text, r):
         p = parse_partition(text)
         assert determinant_invariant(p, r) == {} and jellyfish_invariant(p, r).is_zero
+
+
+def _inversion_sign(w) -> int:
+    """The sign of a permutation, by counting its inverted pairs."""
+    return -1 if sum(a > b for a, b in itertools.combinations(w, 2)) % 2 else 1
+
+
+class TestSignLawsFromTheDeterminant:
+    """[pi]_r = sgn(sigma)^r [sigma(pi)]_r and w . [pi]_r = sgn(w) [w . pi]_r,
+    read off ``oracles.determinant_invariant`` alone, with no tableau and no
+    ``jellyfish_invariant``: reordering the blocks reorders the row groups
+    of N_pi, and moving the elements moves its columns."""
+
+    @staticmethod
+    def _block_reorder_holds(det, p, sigma, r):
+        sign = _inversion_sign(sigma) ** r
+        return det(permute_blocks(sigma, p), r) == {m: sign * c for m, c in det(p, r).items()}
+
+    @staticmethod
+    def _column_law_holds(det, p, w, r):
+        # x[a][j] -> x[a][w(j)]: the row a key holds for column j moves to column w(j)
+        moved = {}
+        for m, c in det(p, r).items():
+            image = [0] * p.n
+            for j, row in enumerate(m):
+                image[w[j] - 1] = row
+            moved[tuple(image)] = c
+        sign = _inversion_sign(w)
+        return moved == {m: sign * c for m, c in det(act_elements(w, p), r).items()}
+
+    @pytest.mark.parametrize("r, count", [(1, 633), (2, 30), (3, 3)])
+    def test_every_partition_up_to_five(self, r, count):
+        det = functools.lru_cache(maxsize=None)(determinant_invariant)
+        seen = 0
+        for p in partitions_up_to(5, r):
+            n = p.n
+            assert det(p, r), p  # no law below holds by both sides vanishing
+            for sigma in itertools.permutations(range(1, p.d + 1)):
+                assert self._block_reorder_holds(det, p, sigma, r), (p, sigma)
+            actions = [simple_transposition(n, i) for i in range(1, n)]
+            for w in actions + [long_cycle(n), longest_permutation(n)]:
+                assert self._column_law_holds(det, p, w, r), (p, w)
+            seen += 1
+        assert seen == count
+
+    def test_seeded_sample_at_six(self):
+        det = functools.lru_cache(maxsize=None)(determinant_invariant)
+        rng = random.Random(6)
+        for _ in range(60):
+            r = rng.choice((1, 2, 3))
+            d = rng.randint(1, 6 // r)
+            p = _random_partition(rng, 6, d, r)
+            sigma = tuple(rng.sample(range(1, d + 1), d))
+            w = tuple(rng.sample(range(1, 7), 6))
+            assert self._block_reorder_holds(det, p, sigma, r), (p, sigma, r)
+            assert self._column_law_holds(det, p, w, r), (p, w, r)

@@ -1,22 +1,33 @@
 """The two-shard sweeps of ``flamingo.verification``: the column-equivariance,
-recurrence and diagram checks give the serial outcome, detail for detail,
-whether their items run as one shard in this process or split with one
-forked child, and no child outlives a check."""
+recurrence, diagram and sign-properties checks give the serial outcome,
+detail for detail, whether their items run as one shard in this process or
+split with one forked child, and no child outlives a check."""
 
 import os
 import time
+from collections import Counter
 
 import pytest
 
+import oracles
 from flamingo import invariants, verification
 from flamingo.diagrams import build_tensor_diagram
 from flamingo.partitions import parse_partition, partitions_up_to
-from flamingo.verification import DEPTHS, _split_sweep, check_diagrams, check_equivariance, check_recurrence
+from flamingo.verification import (
+    DEPTHS,
+    _sign_panel,
+    _split_sweep,
+    check_diagrams,
+    check_equivariance,
+    check_recurrence,
+    check_sign_properties,
+)
 
 SMALL_CHECKS = [
     pytest.param(lambda: check_equivariance(n_max=5), id="column-equivariance"),
     pytest.param(lambda: check_recurrence(n_max=6), id="recurrence-identities"),
     pytest.param(lambda: check_diagrams(n_max=6), id="tensor-diagram-validation"),
+    pytest.param(lambda: check_sign_properties(seed=2024, exhaustive_n=5), id="sign-properties"),
 ]
 
 
@@ -89,6 +100,72 @@ def test_counts_add_up_across_shards(two_cpus):
     assert _split_sweep([], lambda i: 1) == (0, None)
     assert _split_sweep([5], lambda i: i) == (5, None)
     _no_child_left()
+
+
+def test_named_counts_add_up_across_shards(two_cpus):
+    def check(i):
+        return Counter(items=1, thirds=i % 3)
+
+    assert _split_sweep(range(1001), check, Counter()) == (Counter(items=1001, thirds=1000), None)
+    assert _split_sweep([], check, Counter()) == (Counter(), None)
+    assert _split_sweep([5], check, Counter()) == (Counter(items=1, thirds=2), None)
+    _no_child_left()
+
+
+@pytest.mark.parametrize(
+    "position",
+    [10, 11, 652, 653],
+    ids=["this-process", "child", "this-process-drawn", "child-drawn"],
+)
+def test_a_planted_arrangement_failure_gives_the_serial_detail(monkeypatch, position):
+    # the failure is planted on one column order of the item at position;
+    # at 652 and 653, partitions of [8], that order was drawn, so a shard
+    # that drew other orders than the serial loop would miss it
+    r, partition = [(r, p) for r in (1, 2, 3) for p in _sign_panel(r, 5)][position]
+    original = verification.column_arrangement_sign
+    orders_met = []
+
+    def spy(t, orders):
+        if (t.partition, t.r) == (partition, r):
+            orders_met.append(orders)
+        return original(t, orders)
+
+    _cpus(monkeypatch, 1)
+    monkeypatch.setattr(verification, "column_arrangement_sign", spy)
+    assert check_sign_properties(seed=2024, exhaustive_n=5).ok
+    target = orders_met[len(orders_met) // 2]
+    monkeypatch.setattr(
+        verification,
+        "column_arrangement_sign",
+        lambda t, orders: -original(t, orders) if (t.partition, t.r, orders) == (partition, r, target) else original(t, orders),
+    )
+    expected = f"column arrangement sign varies for {partition}"
+    serial = check_sign_properties(seed=2024, exhaustive_n=5)
+    _cpus(monkeypatch, 2)
+    split = check_sign_properties(seed=2024, exhaustive_n=5)
+    assert not serial.ok and not split.ok
+    assert serial.detail == split.detail == expected
+    _no_child_left()
+
+
+@pytest.mark.parametrize("seed", [2024, 7])
+def test_the_arrangements_are_the_one_loop_draws(monkeypatch, one_cpu, seed):
+    # the (partition, orders) passed to column_arrangement_sign, in order,
+    # against the loop that drew them before the sweep split into items
+    def spy(calls, sign):
+        def recorded(t, orders):
+            calls.append((t.partition, t.r, t.assignment, orders))
+            return sign(t, orders)
+
+        return recorded
+
+    ours, theirs = [], []
+    monkeypatch.setattr(verification, "column_arrangement_sign", spy(ours, verification.column_arrangement_sign))
+    monkeypatch.setattr(oracles, "column_arrangement_sign", spy(theirs, oracles.column_arrangement_sign))
+    result = check_sign_properties(seed=seed, exhaustive_n=5)
+    assert (result.ok, result.detail) == oracles.sign_properties_by_one_loop(seed, 5)
+    assert len(ours) == 8011
+    assert ours == theirs
 
 
 @pytest.mark.parametrize("position", [10, 11], ids=["this-process", "child"])

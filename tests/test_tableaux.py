@@ -191,6 +191,17 @@ class TestColumnPermutation:
         with pytest.raises(ValueError, match="must rearrange block 2"):
             column_arrangement_sign(t, [(3, 1), (2, 2)])
 
+    @pytest.mark.parametrize(
+        "orders, block",
+        [(((True, 2), (3, 4)), 1), (((1.0, 2), (3, 4)), 1), (((2, 1), (4.0, 3)), 2)],
+        ids=["bool", "float", "float-in-block-2"],
+    )
+    def test_arrangement_sign_rejects_an_element_that_is_not_an_int(self, orders, block):
+        # each order sorts like a rearrangement of its block, as its int twin would
+        for t in enumerate_tableaux(parse_partition("1 2|3 4"), 1):
+            with pytest.raises(ValueError, match=f"must rearrange block {block}$"):
+                column_arrangement_sign(t, orders)
+
 
 class TestAgainstReplacedCode:
     """The word read from the assignment and the permutation adopted
