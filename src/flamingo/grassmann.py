@@ -58,11 +58,11 @@ def index_set(mask: int) -> tuple[int, ...]:
 
 
 def _checked_mask(indices: Iterable[int], top: int) -> int:
-    """The mask of indices that are ints in [1, top], not bools, by the
-    partition constructor's rule; a repeat counts once."""
+    """The mask of indices that are ints in [1, top], not bools, and do not
+    repeat, by the partition constructor's rule."""
     indices = tuple(indices)
-    if not all(type(i) is int and 1 <= i <= top for i in indices):
-        raise ValueError(f"indices must be ints in [1, {top}], got {indices}")
+    if not all(type(i) is int and 1 <= i <= top for i in indices) or len(set(indices)) != len(indices):
+        raise ValueError(f"indices must be distinct ints in [1, {top}], got {indices}")
     return _mask(indices)
 
 

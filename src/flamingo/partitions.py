@@ -100,9 +100,9 @@ def perm_sign(w: Sequence[int]) -> int:
 class OrderedSetPartition:
     """A sequence of disjoint nonempty blocks covering [n].
 
-    Blocks are stored sorted internally; use :meth:`from_blocks` or
-    :func:`parse_partition` rather than the raw constructor when the input
-    may be unsorted.
+    Blocks are stored sorted internally, as a tuple of tuples, so the
+    partition hashes; use :meth:`from_blocks` or :func:`parse_partition`
+    rather than the raw constructor when the input may be unsorted.
     """
 
     n: int
@@ -111,6 +111,8 @@ class OrderedSetPartition:
     def __post_init__(self) -> None:
         if type(self.n) is not int:
             raise ValueError(f"n must be an int, got {self.n!r}")
+        if type(self.blocks) is not tuple or any(type(block) is not tuple for block in self.blocks):
+            raise ValueError(f"blocks must be a tuple of tuples, got {self.blocks!r}")
         seen: set[int] = set()
         for block in self.blocks:
             if not block:
@@ -260,8 +262,10 @@ def enumerate_unordered_partitions(n: int, d: int, r: int) -> list[OrderedSetPar
 def partitions_up_to(n_max: int, r: int) -> Iterator[OrderedSetPartition]:
     """Every ordered partition of [n] into blocks of size at least r, for
     n = r .. n_max, by n and then by the number of blocks, each in the order
-    of ``enumerate_ordered_partitions``.  A generator that holds no list."""
-    for n in range(max(r, 1), n_max + 1):
+    of ``enumerate_ordered_partitions``.  A generator that holds no list;
+    its first step checks r by ``require_depth``."""
+    require_depth(r)
+    for n in range(r, n_max + 1):
         for d in range(1, n // r + 1):
             for blocks in block_tuples(range(1, n + 1), d, r):
                 yield OrderedSetPartition._trusted(n, blocks)

@@ -351,13 +351,16 @@ def minor(rows: Iterable[int], cols: Iterable[int], n: int) -> MatrixPolynomial:
     """Determinant of the submatrix on the given rows and columns, both taken
     in increasing order, as a polynomial over an n-column matrix.
 
-    The empty minor is the constant 1.  Rows and columns are ints in [1, n].
+    The empty minor is the constant 1.  Rows and columns are ints in [1, n],
+    none repeated.
     """
     rows, cols = tuple(rows), tuple(cols)
     if any(type(x) is not int for x in rows + cols):
         raise ValueError("row and column indices must be ints")
     I = sorted(set(rows))
     J = sorted(set(cols))
+    if len(I) != len(rows) or len(J) != len(cols):
+        raise ValueError(f"row and column indices must not repeat, got {rows} and {cols}")
     if len(I) != len(J):
         raise ValueError(f"minor needs |rows| = |cols|, got {len(I)} and {len(J)}")
     if I and (I[0] < 1 or I[-1] > n):

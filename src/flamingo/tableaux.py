@@ -163,12 +163,9 @@ def enumerate_tableaux(partition: OrderedSetPartition, r: int) -> list[Jellyfish
 
 def top_justified_tableau(partition: OrderedSetPartition, r: int) -> JellyfishTableau:
     """The tableau filling deep rows greedily: column 1 takes the first
-    |pi_1| - r rows below r, column 2 the next |pi_2| - r, and so on."""
-    require_admissible(partition, r)
-    assignment = []
-    for i, block in enumerate(partition.blocks, start=1):
-        assignment.extend([i] * (len(block) - r))
-    return JellyfishTableau(partition, r, tuple(assignment))
+    |pi_1| - r rows below r, column 2 the next |pi_2| - r, and so on.  It
+    is the first of ``iter_tableaux``."""
+    return next(iter_tableaux(partition, r))
 
 
 def column_arrangement_sign(tableau: JellyfishTableau, orders: Sequence[Sequence[int]]) -> int:

@@ -27,7 +27,6 @@ from .grassmann import (
     delta_index_set,
     delta_to_minor,
     gc_jellyfish,
-    index_set,
     phi,
     phi_star,
     resolved_global_sign,
@@ -223,10 +222,7 @@ def _split_sweep(
 
 @_check("running-example-depth-2")
 def check_running_example() -> tuple[bool, str]:
-    tableaux = enumerate_tableaux(RUNNING_PARTITION, 2)
-    if len(tableaux) != 6:
-        return False, f"expected 6 tableaux, got {len(tableaux)}"
-    inversions = [t.inversion_number() for t in tableaux]
+    inversions = [t.inversion_number() for t in enumerate_tableaux(RUNNING_PARTITION, 2)]
     if tuple(inversions) != RUNNING_R2_INVERSIONS:
         return False, f"inversions {inversions}"
     expected = signed_minor_expansion(RUNNING_PARTITION, RUNNING_R2_TERMS)
@@ -239,10 +235,7 @@ def check_running_example() -> tuple[bool, str]:
 
 @_check("three-row-example-depth-3")
 def check_three_row_example() -> tuple[bool, str]:
-    tableaux = enumerate_tableaux(THREE_ROW_PARTITION, 3)
-    if len(tableaux) != 3:
-        return False, f"expected 3 tableaux, got {len(tableaux)}"
-    inversions = [t.inversion_number() for t in tableaux]
+    inversions = [t.inversion_number() for t in enumerate_tableaux(THREE_ROW_PARTITION, 3)]
     if tuple(inversions) != THREE_ROW_INVERSIONS:
         return False, f"inversions {inversions}"
     expected = signed_minor_expansion(THREE_ROW_PARTITION, THREE_ROW_TERMS)
@@ -269,32 +262,17 @@ def check_depth_one_enumeration() -> tuple[bool, str]:
 
 
 def _running_example_term_bijection() -> str | None:
-    """Match each term of the cap-and-wedge expansion of the ten-element
-    example with its tableau, requiring equal signed minor products term by
-    term and the reversed emission order.  None when everything agrees."""
-    partition, r, n = RUNNING_PARTITION, 2, RUNNING_PARTITION.n
-    tableaux = enumerate_tableaux(partition, r)
-    by_rows = {
-        tuple(t.column_rows(i) for i in range(1, partition.d + 1)): pos
-        for pos, t in enumerate(tableaux)
-    }
-    gc = gc_jellyfish(partition, r)
+    """Pull the terms of the cap-and-wedge expansion of the ten-element
+    example back one at a time, in emission order, and require each to
+    equal the signed minor product of its tableau, the tableaux taken in
+    reverse order.  None when everything agrees."""
+    tableaux = enumerate_tableaux(RUNNING_PARTITION, 2)
+    gc = gc_jellyfish(RUNNING_PARTITION, 2)
     if len(gc.terms) != len(tableaux):
         return f"{len(gc.terms)} gc terms for {len(tableaux)} tableaux"
-    emitted: list[int] = []
-    for factors, coeff in gc.terms.items():
-        rows_by_block = {J: I for _, I, J in (delta_to_minor(index_set(K), n) for K in factors)}
-        cols = tuple(rows_by_block.get(b, ()) for b in partition.blocks)
-        pos = by_rows.get(cols)
-        if pos is None:
-            return f"gc term {tuple(sorted(map(index_set, factors)))} matches no tableau"
-        t = tableaux[pos]
-        single = phi_star(PlueckerExpression(n, {factors: coeff}))
-        if single != t.minor_product() * t.sign():
-            return f"term for tableau {pos + 1} disagrees with its signed minor product"
-        emitted.append(pos)
-    if emitted != list(range(len(tableaux) - 1, -1, -1)):
-        return f"gc terms emitted in tableau order {[p + 1 for p in emitted]}, expected reversed"
+    for k, ((factors, coeff), t) in enumerate(zip(gc.terms.items(), reversed(tableaux)), start=1):
+        if phi_star(PlueckerExpression(gc.n, {factors: coeff})) != t.minor_product() * t.sign():
+            return f"gc term {k} differs from the signed minor product of tableau {len(tableaux) + 1 - k}"
     return None
 
 
@@ -384,9 +362,12 @@ def check_specht_membership(n_max: int = 7) -> tuple[bool, str]:
 
 
 def _equivariance_items(n_max: int) -> Iterator[tuple]:
-    """(partition, r, actions) for every partition of [n], n = 2..n_max, at
-    each depth, with one action per generator of the n shared by them all."""
+    """For n = 2..n_max: (n,), whose item checks the signs of the long
+    cycle and the reversal, then (partition, r, actions) for every
+    partition of [n] at each depth, with one action per generator of the n
+    shared by them all."""
     for n in range(2, n_max + 1):
+        yield (n,)
         generators = [simple_transposition(n, i) for i in range(1, n)]
         generators += [long_cycle(n), longest_permutation(n)]
         actions = [ColumnAction(w, n) for w in generators]
@@ -397,6 +378,13 @@ def _equivariance_items(n_max: int) -> Iterator[tuple]:
 
 
 def _equivariance_holds(item: tuple) -> int | str:
+    if len(item) == 1:
+        (n,) = item
+        if perm_sign(long_cycle(n)) != (-1) ** (n - 1):
+            return "long cycle sign is off"
+        if perm_sign(longest_permutation(n)) != (-1) ** (n * (n - 1) // 2):
+            return "reversal sign is off"
+        return 0
     partition, r, actions = item
     for action in actions:
         if not action.holds_for(partition, r):
@@ -406,18 +394,9 @@ def _equivariance_holds(item: tuple) -> int | str:
 
 @_check("column-equivariance")
 def check_equivariance(n_max: int = 6) -> tuple[bool, str]:
-    sign_failure = None
-    for n in range(2, n_max + 1):
-        if perm_sign(long_cycle(n)) != (-1) ** (n - 1):
-            sign_failure = "long cycle sign is off"
-        elif perm_sign(longest_permutation(n)) != (-1) ** (n * (n - 1) // 2):
-            sign_failure = "reversal sign is off"
-        if sign_failure:
-            n_max = n - 1  # the sign laws at n come before the identities at n
-            break
     checked, failure = _split_sweep(_equivariance_items(n_max), _equivariance_holds)
-    if failure or sign_failure:
-        return False, failure or sign_failure
+    if failure:
+        return False, failure
     return True, f"{checked} (w, partition, depth) identities hold with exact signs"
 
 
@@ -487,6 +466,9 @@ def check_conjecture(n_max: int = 8) -> tuple[bool, str]:
 
 
 def _diagram_holds(item: tuple[OrderedSetPartition, int]) -> int | str:
+    """1 when the item's diagram validates and the degrees of its boundary
+    vertices 1..2n, read in order, are the expected list; else the first
+    problem, or the first vertex whose degree differs."""
     partition, r = item
     diagram = build_tensor_diagram(partition, r)
     problems = validate(diagram)
@@ -495,18 +477,11 @@ def _diagram_holds(item: tuple[OrderedSetPartition, int]) -> int | str:
     degrees = boundary_degrees(diagram)
     n, d = partition.n, partition.d
     nu = n - (d - 1) * r  # the tentacle rows are r+1..nu, the tail rows nu+1..n
-    for v in range(1, r + 1):
-        if degrees[v] != 0:
-            return f"boundary {v} should be unused for {partition}"
-    for v in range(r + 1, nu + 1):
-        if degrees[v] != d - 1:
-            return f"boundary {v} degree {degrees[v]} != d-1 for {partition}"
-    for v in range(nu + 1, n + 1):
-        if degrees[v] != d:
-            return f"boundary {v} degree {degrees[v]} != d for {partition}"
-    for v in range(n + 1, 2 * n + 1):
-        if degrees[v] != 1:
-            return f"boundary {v} degree {degrees[v]} != 1 for {partition}"
+    expected = [0] * r + [d - 1] * (nu - r) + [d] * (n - nu) + [1] * n
+    got = [degrees[v] for v in range(1, 2 * n + 1)]
+    if got != expected:
+        v = next(v for v, (a, b) in enumerate(zip(got, expected), start=1) if a != b)
+        return f"boundary {v} degree {got[v - 1]} != {expected[v - 1]} for {partition}"
     return 1
 
 

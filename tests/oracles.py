@@ -696,6 +696,29 @@ def boundary_degrees(diagram: TensorDiagram) -> dict[int, int]:
     return degrees
 
 
+def boundary_profile_by_ranges(partition: OrderedSetPartition, r: int, degrees: Mapping[int, int]) -> str | None:
+    """The diagram check's boundary profile as ``verification`` had it
+    before it compared one expected list: rows 1..r unused, the tentacle
+    rows of degree d - 1, the tail rows of degree d and the columns
+    n+1..2n of degree 1, walked range by range, each with its own message;
+    None when every vertex fits."""
+    n, d = partition.n, partition.d
+    nu = n - (d - 1) * r
+    for v in range(1, r + 1):
+        if degrees[v] != 0:
+            return f"boundary {v} should be unused for {partition}"
+    for v in range(r + 1, nu + 1):
+        if degrees[v] != d - 1:
+            return f"boundary {v} degree {degrees[v]} != d-1 for {partition}"
+    for v in range(nu + 1, n + 1):
+        if degrees[v] != d:
+            return f"boundary {v} degree {degrees[v]} != d for {partition}"
+    for v in range(n + 1, 2 * n + 1):
+        if degrees[v] != 1:
+            return f"boundary {v} degree {degrees[v]} != 1 for {partition}"
+    return None
+
+
 # The exterior algebra, the Pluecker pull-back and the Specht spanning set
 # as they were on index tuples, before index sets became int masks and the
 # spanning products went through the minor-product kernel, kept as
@@ -906,6 +929,35 @@ def phi_star(expr: PlueckerExpression) -> MatrixPolynomial:
         add_minor_product(acc, partial, *masks[-1], n, math.prod(sign for sign, _, _ in minors))
         k = max([k] + [I[-1] for _, I, _ in minors if I])
     return MatrixPolynomial._trusted(n, acc, k)
+
+
+def term_bijection_by_rows(partition: OrderedSetPartition, gc, tableaux: Sequence[JellyfishTableau]) -> str | None:
+    """The running example's term bijection as ``verification`` had it
+    before it compared the terms in emission order: each term of the
+    package's cap-and-wedge expansion ``gc`` (factors as masks) decoded to
+    the rows of its tableau through a dict of the tableaux, its pull-back
+    equal to that tableau's signed minor product, and the terms emitted in
+    reverse tableau order; None when everything agrees."""
+    n = partition.n
+    by_rows = {
+        tuple(t.column_rows(i) for i in range(1, partition.d + 1)): pos for pos, t in enumerate(tableaux)
+    }
+    if len(gc.terms) != len(tableaux):
+        return f"{len(gc.terms)} gc terms for {len(tableaux)} tableaux"
+    emitted = []
+    for factors, coeff in gc.terms.items():
+        sets = tuple(sorted(tuple(i for i in range(1, 2 * n + 1) if K >> (i - 1) & 1) for K in factors))
+        rows_by_block = {J: I for _, I, J in (delta_to_minor(K, n) for K in sets)}
+        pos = by_rows.get(tuple(rows_by_block.get(b, ()) for b in partition.blocks))
+        if pos is None:
+            return f"gc term {sets} matches no tableau"
+        t = tableaux[pos]
+        if phi_star(PlueckerExpression(n, {sets: coeff})) != tableau_minor_product(t) * t.sign():
+            return f"term for tableau {pos + 1} disagrees with its signed minor product"
+        emitted.append(pos)
+    if emitted != list(range(len(tableaux) - 1, -1, -1)):
+        return f"gc terms emitted in tableau order {[p + 1 for p in emitted]}, expected reversed"
+    return None
 
 
 def spanning_set(shape: SpechtShape) -> list[MatrixPolynomial]:

@@ -1,10 +1,12 @@
 import dataclasses
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flamingo import verification
 from flamingo.diagrams import (
     TensorDiagram,
     boundary_degrees,
@@ -67,6 +69,46 @@ class TestConstruction:
 
 def _pairs(n_max):
     return [(p, r) for r in (1, 2, 3) for p in partitions_up_to(n_max, r)]
+
+
+class TestBoundaryProfile:
+    """The diagram check's boundary profile, one expected list compared in
+    vertex order, against the four-range walk it replaced, kept in
+    ``oracles``."""
+
+    def test_a_moved_degree_fails_at_the_reference_vertex(self, monkeypatch):
+        # every diagram at n <= 6 with one boundary degree moved by +1 or -1:
+        # both checks name that vertex.  Building and validating are stubbed
+        # out, so the sweep compares degrees and nothing else.
+        degrees: dict[int, int] = {}
+        monkeypatch.setattr(verification, "build_tensor_diagram", lambda p, r: None)
+        monkeypatch.setattr(verification, "validate", lambda diagram: [])
+        monkeypatch.setattr(verification, "boundary_degrees", lambda diagram: degrees)
+        vertex = re.compile(r"boundary (\d+) ")
+        cases = 0
+        for p, r in _pairs(6):
+            degrees.clear()
+            degrees.update(boundary_degrees(build_tensor_diagram(p, r)))
+            for v, degree in list(degrees.items()):
+                for delta in (1, -1):
+                    degrees[v] = degree + delta
+                    ours = verification._diagram_holds((p, r))
+                    reference = oracles.boundary_profile_by_ranges(p, r, degrees)
+                    assert ours == f"boundary {v} degree {degree + delta} != {degree} for {p}"
+                    assert vertex.match(reference).group(1) == str(v)
+                    cases += 1
+                degrees[v] = degree
+        assert cases == 129_084
+
+    def test_the_first_vertex_out_of_profile_is_named(self, monkeypatch):
+        # every degree moved at once: both checks name vertex 1
+        degrees: dict[int, int] = {}
+        monkeypatch.setattr(verification, "boundary_degrees", lambda diagram: degrees)
+        for p, r in _pairs(4):
+            degrees.clear()
+            degrees.update((v, degree + 1) for v, degree in boundary_degrees(build_tensor_diagram(p, r)).items())
+            assert verification._diagram_holds((p, r)).startswith("boundary 1 degree ")
+            assert oracles.boundary_profile_by_ranges(p, r, degrees).startswith("boundary 1 ")
 
 
 class TestAgainstReference:

@@ -25,6 +25,7 @@ from flamingo.grassmann import (
 from flamingo.invariants import jellyfish_invariant
 from flamingo.partitions import enumerate_ordered_partitions, parse_partition, require_admissible
 from flamingo.specht import SpechtShape, spanning_set
+from flamingo.tableaux import enumerate_tableaux
 from flamingo.verification import partitions_up_to
 
 import oracles
@@ -170,6 +171,10 @@ class TestTranslation:
             pytest.param(lambda: delta_to_minor((1.0, 4), 2), id="delta-to-minor-float"),
             pytest.param(lambda: delta_to_minor((1, 5), 2), id="delta-to-minor-above-2n"),
             pytest.param(lambda: translation_sign((True,), 2), id="translation-sign-bool"),
+            # a repeated index is not a set: the constructor's rule rejects it
+            pytest.param(lambda: delta_to_minor((1, 1, 3), 2), id="delta-to-minor-repeat"),
+            pytest.param(lambda: delta_index_set((1, 1), (2, 2), 3), id="delta-index-set-repeat"),
+            pytest.param(lambda: translation_sign((2, 2), 3), id="translation-sign-repeat"),
         ],
     )
     def test_indices_must_be_ints_in_range(self, call):
@@ -217,6 +222,47 @@ class TestGrassmannCayley:
             assert single == oracles.tableau_minor_product(t) * t.sign()
             emitted.append(pos)
         assert emitted == [5, 4, 3, 2, 1, 0]
+
+    @pytest.mark.parametrize("cpus", ["one_cpu", "two_cpus"])
+    @pytest.mark.parametrize(
+        "plant, ours, theirs",
+        [
+            pytest.param(
+                "reversed",
+                "gc term 1 differs from the signed minor product of tableau 6",
+                "gc terms emitted in tableau order [1, 2, 3, 4, 5, 6], expected reversed",
+                id="reversed",
+            ),
+            pytest.param(
+                "negated",
+                "gc term 3 differs from the signed minor product of tableau 4",
+                "term for tableau 4 disagrees with its signed minor product",
+                id="negated",
+            ),
+            pytest.param("dropped", "5 gc terms for 6 tableaux", "5 gc terms for 6 tableaux", id="dropped"),
+        ],
+    )
+    def test_a_planted_term_fails_both_bijections(self, monkeypatch, request, cpus, plant, ours, theirs):
+        # the running example's expansion with its terms reversed, its third
+        # term negated or its third term dropped, against the check and
+        # against the row-decoding bijection it replaced, kept in oracles
+        request.getfixturevalue(cpus)
+        gc = gc_jellyfish(EXAMPLE, 2)
+        terms = list(gc.terms.items())
+        if plant == "reversed":
+            terms.reverse()
+        elif plant == "negated":
+            terms[2] = (terms[2][0], -terms[2][1])
+        else:
+            del terms[2]
+        planted = grassmann.PlueckerExpression(gc.n, dict(terms))
+        tableaux = enumerate_tableaux(EXAMPLE, 2)
+        assert oracles.term_bijection_by_rows(EXAMPLE, gc, tableaux) is None
+        assert oracles.term_bijection_by_rows(EXAMPLE, planted, tableaux) == theirs
+        monkeypatch.setattr(verification, "gc_jellyfish", lambda partition, r: planted)
+        result = verification.check_gc_equivalence(n_max=4)
+        assert not result.ok
+        assert result.detail == ours
 
     @pytest.mark.parametrize(
         "n,d,r",

@@ -78,8 +78,10 @@ class TestConstruction:
 
     @pytest.mark.parametrize(
         "blocks",
-        [((True,), (2,)), ((1.0,), (2,)), ((1,), ("2",))],
-        ids=["bool-element", "float-element", "str-element"],
+        # the blocks must be a tuple of tuples: a list would not hash, so the
+        # first cached call would fail, and a range would not equal its tuple
+        [((True,), (2,)), ((1.0,), (2,)), ((1,), ("2",)), [(1,), (2,)], ([1], (2,)), ((1,), range(2, 3))],
+        ids=["bool-element", "float-element", "str-element", "list-of-blocks", "list-block", "range-block"],
     )
     def test_rejects_element_that_is_not_an_int(self, blocks):
         with pytest.raises(ValueError):
@@ -299,6 +301,8 @@ class TestContext:
         assert type(raised.value) is ValueError
         with pytest.raises(ValueError, match=message):
             require_depth(r)
+        with pytest.raises(ValueError, match=message):
+            list(partitions_up_to(4, r))
 
     @given(partitions_strategy())
     def test_nu_consistency(self, p):

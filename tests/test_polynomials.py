@@ -172,6 +172,9 @@ class TestPackedMonomials:
             # 1.0 == 1 and True == 1 hash alike, so a warm cache must not answer for them
             pytest.param(lambda: (minor((1,), (1,), 2), minor((1.0,), (1,), 2)), "must be ints", id="minor-float-row-warm"),
             pytest.param(lambda: (minor((1,), (1,), 2), minor((1,), (True,), 2)), "must be ints", id="minor-bool-column-warm"),
+            # two equal rows or columns make a determinant 0, not a smaller minor
+            pytest.param(lambda: minor((1, 1), (2, 2), 2), "must not repeat", id="minor-repeated-index"),
+            pytest.param(lambda: minor((1, 2), (2, 2), 2), "must not repeat", id="minor-repeated-column"),
         ],
     )
     def test_rejects_rows_outside_0_to_n(self, build, message):

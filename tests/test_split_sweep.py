@@ -83,6 +83,31 @@ def test_a_planted_failure_gives_the_serial_detail(monkeypatch, position):
     _no_child_left()
 
 
+@pytest.mark.parametrize("cpus", ["one_cpu", "two_cpus"])
+@pytest.mark.parametrize("position", [10, 11], ids=["this-process", "child"])
+def test_a_planted_boundary_degree_gives_the_serial_detail(monkeypatch, request, cpus, position):
+    # vertex n of the item at position gets one edge too many; the check
+    # and the four-range walk it replaced both name that vertex
+    request.getfixturevalue(cpus)
+    partition, r = [(p, r) for r in DEPTHS for p in partitions_up_to(6, r)][position]
+    target, v = build_tensor_diagram(partition, r), partition.n
+    original = verification.boundary_degrees
+
+    def planted(diagram):
+        degrees = original(diagram)
+        if diagram == target:
+            degrees[v] += 1
+        return degrees
+
+    monkeypatch.setattr(verification, "boundary_degrees", planted)
+    degree = original(target)[v]
+    result = check_diagrams(n_max=6)
+    assert not result.ok
+    assert result.detail == f"boundary {v} degree {degree + 1} != {degree} for {partition}"
+    assert oracles.boundary_profile_by_ranges(partition, r, planted(target)).startswith(f"boundary {v} ")
+    _no_child_left()
+
+
 @pytest.mark.parametrize("first, second", [(40, 41), (41, 42), (7, 3000)])
 def test_the_failure_at_the_lesser_position_is_named(first, second):
     def check(i):
@@ -231,6 +256,19 @@ def test_a_sign_law_fails_before_the_identities_at_its_n(monkeypatch, cpus, flip
     result = check_equivariance(n_max=5)
     assert not result.ok
     assert result.detail == detail
+    _no_child_left()
+
+
+@pytest.mark.parametrize("cpus", ["one_cpu", "two_cpus"])
+def test_the_reversal_sign_law_is_checked_at_its_n(monkeypatch, request, cpus):
+    # the reversal's sign misread at n = 3: the sign laws are the first item
+    # of each n, so the check fails there, with the serial detail
+    request.getfixturevalue(cpus)
+    sign, reversal = verification.perm_sign, verification.longest_permutation(3)
+    monkeypatch.setattr(verification, "perm_sign", lambda w: -sign(w) if w == reversal else sign(w))
+    result = check_equivariance(n_max=5)
+    assert not result.ok
+    assert result.detail == "reversal sign is off"
     _no_child_left()
 
 
