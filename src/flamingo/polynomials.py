@@ -357,10 +357,9 @@ def minor(rows: Iterable[int], cols: Iterable[int], n: int) -> MatrixPolynomial:
     rows, cols = tuple(rows), tuple(cols)
     if any(type(x) is not int for x in rows + cols):
         raise ValueError("row and column indices must be ints")
-    I = sorted(set(rows))
-    J = sorted(set(cols))
-    if len(I) != len(rows) or len(J) != len(cols):
+    if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
         raise ValueError(f"row and column indices must not repeat, got {rows} and {cols}")
+    I, J = sorted(rows), sorted(cols)
     if len(I) != len(J):
         raise ValueError(f"minor needs |rows| = |cols|, got {len(I)} and {len(J)}")
     if I and (I[0] < 1 or I[-1] > n):

@@ -223,7 +223,6 @@ class TestGrassmannCayley:
             emitted.append(pos)
         assert emitted == [5, 4, 3, 2, 1, 0]
 
-    @pytest.mark.parametrize("cpus", ["one_cpu", "two_cpus"])
     @pytest.mark.parametrize(
         "plant, ours, theirs",
         [
@@ -242,11 +241,10 @@ class TestGrassmannCayley:
             pytest.param("dropped", "5 gc terms for 6 tableaux", "5 gc terms for 6 tableaux", id="dropped"),
         ],
     )
-    def test_a_planted_term_fails_both_bijections(self, monkeypatch, request, cpus, plant, ours, theirs):
+    def test_a_planted_term_fails_both_bijections(self, monkeypatch, plant, ours, theirs):
         # the running example's expansion with its terms reversed, its third
         # term negated or its third term dropped, against the check and
         # against the row-decoding bijection it replaced, kept in oracles
-        request.getfixturevalue(cpus)
         gc = gc_jellyfish(EXAMPLE, 2)
         terms = list(gc.terms.items())
         if plant == "reversed":
