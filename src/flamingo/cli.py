@@ -277,17 +277,19 @@ def build_parser() -> argparse.ArgumentParser:
     def add_json(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
+    def add_partition(p):
+        p.add_argument("--partition", required=True)
+        p.add_argument("--r", type=int, required=True)
+
     p = sub.add_parser("invariant", help="expand an invariant in matrix entries")
-    p.add_argument("--partition", required=True)
-    p.add_argument("--r", type=int, required=True)
+    add_partition(p)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--json", action="store_true", default=True)
     group.add_argument("--pretty", action="store_true")
     p.set_defaults(handler=cmd_invariant)
 
     p = sub.add_parser("tableaux", help="enumerate jellyfish tableaux")
-    p.add_argument("--partition", required=True)
-    p.add_argument("--r", type=int, required=True)
+    add_partition(p)
     add_json(p)
     p.set_defaults(handler=cmd_tableaux)
 
@@ -310,20 +312,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_independence)
 
     p = sub.add_parser("specht-check", help="membership of an invariant in its module")
-    p.add_argument("--partition", required=True)
-    p.add_argument("--r", type=int, required=True)
+    add_partition(p)
     add_json(p)
     p.set_defaults(handler=cmd_specht_check)
 
     p = sub.add_parser("gc-compare", help="compare the cap-and-wedge expansion with the tableau sum")
-    p.add_argument("--partition", required=True)
-    p.add_argument("--r", type=int, required=True)
+    add_partition(p)
     add_json(p)
     p.set_defaults(handler=cmd_gc_compare)
 
     p = sub.add_parser("diagram", help="export the tensor diagram")
-    p.add_argument("--partition", required=True)
-    p.add_argument("--r", type=int, required=True)
+    add_partition(p)
     p.add_argument("--format", choices=["dot", "json"], required=True)
     p.add_argument("--out")
     p.set_defaults(handler=cmd_diagram)
@@ -342,8 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_conjecture)
 
     p = sub.add_parser("orbit-rank", help="rotation orbit size and invariant rank")
-    p.add_argument("--partition", required=True)
-    p.add_argument("--r", type=int, required=True)
+    add_partition(p)
     p.set_defaults(handler=cmd_orbit_rank)
 
     p = sub.add_parser("verify-all", help="run the full verification battery")

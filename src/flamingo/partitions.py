@@ -45,7 +45,7 @@ def simple_transposition(n: int, i: int) -> tuple[int, ...]:
     >>> simple_transposition(4, 2)
     (1, 3, 2, 4)
     """
-    if not 1 <= i < n:
+    if type(i) is not int or not 1 <= i < n:
         raise ValueError(f"need 1 <= i < n, got i={i}, n={n}")
     w = list(range(1, n + 1))
     w[i - 1], w[i] = w[i], w[i - 1]
@@ -154,7 +154,7 @@ class OrderedSetPartition:
     def block_of(self, element: int) -> int:
         """1-based index of the block containing ``element``."""
         for i, block in enumerate(self.blocks, start=1):
-            if element in block:
+            if element in block and type(element) is int:
                 return i
         raise ValueError(f"{element} not in [1, {self.n}]")
 
@@ -235,28 +235,30 @@ def block_tuples(
         yield ()  # no elements: one partition, into d = 0 blocks
 
 
+def _partitions(n: int, d: int, r: int, canonical: bool = False) -> Iterator[OrderedSetPartition]:
+    """The partitions of [n] into d blocks of size at least r, built
+    unchecked in the order of ``block_tuples`` once the sizes pass: r by
+    ``require_depth``, n and d as ints of at least 1, a bool excluded."""
+    require_depth(r)
+    if type(n) is not int or type(d) is not int or n < 1 or d < 1:
+        raise ValueError(f"n and d must be ints of at least 1, got n = {n!r}, d = {d!r}")
+    every = block_tuples(range(1, n + 1), d, r, canonical)
+    return (OrderedSetPartition._trusted(n, blocks) for blocks in every)
+
+
 def enumerate_ordered_partitions(n: int, d: int, r: int) -> list[OrderedSetPartition]:
     """All ordered set partitions of [n] into d blocks of size at least r.
 
     Returned in lexicographic order of the block-assignment word of
     1, 2, ..., n.  Empty when n < r * d.
     """
-    if n < 1 or d < 1 or r < 1:
-        raise ValueError("n, d, r must all be at least 1")
-    return [
-        OrderedSetPartition._trusted(n, blocks) for blocks in block_tuples(range(1, n + 1), d, r)
-    ]
+    return list(_partitions(n, d, r))
 
 
 def enumerate_unordered_partitions(n: int, d: int, r: int) -> list[OrderedSetPartition]:
     """Set partitions of [n] into d blocks of size at least r, one canonical
     representative each (blocks ascending by minimum)."""
-    if n < 1 or d < 1 or r < 1:
-        raise ValueError("n, d, r must all be at least 1")
-    return [
-        OrderedSetPartition._trusted(n, blocks)
-        for blocks in block_tuples(range(1, n + 1), d, r, canonical=True)
-    ]
+    return list(_partitions(n, d, r, canonical=True))
 
 
 def partitions_up_to(n_max: int, r: int) -> Iterator[OrderedSetPartition]:
@@ -267,8 +269,7 @@ def partitions_up_to(n_max: int, r: int) -> Iterator[OrderedSetPartition]:
     require_depth(r)
     for n in range(r, n_max + 1):
         for d in range(1, n // r + 1):
-            for blocks in block_tuples(range(1, n + 1), d, r):
-                yield OrderedSetPartition._trusted(n, blocks)
+            yield from _partitions(n, d, r)
 
 
 def is_noncrossing(partition: OrderedSetPartition) -> bool:
@@ -343,8 +344,8 @@ def transposition_distance_to_noncrossing(partition: OrderedSetPartition, k: int
     Breadth-first search over canonical forms; block order is irrelevant
     to the crossing test.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    if type(k) is not int or k < 0:
+        raise ValueError(f"k must be a nonnegative int, got {k!r}")
     n = partition.n
     start = partition.canonical()
     if is_noncrossing(start):

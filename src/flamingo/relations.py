@@ -21,6 +21,7 @@ from .invariants import jellyfish_invariant
 from .partitions import (
     OrderedSetPartition,
     enumerate_unordered_partitions,
+    require_depth,
     transposition_distance_to_noncrossing,
 )
 from .polynomials import add_into
@@ -55,6 +56,7 @@ def recurrence_terms(
     A, B, C = map(set, instance.blocks[-3:])
     if len(C) != r:
         raise ValueError(f"need |C| = r, got |C| = {len(C)}, r = {r}")
+    require_depth(r)  # past |C| = r, only a bool or float twin of |C| is left to reject
     out = []
     for size in range(r + 1):
         for S in itertools.combinations(sorted(C), size):

@@ -193,7 +193,7 @@ def spanning_rank(shape: SpechtShape) -> int:
 def hook_family(n: int, d: int) -> list[OrderedSetPartition]:
     """For each (d-1)-subset P of {2..n}, the interval partition whose block
     minima are {1} union P; all are noncrossing."""
-    if not 1 <= d <= n:
+    if not (type(n) is type(d) is int and 1 <= d <= n):
         raise ValueError(f"need 1 <= d <= n, got n = {n}, d = {d}")
     out = []
     for P in itertools.combinations(range(2, n + 1), d - 1):

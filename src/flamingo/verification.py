@@ -41,6 +41,7 @@ from .partitions import (
     longest_permutation,
     partitions_up_to,
     perm_sign,
+    require_admissible,
     rotation_orbit,
     simple_transposition,
 )
@@ -475,8 +476,7 @@ def _diagram_holds(item: tuple[OrderedSetPartition, int]) -> int | str:
     if problems:
         return f"{partition} at depth {r}: {problems[0]}"
     degrees = boundary_degrees(diagram)
-    n, d = partition.n, partition.d
-    nu = n - (d - 1) * r  # the tentacle rows are r+1..nu, the tail rows nu+1..n
+    n, d, nu = partition.n, partition.d, require_admissible(partition, r)
     expected = [0] * r + [d - 1] * (nu - r) + [d] * (n - nu) + [1] * n
     got = [degrees[v] for v in range(1, 2 * n + 1)]
     if got != expected:
@@ -526,30 +526,28 @@ def _sign_panel(r: int, exhaustive_n: int) -> list[OrderedSetPartition]:
 
 
 def _sign_items(rng: random.Random, exhaustive_n: int) -> Iterator[tuple]:
-    """(r, partition, samples) for every partition of the sign panel at each
-    depth r, in order.  ``samples`` is None where a tableau has at most 64
-    column orders, which are all checked; otherwise it holds, for each of
-    the first max(1, tableau_count // 4) tableaux, 64 orders drawn from
-    ``rng`` here, as the serial loop drew them."""
-    for r in (1, 2, 3):
+    """(r, partition, orders) for every partition of the sign panel at each
+    depth r, in order.  ``orders`` holds the column orders of each tableau
+    whose arrangement sign is checked, the first max(1, tableau_count // 4):
+    every order where a tableau has at most 64, else 64 drawn from ``rng``
+    here, as the serial loop drew them."""
+    for r in DEPTHS:
         for partition in _sign_panel(r, exhaustive_n):
             blocks = partition.blocks
-            samples = None
+            checked = range(max(1, tableau_count(partition, r) // 4))
             if math.prod(math.factorial(len(block)) for block in blocks) > 64:
-                samples = [
-                    [tuple(rng.sample(block, len(block)) for block in blocks) for _ in range(64)]
-                    for _ in range(max(1, tableau_count(partition, r) // 4))
-                ]
-            yield r, partition, samples
+                orders = [[tuple(rng.sample(b, len(b)) for b in blocks) for _ in range(64)] for _ in checked]
+            else:
+                orders = [list(itertools.product(*map(itertools.permutations, blocks)))] * len(checked)
+            yield r, partition, orders
 
 
 def _sign_holds(item: tuple) -> Counter | str:
     """The item's swap and arrangement counts, or its first failure: each
     tableau with its columns reordered by sigma has sgn(sigma)^r times its
-    sign, for every sigma; then each of the first max(1, count // 4)
-    tableaux keeps its sign under every column order, or under its drawn
-    ones."""
-    r, partition, samples = item
+    sign, for every sigma; then each tableau the item carries column
+    orders for keeps its sign under every one of them."""
+    r, partition, orders = item
     tableaux = enumerate_tableaux(partition, r)
     signs = [t.sign() for t in tableaux]
     swaps = 0
@@ -559,12 +557,10 @@ def _sign_holds(item: tuple) -> Counter | str:
             if t.permute_columns(sigma).sign() != sgn * base:
                 return f"column-swap sign fails for {partition}, sigma={sigma}"
             swaps += 1
-    if samples is None:
-        samples = itertools.repeat(list(itertools.product(*map(itertools.permutations, partition.blocks))))
     arrangements = 0
-    for t, base, chosen in zip(tableaux, signs[: max(1, len(tableaux) // 4)], samples):
-        for orders in chosen:
-            if column_arrangement_sign(t, orders) != base:
+    for t, base, chosen in zip(tableaux, signs, orders):
+        for order in chosen:
+            if column_arrangement_sign(t, order) != base:
                 return f"column arrangement sign varies for {partition}"
             arrangements += 1
     return Counter(swaps=swaps, arrangements=arrangements)

@@ -1,10 +1,13 @@
 import hashlib
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import flamingo
 from flamingo import verification
 from flamingo.cli import main
 from flamingo.diagrams import to_dot, to_json
@@ -18,6 +21,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv):
+    """``python -m flamingo *argv`` in a child process that imports the
+    package these tests imported, installed or not."""
+    env = dict(os.environ)
+    source = str(pathlib.Path(flamingo.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "flamingo", *argv], capture_output=True, text=True, env=env)
 
 
 class TestInvariant:
@@ -272,25 +284,15 @@ class TestVerifyAll:
 
 class TestEntryPoint:
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "flamingo", "orbit-rank", "--partition", "1 2 3 5|4 6", "--r", "2"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("orbit-rank", "--partition", "1 2 3 5|4 6", "--r", "2")
         assert proc.returncode == 0
         assert proc.stdout == "orbit=6 rank=5\n"
 
     def test_no_command_is_usage_error(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "flamingo"], capture_output=True, text=True
-        )
-        assert proc.returncode == 2
+        assert run_module().returncode == 2
 
     def test_unknown_command_is_usage_error(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "flamingo", "bogus"], capture_output=True, text=True
-        )
-        assert proc.returncode == 2
+        assert run_module("bogus").returncode == 2
 
 
 @pytest.mark.parametrize(

@@ -28,6 +28,7 @@ from flamingo.partitions import (
     transposition_distance_to_noncrossing,
     word_inversions,
 )
+from flamingo.relations import conjecture_family
 
 from oracles import (
     brute_ordered_partitions,
@@ -112,6 +113,24 @@ class TestConstruction:
         assert seen == list(range(1, p.n + 1))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda p: p.block_of(True), "True not in [1, 4]"),
+        (lambda p: p.block_of(1.0), "1.0 not in [1, 4]"),
+        (lambda p: simple_transposition(4, True), "need 1 <= i < n, got i=True, n=4"),
+        (lambda p: simple_transposition(4, 2.0), "need 1 <= i < n, got i=2.0, n=4"),
+        (lambda p: transposition_distance_to_noncrossing(p, True), "k must be a nonnegative int, got True"),
+        (lambda p: transposition_distance_to_noncrossing(p, 1.0), "k must be a nonnegative int, got 1.0"),
+    ],
+    ids=["block-of-bool", "block-of-float", "transposition-bool", "transposition-float", "distance-bool", "distance-float"],
+)
+def test_rejects_the_bool_or_float_twin_of_an_int(call, message):
+    # True and 1.0 equal and hash like 1, so only an explicit int test rejects them
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(parse_partition("1 2|3 4"))
+
+
 class TestEnumeration:
     @pytest.mark.parametrize(
         "n,d,r",
@@ -160,11 +179,30 @@ class TestEnumeration:
         assert streamed == list(partitions_up_to_by_lists(7, r))
         assert streamed == [OrderedSetPartition(p.n, p.blocks) for p in streamed]
 
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            enumerate_ordered_partitions(0, 1, 1)
-        with pytest.raises(ValueError):
-            enumerate_ordered_partitions(4, 0, 1)
+    @pytest.mark.parametrize(
+        "make, size, bad",
+        [
+            pytest.param(make, size, bad, id=f"{make.__name__}-{size}-{bad}")
+            for make in (
+                enumerate_ordered_partitions,
+                enumerate_unordered_partitions,
+                enumerate_noncrossing,
+                conjecture_family,
+            )
+            # the conjecture family answers a bad r with its own r >= 3 rule
+            for size in (("n", "d") if make is conjecture_family else ("n", "d", "r"))
+            for bad in (True, 1.5, 0)
+        ],
+    )
+    def test_rejects_bad_arguments(self, make, size, bad):
+        # a bool or float size would run as an int one
+        sizes = {"n": 6, "d": 2, "r": 3, size: bad}
+        if size == "r":
+            message = f"r must be an int of at least 1, got {bad!r}"
+        else:
+            message = f"n and d must be ints of at least 1, got n = {sizes['n']!r}, d = {sizes['d']!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make(sizes["n"], sizes["d"], sizes["r"])
 
 
 class TestNoncrossing:

@@ -216,6 +216,9 @@ INVALID = [
     ("empty-a", ([], set(), {1, 2}, {3}, 1), WITH_R),
     ("empty-b", ([], {1, 2}, set(), {3}, 1), WITH_R),
     ("empty-c", ([], {1}, {2}, set(), 0), EVERY),
+    # True and 1.0 equal |C| = 1; the invariants reject them, the terms must too
+    ("bool-r", ([], {1}, {2}, {3}, True), ("recurrence_terms",)),
+    ("float-r", ([], {1}, {2}, {3}, 1.0), ("recurrence_terms",)),
 ]
 
 

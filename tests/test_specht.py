@@ -1,6 +1,7 @@
 import copy
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -174,6 +175,13 @@ class TestHookBasis:
         for p in hook_family(6, 3):
             for block in p.blocks:
                 assert block == tuple(range(block[0], block[-1] + 1))
+
+    @pytest.mark.parametrize("n, d", [(4, True), (4, 2.0), (4.0, 2)], ids=["bool-d", "float-d", "float-n"])
+    def test_family_rejects_a_size_that_is_not_an_int(self, n, d):
+        # True would run as d = 1
+        message = f"need 1 <= d <= n, got n = {n}, d = {d}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            hook_family(n, d)
 
     @pytest.mark.parametrize("n,d", [(4, 2), (5, 2), (5, 3), (6, 3), (7, 4)])
     def test_basis_verified(self, n, d):

@@ -13,6 +13,7 @@ import oracles
 from flamingo import invariants, verification
 from flamingo.diagrams import build_tensor_diagram
 from flamingo.partitions import parse_partition, partitions_up_to
+from flamingo.tableaux import enumerate_tableaux
 from flamingo.verification import (
     DEPTHS,
     _sign_panel,
@@ -29,6 +30,10 @@ SMALL_CHECKS = [
     pytest.param(lambda: check_diagrams(n_max=6), id="tensor-diagram-validation"),
     pytest.param(lambda: check_sign_properties(seed=2024, exhaustive_n=5), id="sign-properties"),
 ]
+SIGN_DETAIL = (
+    "500 translation signs verified numerically; 23822 column swaps and "
+    "8011 within-column arrangements keep their signs"
+)
 
 
 def _cpus(monkeypatch, count):
@@ -170,6 +175,29 @@ def test_a_planted_arrangement_failure_gives_the_serial_detail(monkeypatch, posi
     split = check_sign_properties(seed=2024, exhaustive_n=5)
     assert not serial.ok and not split.ok
     assert serial.detail == split.detail == expected
+    _no_child_left()
+
+
+@pytest.mark.parametrize("cpus", ["one_cpu", "two_cpus"])
+@pytest.mark.parametrize("position, count", [(95, 3), (635, 4)], ids=["child", "this-process"])
+@pytest.mark.parametrize("index, ok", [(0, False), (1, True)], ids=["last-checked", "first-past"])
+def test_an_exhaustive_item_checks_its_first_quarter_of_tableaux(monkeypatch, request, cpus, position, count, index, ok):
+    # the items at 95 and 635 have at most 64 column orders, all checked,
+    # on the first max(1, count // 4) = 1 tableau: a wrong sign planted on
+    # it fails the check, and one planted on the tableau after it is never met
+    request.getfixturevalue(cpus)
+    r, partition = [(r, p) for r in DEPTHS for p in _sign_panel(r, 5)][position]
+    tableaux = enumerate_tableaux(partition, r)
+    assert len(tableaux) == count
+    planted = (partition, r, tableaux[index].assignment)
+    original = verification.column_arrangement_sign
+    monkeypatch.setattr(
+        verification,
+        "column_arrangement_sign",
+        lambda t, orders: -original(t, orders) if (t.partition, t.r, t.assignment) == planted else original(t, orders),
+    )
+    result = check_sign_properties(seed=2024, exhaustive_n=5)
+    assert (result.ok, result.detail) == (ok, SIGN_DETAIL if ok else f"column arrangement sign varies for {partition}")
     _no_child_left()
 
 
