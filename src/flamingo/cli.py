@@ -22,7 +22,7 @@ from typing import Callable, Sequence, TypeVar
 from . import verification
 from .diagrams import build_tensor_diagram, export
 from .grassmann import predicted_global_sign, resolved_global_sign
-from .invariants import jellyfish_invariant
+from .invariants import jellyfish_invariant, relation_holds
 from .partitions import (
     OrderedSetPartition,
     enumerate_noncrossing,
@@ -31,7 +31,7 @@ from .partitions import (
     require_depth,
     rotation_orbit,
 )
-from .relations import conjecture_family, recurrence_left, recurrence_terms, verify_recurrence
+from .relations import conjecture_family, recurrence_terms
 from .specht import SpechtShape, exact_rank, hook_basis, hook_family, membership_test
 from .tableaux import enumerate_tableaux
 
@@ -116,9 +116,8 @@ def cmd_tableaux(args) -> int:
 def cmd_recurrence(args) -> int:
     prefix = _prefix_blocks(args.prefix)
     A, B, C = _elements(args.A), _elements(args.B), _elements(args.C)
-    left = _usage(recurrence_left, prefix, A, B, C)
-    terms = _usage(recurrence_terms, prefix, A, B, C, args.r)
-    ok = verify_recurrence(prefix, A, B, C, args.r)
+    left, terms = _usage(recurrence_terms, prefix, A, B, C, args.r)
+    ok = relation_holds(left, terms, args.r)
     if args.json:
         print(
             json.dumps(

@@ -57,12 +57,13 @@ def index_set(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _checked_mask(indices: Iterable[int], top: int) -> int:
-    """The mask of indices that are ints in [1, top], not bools, and do not
-    repeat, by the partition constructor's rule."""
-    indices = tuple(indices)
-    if not all(type(i) is int and 1 <= i <= top for i in indices) or len(set(indices)) != len(indices):
-        raise ValueError(f"indices must be distinct ints in [1, {top}], got {indices}")
+def _checked_mask(indices: Iterable[int], n: int, copies: int = 1) -> int:
+    """The mask of indices that are ints in [1, copies * n], not bools, and
+    do not repeat, by the partition constructor's rule, for an int n."""
+    indices, top = tuple(indices), copies * n
+    in_range = type(n) is int and all(type(i) is int and 1 <= i <= top for i in indices)
+    if not in_range or len(set(indices)) != len(indices):
+        raise ValueError(f"indices must be distinct ints in [1, {top}] for an int n, got {indices}, n = {n!r}")
     return _mask(indices)
 
 
@@ -122,14 +123,14 @@ def delta_index_set(rows: Iterable[int], cols: Iterable[int], n: int) -> tuple[i
 def translation_sign(rows: Iterable[int], n: int) -> int:
     """Exact sign relating the Pluecker coordinate on delta_index_set(I, J, n)
     to the minor on rows I and columns J; it depends only on n and |I|."""
-    kept = ((1 << n) - 1) & ~_checked_mask(rows, n)
+    kept = ~_checked_mask(rows, n) & ((1 << n) - 1)
     return -1 if _translation_exponent(kept) % 2 else 1
 
 
 def delta_to_minor(K: Iterable[int], n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """Split a size-n column set K in [2n] into (sign, rows I, cols J) with
     the Pluecker coordinate on K equal to sign times the minor M_I^J."""
-    mask = _checked_mask(K, 2 * n)
+    mask = _checked_mask(K, n, 2)
     if mask.bit_count() != n:
         raise ValueError("K must be a size-n subset of [2n]")
     full = (1 << n) - 1

@@ -19,7 +19,8 @@ The symmetric group acts on columns; the laws verified here are
 
 * w . [pi]_r = sgn(w) [w . pi]_r for any permutation w of [n], among
   them the rotation (the long cycle) and the reflection (the reversal),
-* [pi]_r = sgn(sigma)^r [sigma(pi)]_r for any reordering sigma of blocks.
+* [pi]_r = sgn(sigma)^r [sigma(pi)]_r for any reordering sigma of blocks,
+  checked like every linear relation among invariants by ``relation_holds``.
 
 A ``ColumnAction`` carries what the first law needs of w alone: the bit
 map, sgn(w) and the image of each monomial met so far; it moves a
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .partitions import (
     BlockTooSmall,
@@ -143,9 +144,15 @@ class ColumnAction:
         return True
 
 
+def relation_holds(left: OrderedSetPartition, terms: Iterable[tuple[int, OrderedSetPartition]], r: int) -> bool:
+    """Check [left]_r == sum of sign * [p]_r over (sign, p) in ``terms`` exactly."""
+    acc = dict(jellyfish_invariant(left, r).terms)
+    for sign, partition in terms:
+        add_into(acc, jellyfish_invariant(partition, r).terms, -sign)
+    return not acc
+
+
 def verify_block_reorder(sigma: Sequence[int], partition: OrderedSetPartition, r: int) -> bool:
     """Check [pi]_r == sgn(sigma)^r [sigma(pi)]_r exactly."""
-    acc = dict(jellyfish_invariant(partition, r).terms)
-    sign = perm_sign(sigma) ** r
-    add_into(acc, jellyfish_invariant(permute_blocks(sigma, partition), r).terms, -sign)
-    return not acc
+    require_depth(r)  # before the power sgn(sigma)^r, as [pi]_r checks it
+    return relation_holds(partition, [(perm_sign(sigma) ** r, permute_blocks(sigma, partition))], r)

@@ -58,11 +58,15 @@ def long_cycle(n: int) -> tuple[int, ...]:
     >>> long_cycle(4)
     (4, 1, 2, 3)
     """
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be an int of at least 1, got {n!r}")
     return (n,) + tuple(range(1, n))
 
 
 def longest_permutation(n: int) -> tuple[int, ...]:
     """The order-reversing permutation j -> n + 1 - j."""
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be an int of at least 1, got {n!r}")
     return tuple(range(n, 0, -1))
 
 
@@ -265,8 +269,10 @@ def partitions_up_to(n_max: int, r: int) -> Iterator[OrderedSetPartition]:
     """Every ordered partition of [n] into blocks of size at least r, for
     n = r .. n_max, by n and then by the number of blocks, each in the order
     of ``enumerate_ordered_partitions``.  A generator that holds no list;
-    its first step checks r by ``require_depth``."""
+    its first step checks r by ``require_depth`` and n_max as an int."""
     require_depth(r)
+    if type(n_max) is not int:
+        raise ValueError(f"n_max must be an int, got {n_max!r}")
     for n in range(r, n_max + 1):
         for d in range(1, n // r + 1):
             yield from _partitions(n, d, r)

@@ -95,9 +95,9 @@ def add_into(acc: dict, terms: Mapping, factor: int = 1) -> None:
 def column_map(w: Sequence[int], n: int) -> list[int]:
     """The bit map of x[a][j] -> x[a][w(j)] over n columns: bit -> its
     variable's image, as a one-bit mask.  ``w`` must be a permutation of
-    [n], by the one rule of ``partitions.is_permutation``."""
-    if len(w) != n or not is_permutation(w):
-        raise ValueError("w must be a permutation of the columns")
+    [n], by the one rule of ``partitions.is_permutation``, for an int n."""
+    if type(n) is not int or len(w) != n or not is_permutation(w):
+        raise ValueError(f"w must be a permutation of the columns [1, n] of an int n, got n = {n!r}")
     moved = [0] * (n * n)
     for row in range(1, n + 1):
         # a row's variables take n consecutive bits, one way or the other
@@ -130,8 +130,8 @@ class MatrixPolynomial:
     __slots__ = ("n", "k", "terms")
 
     def __init__(self, n: int, terms: Mapping[tuple[int, ...], int] | None = None, k: int = 0):
-        if n < 0:
-            raise ValueError("n must be nonnegative")
+        if type(n) is not int or n < 0:
+            raise ValueError(f"n must be a nonnegative int, got {n!r}")
         clean: dict[Monomial, int] = {}
         max_row = 0
         for m, c in (terms or {}).items():
@@ -355,8 +355,8 @@ def minor(rows: Iterable[int], cols: Iterable[int], n: int) -> MatrixPolynomial:
     none repeated.
     """
     rows, cols = tuple(rows), tuple(cols)
-    if any(type(x) is not int for x in rows + cols):
-        raise ValueError("row and column indices must be ints")
+    if type(n) is not int or any(type(x) is not int for x in rows + cols):
+        raise ValueError(f"n, row and column indices must be ints, got n = {n!r}, {rows} and {cols}")
     if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
         raise ValueError(f"row and column indices must not repeat, got {rows} and {cols}")
     I, J = sorted(rows), sorted(cols)

@@ -17,23 +17,14 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Sequence
 
-from .invariants import jellyfish_invariant
+from .invariants import jellyfish_invariant, relation_holds
 from .partitions import (
     OrderedSetPartition,
     enumerate_unordered_partitions,
     require_depth,
     transposition_distance_to_noncrossing,
 )
-from .polynomials import add_into
 from .specht import exact_rank
-
-
-def recurrence_left(
-    prefix: Sequence[Iterable[int]], A: Iterable[int], B: Iterable[int], C: Iterable[int]
-) -> OrderedSetPartition:
-    """(prefix | A union B | C), validated by the constructor; A and B are
-    joined as lists, so an element repeated in or across them is rejected."""
-    return OrderedSetPartition.from_blocks([*prefix, [*A, *B], C])
 
 
 def recurrence_terms(
@@ -42,27 +33,31 @@ def recurrence_terms(
     B: Iterable[int],
     C: Iterable[int],
     r: int,
-) -> list[tuple[int, OrderedSetPartition]]:
-    """The 2^r signed right-hand partitions ((-1)^|S|, (prefix | A+S | B+(C-S)))
-    over subsets S of C; requires nonempty A, B, C with |C| = r.
+) -> tuple[OrderedSetPartition, list[tuple[int, OrderedSetPartition]]]:
+    """The left side (prefix | A union B | C) and the 2^r signed right-hand
+    partitions ((-1)^|S|, (prefix | A+S | B+(C-S))) over subsets S of C;
+    requires nonempty A, B, C with |C| = r.
 
     Undersized blocks are retained: their invariants vanish, which is how
-    the identity absorbs degenerate terms.  The input is validated once, by
-    building (prefix | A | B | C) with the checking constructor, and the
-    partitions are built unchecked.
+    the identity absorbs degenerate terms.  The input is validated once,
+    the left side by the checking constructor (A and B joined as lists, so
+    an element repeated in or across them is rejected) and A and B as
+    nonempty; the right-hand partitions are built unchecked from its blocks.
     """
-    instance = OrderedSetPartition.from_blocks([*prefix, A, B, C])
-    n, head = instance.n, instance.blocks[:-3]
-    A, B, C = map(set, instance.blocks[-3:])
+    A, B = list(A), list(B)
+    left = OrderedSetPartition.from_blocks([*prefix, A + B, C])
+    if not A or not B:
+        raise ValueError("empty block")
+    n, head, C = left.n, left.blocks[:-2], left.blocks[-1]
     if len(C) != r:
         raise ValueError(f"need |C| = r, got |C| = {len(C)}, r = {r}")
     require_depth(r)  # past |C| = r, only a bool or float twin of |C| is left to reject
-    out = []
+    terms = []
     for size in range(r + 1):
-        for S in itertools.combinations(sorted(C), size):
-            blocks = head + (tuple(sorted(A.union(S))), tuple(sorted(B | C.difference(S))))
-            out.append((-1 if size % 2 else 1, OrderedSetPartition._trusted(n, blocks)))
-    return out
+        for S in itertools.combinations(C, size):
+            blocks = head + (tuple(sorted({*A, *S})), tuple(sorted({*B, *C}.difference(S))))
+            terms.append((-1 if size % 2 else 1, OrderedSetPartition._trusted(n, blocks)))
+    return left, terms
 
 
 def verify_recurrence(
@@ -72,17 +67,8 @@ def verify_recurrence(
     C: Iterable[int],
     r: int,
 ) -> bool:
-    """Exact polynomial check of the 2^r + 1 term identity: the left side
-    minus the signed right-hand invariants is empty."""
-    A, B, C = list(A), list(B), list(C)
-    terms = recurrence_terms(prefix, A, B, C, r)
-    # the terms share n and the sorted prefix blocks with the left side
-    n, head = terms[0][1].n, terms[0][1].blocks[:-2]
-    left = OrderedSetPartition._trusted(n, head + (tuple(sorted(A + B)), tuple(sorted(C))))
-    acc = dict(jellyfish_invariant(left, r).terms)
-    for sign, partition in terms:
-        add_into(acc, jellyfish_invariant(partition, r).terms, -sign)
-    return not acc
+    """Exact polynomial check of the 2^r + 1 term identity."""
+    return relation_holds(*recurrence_terms(prefix, A, B, C, r), r)
 
 
 def verify_three_term(A: Iterable[int], B: Iterable[int], C: Iterable[int]) -> bool:
@@ -91,11 +77,11 @@ def verify_three_term(A: Iterable[int], B: Iterable[int], C: Iterable[int]) -> b
     A, B, C = map(set, instance.blocks)
     if len(C) != 1:
         raise ValueError(f"need a singleton C, got |C| = {len(C)}")
-    acc: dict = {}
-    for x, y in ((A | B, C), (A | C, B), (B | C, A)):
-        partition = OrderedSetPartition._trusted(instance.n, (tuple(sorted(x)), tuple(sorted(y))))
-        add_into(acc, jellyfish_invariant(partition, 1).terms)
-    return not acc
+    left, *rest = (
+        OrderedSetPartition._trusted(instance.n, (tuple(sorted(x)), tuple(sorted(y))))
+        for x, y in ((A | B, C), (A | C, B), (B | C, A))
+    )
+    return relation_holds(left, [(-1, q) for q in rest], 1)
 
 
 # -- crossing resolution at depth 1 -----------------------------------------
@@ -145,13 +131,8 @@ def resolve_crossing_r1(
         (-1, partition.replace_blocks({i: (Q | P) - {c}, j: {c}})),
         (-1, partition.replace_blocks({i: Q | {c}, j: P - {c}})),
     ]
-    target = jellyfish_invariant(partition, 1).terms
-    for resolution in (first, second):
-        acc = dict(target)
-        for sign, q in resolution:
-            add_into(acc, jellyfish_invariant(q, 1).terms, -sign)
-        if acc:
-            raise AssertionError("crossing resolution failed to reproduce the invariant")
+    if not all(relation_holds(partition, resolution, 1) for resolution in (first, second)):
+        raise AssertionError("crossing resolution failed to reproduce the invariant")
     return first, second
 
 

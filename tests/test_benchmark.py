@@ -27,7 +27,9 @@ print(json.dumps({n_max: [[name for name, _ in battery(n_max, 2024)], list(detai
 
 
 def test_benchmark_imports_and_expects_the_battery_checks():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")]))
+    # no bytecode: compiled files under perfbench/ would speed the next benchmark's setup
+    path = os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")])
+    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, "-c", PROBE], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )

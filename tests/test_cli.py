@@ -351,8 +351,10 @@ def test_out_of_range_argument_is_usage_error(capsys, argv):
         (("tableaux", "--partition", "1|2 3", "--r", "2"), "r = 2 elements, the smallest has 1"),
         (("hook-basis", "--n", "2", "--d", "3"), "got n = 2, d = 3"),
         (("conjecture", "--n", "4", "--d", "3", "--r", "3"), "got n = 4, d = 3, r = 3, r*d = 9"),
+        # two faults, an empty B and the gap at 2: the left side (A+B | C) is checked first
+        (("recurrence", "--A", "1", "--B", "", "--C", "3", "--r", "1"), "error: element 3 outside [1, 2]\n"),
     ],
-    ids=["block-too-small", "hook-family", "specht-shape"],
+    ids=["block-too-small", "hook-family", "specht-shape", "recurrence-left-side-first"],
 )
 def test_usage_error_names_the_rejected_values(capsys, argv, values):
     # the library's messages carry the values, so every caller reports them

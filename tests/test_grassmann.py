@@ -175,6 +175,13 @@ class TestTranslation:
             pytest.param(lambda: delta_to_minor((1, 1, 3), 2), id="delta-to-minor-repeat"),
             pytest.param(lambda: delta_index_set((1, 1), (2, 2), 3), id="delta-index-set-repeat"),
             pytest.param(lambda: translation_sign((2, 2), 3), id="translation-sign-repeat"),
+            # a bool n runs as n = 1, a float n fails past the checks
+            pytest.param(lambda: delta_index_set((1,), (1,), True), id="delta-index-set-bool-n"),
+            pytest.param(lambda: delta_index_set((1,), (1,), 2.0), id="delta-index-set-float-n"),
+            pytest.param(lambda: translation_sign((1,), True), id="translation-sign-bool-n"),
+            pytest.param(lambda: translation_sign((1,), 2.0), id="translation-sign-float-n"),
+            pytest.param(lambda: delta_to_minor((2,), True), id="delta-to-minor-bool-n"),
+            pytest.param(lambda: delta_to_minor((1, 4), 2.0), id="delta-to-minor-float-n"),
         ],
     )
     def test_indices_must_be_ints_in_range(self, call):

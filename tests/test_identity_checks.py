@@ -43,27 +43,27 @@ def _partitions(n_max, depths):
 
 
 def generic_recurrence(prefix, A, B, C, r):
-    left = relations.jellyfish_invariant(relations.recurrence_left(prefix, A, B, C), r)
+    left = invariants.jellyfish_invariant(OrderedSetPartition.from_blocks([*prefix, [*A, *B], C]), r)
     total = MatrixPolynomial.zero(left.n)
-    for sign, partition in relations.recurrence_terms(prefix, A, B, C, r):
-        total = total + relations.jellyfish_invariant(partition, r) * sign
+    for sign, partition in relations.recurrence_terms(prefix, A, B, C, r)[1]:
+        total = total + invariants.jellyfish_invariant(partition, r) * sign
     return left == total
 
 
 def generic_three_term(A, B, C, n):
     def inv(x, y):
-        return relations.jellyfish_invariant(OrderedSetPartition(n, (tuple(sorted(x)), tuple(sorted(y)))), 1)
+        return invariants.jellyfish_invariant(OrderedSetPartition(n, (tuple(sorted(x)), tuple(sorted(y)))), 1)
 
     return (inv(A | B, C) + inv(A | C, B) + inv(B | C, A)).is_zero
 
 
 def generic_resolutions_hold(partition):
     first, second = crossing_resolutions(partition)
-    target = relations.jellyfish_invariant(partition, 1)
+    target = invariants.jellyfish_invariant(partition, 1)
     for resolution in (first, second):
         total = MatrixPolynomial.zero(partition.n)
         for sign, q in resolution:
-            total = total + relations.jellyfish_invariant(q, 1) * sign
+            total = total + invariants.jellyfish_invariant(q, 1) * sign
         if total != target:
             return False
     return True
@@ -100,7 +100,6 @@ def broken(request, monkeypatch):
             poly = original(partition, r)
             return -poly if partition.n in partition.blocks[-1] else poly
 
-        monkeypatch.setattr(relations, "jellyfish_invariant", flipped)
         monkeypatch.setattr(invariants, "jellyfish_invariant", flipped)
     return request.param
 
@@ -188,8 +187,8 @@ class TestFlippedSignFails:
         original = relations.recurrence_terms
 
         def flip_first(*args):
-            (sign, partition), *rest = original(*args)
-            return [(-sign, partition)] + rest
+            left, ((sign, partition), *rest) = original(*args)
+            return left, [(-sign, partition)] + rest
 
         args = ([], {1, 2}, {3, 4}, {5, 6}, 2)
         assert verify_recurrence(*args)
@@ -197,7 +196,7 @@ class TestFlippedSignFails:
         assert not verify_recurrence(*args)
 
     def test_three_term(self, monkeypatch):
-        original = relations.jellyfish_invariant
+        original = invariants.jellyfish_invariant
         C = (5,)
 
         def flip_last_c(partition, r):
@@ -205,14 +204,14 @@ class TestFlippedSignFails:
             return -poly if partition.blocks[-1] == C else poly
 
         assert verify_three_term({1, 2}, {3, 4}, set(C))
-        monkeypatch.setattr(relations, "jellyfish_invariant", flip_last_c)
+        monkeypatch.setattr(invariants, "jellyfish_invariant", flip_last_c)
         assert not verify_three_term({1, 2}, {3, 4}, set(C))
 
     def test_crossing_resolution_raises(self, monkeypatch):
         p = parse_partition("1 3|2 4")
-        original = relations.jellyfish_invariant
+        original = invariants.jellyfish_invariant
         monkeypatch.setattr(
-            relations, "jellyfish_invariant", lambda q, r: -original(q, r) if q == p else original(q, r)
+            invariants, "jellyfish_invariant", lambda q, r: -original(q, r) if q == p else original(q, r)
         )
         with pytest.raises(AssertionError):
             resolve_crossing_r1(p)

@@ -122,8 +122,27 @@ class TestConstruction:
         (lambda p: simple_transposition(4, 2.0), "need 1 <= i < n, got i=2.0, n=4"),
         (lambda p: transposition_distance_to_noncrossing(p, True), "k must be a nonnegative int, got True"),
         (lambda p: transposition_distance_to_noncrossing(p, 1.0), "k must be a nonnegative int, got 1.0"),
+        (lambda p: list(partitions_up_to(True, 1)), "n_max must be an int, got True"),
+        (lambda p: list(partitions_up_to(7.5, 1)), "n_max must be an int, got 7.5"),
+        (lambda p: long_cycle(True), "n must be an int of at least 1, got True"),
+        (lambda p: long_cycle(2.0), "n must be an int of at least 1, got 2.0"),
+        (lambda p: longest_permutation(True), "n must be an int of at least 1, got True"),
+        (lambda p: longest_permutation(2.0), "n must be an int of at least 1, got 2.0"),
     ],
-    ids=["block-of-bool", "block-of-float", "transposition-bool", "transposition-float", "distance-bool", "distance-float"],
+    ids=[
+        "block-of-bool",
+        "block-of-float",
+        "transposition-bool",
+        "transposition-float",
+        "distance-bool",
+        "distance-float",
+        "up-to-bool",
+        "up-to-float",
+        "long-cycle-bool",
+        "long-cycle-float",
+        "longest-bool",
+        "longest-float",
+    ],
 )
 def test_rejects_the_bool_or_float_twin_of_an_int(call, message):
     # True and 1.0 equal and hash like 1, so only an explicit int test rejects them

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -175,6 +176,12 @@ class TestPackedMonomials:
             # two equal rows or columns make a determinant 0, not a smaller minor
             pytest.param(lambda: minor((1, 1), (2, 2), 2), "must not repeat", id="minor-repeated-index"),
             pytest.param(lambda: minor((1, 2), (2, 2), 2), "must not repeat", id="minor-repeated-column"),
+            # a bool n would run as n = 1 and export "n": true; a float n fails past the checks
+            pytest.param(lambda: minor((1,), (1,), True), "must be ints", id="minor-bool-n"),
+            pytest.param(lambda: minor((1,), (1,), 2.0), "must be ints", id="minor-float-n"),
+            pytest.param(lambda: MatrixPolynomial(True, {(1,): 1}), "nonnegative int", id="bool-n"),
+            pytest.param(lambda: MatrixPolynomial(2.0, {}), "nonnegative int", id="float-n"),
+            pytest.param(lambda: MatrixPolynomial.zero(True), "nonnegative int", id="zero-bool-n"),
         ],
     )
     def test_rejects_rows_outside_0_to_n(self, build, message):
@@ -442,12 +449,17 @@ class TestSubstituteColumns:
         image = MatrixPolynomial._trusted(n, {map_monomial(m, bits): c for m, c in p.terms.items()}, p.k)
         assert tuple_terms(image) == moved == tuple_terms(substitute_columns(p, w))
 
-    @pytest.mark.parametrize("w", [(True, 2), (2.0, 1.0), (1, 1), (1, 2, 3), (2,)])
-    def test_rejects_what_is_not_a_permutation_of_the_columns(self, w):
-        with pytest.raises(ValueError, match="permutation of the columns"):
-            column_map(w, 2)
-        with pytest.raises(ValueError, match="permutation of the columns"):
-            ColumnAction(w, 2)
+    @pytest.mark.parametrize(
+        "w, n",
+        [((True, 2), 2), ((2.0, 1.0), 2), ((1, 1), 2), ((1, 2, 3), 2), ((2,), 2), ((1,), True), ((2, 1), 2.0)],
+        ids=["w0", "w1", "w2", "w3", "w4", "bool-n", "float-n"],
+    )
+    def test_rejects_what_is_not_a_permutation_of_the_columns(self, w, n):
+        message = f"^{re.escape(f'w must be a permutation of the columns [1, n] of an int n, got n = {n!r}')}$"
+        with pytest.raises(ValueError, match=message):
+            column_map(w, n)
+        with pytest.raises(ValueError, match=message):
+            ColumnAction(w, n)
 
 
 class TestValidationBoundary:

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flamingo import relations, verification
-from flamingo.invariants import jellyfish_invariant
+from flamingo import invariants, verification
+from flamingo.invariants import jellyfish_invariant, relation_holds, verify_block_reorder
 from flamingo.partitions import OrderedSetPartition, is_noncrossing, parse_partition
 from flamingo.polynomials import MatrixPolynomial
 from flamingo.relations import (
     conjecture_family,
     conjecture_report,
-    recurrence_left,
     recurrence_terms,
     resolve_crossing_r1,
     smallest_crossing_quadruple,
@@ -24,18 +23,43 @@ from flamingo.verification import DEPTHS, _abc_instances, check_conjecture, chec
 from oracles import brute_ordered_partitions, recurrence_sweep_by_masks, three_term_splits_by_masks
 
 
+class TestRelationHolds:
+    @pytest.mark.parametrize(
+        "text, r, zero",
+        [("1 3|2 4", 1, False), ("1 2 5|3 4 6", 2, False), ("1 2|3", 2, True)],
+        ids=["depth-1", "depth-2", "undersized-block"],
+    )
+    def test_left_against_itself(self, text, r, zero):
+        # [p] = [p] always; [p] = -[p] and [p] = 0 only when [p] vanishes
+        p = parse_partition(text)
+        assert jellyfish_invariant(p, r).is_zero is zero
+        assert relation_holds(p, [(1, p)], r)
+        assert relation_holds(p, iter([(2, p), (-1, p)]), r)
+        assert relation_holds(p, [(-1, p)], r) is zero
+        assert relation_holds(p, [], r) is zero
+
+    @pytest.mark.parametrize("r", [True, None])
+    def test_rejects_a_depth_that_is_not_an_int(self, r):
+        # the block-reorder law builds its term before [pi]_r checks r
+        p = parse_partition("1 3|2 4")
+        with pytest.raises(ValueError, match="r must be an int"):
+            relation_holds(p, [(1, p)], r)
+        with pytest.raises(ValueError, match="r must be an int"):
+            verify_block_reorder((2, 1), p, r)
+
+
 class TestRecurrence:
     def test_term_count_is_power_of_two(self):
-        terms = recurrence_terms([], {1, 2}, {3, 4}, {5, 6}, 2)
+        _, terms = recurrence_terms([], {1, 2}, {3, 4}, {5, 6}, 2)
         assert len(terms) == 4
 
     def test_signs_follow_subset_parity(self):
-        terms = recurrence_terms([], {1, 2}, {3, 4}, {5, 6}, 2)
+        _, terms = recurrence_terms([], {1, 2}, {3, 4}, {5, 6}, 2)
         # empty subset first, then singletons, then the full subset
         assert [s for s, _ in terms] == [1, -1, -1, 1]
 
     def test_left_side_blocks(self):
-        left = recurrence_left([(7,)], {1, 2}, {3, 4}, {5, 6})
+        left, _ = recurrence_terms([(7,)], {1, 2}, {3, 4}, {5, 6}, 2)
         assert left.blocks == ((7,), (1, 2, 3, 4), (5, 6))
 
     def test_identity_holds_exactly(self):
@@ -58,8 +82,8 @@ class TestRecurrence:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda: recurrence_left([], [1, 1], [2], [3]),
-            lambda: recurrence_left([[4, 4]], [1], [2], [3]),
+            lambda: recurrence_terms([], [1, 1], [2], [3], 1)[0],
+            lambda: recurrence_terms([[4, 4]], [1], [2], [3], 1)[0],
             lambda: recurrence_terms([], [1], [2, 2], [3], 1),
             lambda: recurrence_terms([[4, 4]], [1], [2], [3], 1),
             lambda: verify_recurrence([], [1], [2], [3, 3], 1),
@@ -198,23 +222,20 @@ class TestSweepOrder:
 ENTRY_POINTS = {
     "verify_recurrence": lambda prefix, A, B, C, r: verify_recurrence(prefix, A, B, C, r),
     "recurrence_terms": lambda prefix, A, B, C, r: recurrence_terms(prefix, A, B, C, r),
-    "recurrence_left": lambda prefix, A, B, C, r: recurrence_left(prefix, A, B, C),
     "verify_three_term": lambda prefix, A, B, C, r: verify_three_term(A, B, C),
 }
 EVERY = tuple(ENTRY_POINTS)
-WITH_R = ("verify_recurrence", "recurrence_terms", "verify_three_term")
 
-# (name, (prefix, A, B, C, r), the entry points that reject it).  The left
-# side takes no r and needs only A union B nonempty; the three-term relation
-# has no prefix and needs |C| = 1.
+# (name, (prefix, A, B, C, r), the entry points that reject it).  The
+# three-term relation has no prefix and needs |C| = 1.
 INVALID = [
     ("repeated-element", ([], {1, 2}, {2, 3}, {4}, 1), EVERY),
     ("gap", ([], {1}, {2}, {4}, 1), EVERY),
     ("non-int-element", ([], {1.0}, {2}, {3}, 1), EVERY),
-    ("empty-prefix-block", ([()], {1}, {2}, {3}, 1), EVERY[:3]),
-    ("c-size-not-r", ([], {1}, {2}, {3, 4}, 1), WITH_R),
-    ("empty-a", ([], set(), {1, 2}, {3}, 1), WITH_R),
-    ("empty-b", ([], {1, 2}, set(), {3}, 1), WITH_R),
+    ("empty-prefix-block", ([()], {1}, {2}, {3}, 1), EVERY[:2]),
+    ("c-size-not-r", ([], {1}, {2}, {3, 4}, 1), EVERY),
+    ("empty-a", ([], set(), {1, 2}, {3}, 1), EVERY),
+    ("empty-b", ([], {1, 2}, set(), {3}, 1), EVERY),
     ("empty-c", ([], {1}, {2}, set(), 0), EVERY),
     # True and 1.0 equal |C| = 1; the invariants reject them, the terms must too
     ("bool-r", ([], {1}, {2}, {3}, True), ("recurrence_terms",)),
@@ -241,7 +262,7 @@ def test_built_partitions_equal_their_validated_rebuilds(monkeypatch):
         built.append(partition)
         return jellyfish_invariant(partition, r)
 
-    monkeypatch.setattr(relations, "jellyfish_invariant", recording)
+    monkeypatch.setattr(invariants, "jellyfish_invariant", recording)
     instances = 0
     for n in range(3, 6):
         for r in DEPTHS:
@@ -249,8 +270,8 @@ def test_built_partitions_equal_their_validated_rebuilds(monkeypatch):
                 continue
             for prefix, A, B, C in _abc_instances(n, r, prefix_min=r):
                 assert verify_recurrence(prefix, A, B, C, r)
-                assert built[-(2**r + 1)] == recurrence_left(prefix, A, B, C)
-                assert built[-(2**r) :] == [q for _, q in recurrence_terms(prefix, A, B, C, r)]
+                assert built[-(2**r + 1)] == OrderedSetPartition.from_blocks([*prefix, [*A, *B], C])
+                assert built[-(2**r) :] == [q for _, q in recurrence_terms(prefix, A, B, C, r)[1]]
                 instances += 1
         for c in range(1, n + 1):
             rest = [x for x in range(1, n + 1) if x != c]

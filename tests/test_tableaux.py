@@ -99,6 +99,12 @@ class TestStructure:
         with pytest.raises(ValueError):
             JellyfishTableau(p, 1, (1, 1))  # column 2 never fed
 
+    @pytest.mark.parametrize("column", [True, 1.0], ids=["bool", "float"])
+    def test_rejects_a_column_that_is_not_an_int(self, column):
+        # True and 1.0 count as column 1, so the tableau would pass for (1,)
+        with pytest.raises(ValueError, match="int column"):
+            JellyfishTableau(parse_partition("1 2|3"), 1, (column,))
+
     def test_grid_shape(self):
         p = parse_partition(EXAMPLE)
         t = enumerate_tableaux(p, 2)[0]
