@@ -100,7 +100,7 @@ def perm_sign(w: Sequence[int]) -> int:
 # Ordered set partitions.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrderedSetPartition:
     """A sequence of disjoint nonempty blocks covering [n].
 
@@ -206,14 +206,16 @@ def block_tuples(
     elements.  r = 0 lets blocks be empty.  A generator, so no list of every
     partition is held.  The first element varies slowest: given the elements
     in decreasing order, the largest does, and each block comes out
-    decreasing.
+    decreasing.  Each distinct block is built once per call and shared by
+    every partition that holds it.
 
     With ``canonical`` an element may open only the first empty block, so
     each set partition appears once, with its blocks ascending by minimum.
     """
     if len(elements) < r * d:
         return
-    blocks: list[list[int]] = [[] for _ in range(d)]
+    blocks: list[tuple[int, ...]] = [()] * d
+    made: dict[tuple[int, ...], tuple[int, ...]] = {}  # the one tuple of each block built so far
     size = len(elements)
 
     def rec(i: int, deficit: int, reach: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -226,12 +228,13 @@ def block_tuples(
             block = blocks[b]
             left = deficit - (len(block) < r)
             if left <= remaining:
-                block.append(e)
+                grown = block + (e,)
+                blocks[b] = made.setdefault(grown, grown)
                 if remaining:
                     yield from rec(i + 1, left, reach + (b + 1 == reach < d))
                 else:
-                    yield tuple(map(tuple, blocks))
-                block.pop()
+                    yield tuple(blocks)
+                blocks[b] = block
 
     if size:
         yield from rec(0, r * d, min(d, 1) if canonical else d)

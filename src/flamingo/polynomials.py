@@ -132,6 +132,8 @@ class MatrixPolynomial:
     def __init__(self, n: int, terms: Mapping[tuple[int, ...], int] | None = None, k: int = 0):
         if type(n) is not int or n < 0:
             raise ValueError(f"n must be a nonnegative int, got {n!r}")
+        if type(k) is not int:
+            raise ValueError(f"k must be an int, got {k!r}")
         clean: dict[Monomial, int] = {}
         max_row = 0
         for m, c in (terms or {}).items():

@@ -35,10 +35,11 @@ class JellyfishTableau:
     """assignment[t] is the 1-based column fed by row r + 1 + t."""
 
     def __post_init__(self) -> None:
-        if len(self.assignment) != self.nu - self.r or any(type(c) is not int for c in self.assignment):
-            raise ValueError("assignment must give an int column for each of rows r+1 .. nu")
+        a = self.assignment
+        if type(a) is not tuple or len(a) != self.nu - self.r or any(type(c) is not int for c in a):
+            raise ValueError("assignment must be a tuple giving an int column for each of rows r+1 .. nu")
         for i, block in enumerate(self.partition.blocks, start=1):
-            if self.assignment.count(i) != len(block) - self.r:
+            if a.count(i) != len(block) - self.r:
                 raise ValueError(f"column {i} must receive exactly |pi_{i}| - r deep rows")
 
     @classmethod

@@ -196,6 +196,35 @@ def brute_ordered_partitions(n: int, d: int, r: int) -> list[tuple[tuple[int, ..
     return out
 
 
+def block_tuples_by_lists(elements, d: int, r: int, canonical: bool = False):
+    """``partitions.block_tuples`` as it was: each block a list that grows
+    and shrinks in place, so every yielded partition copies all its blocks
+    into new tuples."""
+    if len(elements) < r * d:
+        return
+    blocks: list[list[int]] = [[] for _ in range(d)]
+    size = len(elements)
+
+    def rec(i: int, deficit: int, reach: int):
+        e = elements[i]
+        remaining = size - i - 1
+        for b in range(reach):
+            block = blocks[b]
+            left = deficit - (len(block) < r)
+            if left <= remaining:
+                block.append(e)
+                if remaining:
+                    yield from rec(i + 1, left, reach + (b + 1 == reach < d))
+                else:
+                    yield tuple(map(tuple, blocks))
+                block.pop()
+
+    if size:
+        yield from rec(0, r * d, min(d, 1) if canonical else d)
+    else:
+        yield ()
+
+
 def partitions_up_to_by_lists(n_max: int, r: int):
     """``partitions_up_to`` as it was: one list per (n, d) from
     ``enumerate_ordered_partitions``, yielded in turn."""

@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import inspect
 import itertools
+import pickle
 import re
 
 import pytest
@@ -10,6 +13,7 @@ from flamingo.partitions import (
     BlockTooSmall,
     OrderedSetPartition,
     act_elements,
+    block_tuples,
     enumerate_noncrossing,
     enumerate_ordered_partitions,
     enumerate_unordered_partitions,
@@ -31,6 +35,7 @@ from flamingo.partitions import (
 from flamingo.relations import conjecture_family
 
 from oracles import (
+    block_tuples_by_lists,
     brute_ordered_partitions,
     has_crossing_by_quadruples,
     partitions_up_to_by_lists,
@@ -189,6 +194,42 @@ class TestEnumeration:
         ordered = {p.canonical() for p in enumerate_ordered_partitions(n, d, r)}
         assert set(unordered) == ordered
         assert len(unordered) == len(ordered)
+
+    @pytest.mark.parametrize("canonical", [False, True], ids=["ordered", "canonical"])
+    @pytest.mark.parametrize("decreasing", [False, True], ids=["increasing", "decreasing"])
+    @pytest.mark.parametrize("r", [0, 1, 2, 3])
+    def test_block_tuples_match_the_list_based_recursion(self, r, decreasing, canonical):
+        # both in the same order, compared as streams so neither side is held
+        missing = object()
+        for n in range(9):
+            elements = list(range(n, 0, -1) if decreasing else range(1, n + 1))
+            for d in range(n // r + 1 if r else 4):
+                ours = block_tuples(elements, d, r, canonical)
+                theirs = block_tuples_by_lists(elements, d, r, canonical)
+                for k, (a, b) in enumerate(itertools.zip_longest(ours, theirs, fillvalue=missing)):
+                    assert a == b, (n, d, r, k)
+
+    def test_each_list_shares_one_object_per_distinct_block(self):
+        for n in range(1, 8):
+            for d in range(1, n + 1):
+                for r in (1, 2, 3):
+                    for enumerate_partitions in (
+                        enumerate_ordered_partitions,
+                        enumerate_unordered_partitions,
+                    ):
+                        # the list keeps every block alive, so ids do not repeat
+                        blocks = [b for p in enumerate_partitions(n, d, r) for b in p.blocks]
+                        assert len(set(map(id, blocks))) == len(set(blocks)), (n, d, r)
+
+    def test_partition_is_a_slotted_frozen_record(self):
+        p = parse_partition("2 3 6|1 4|5")
+        assert not hasattr(p, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.n = 7
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.blocks = ()
+        for twin in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+            assert twin == p and hash(twin) == hash(p) and twin.blocks == p.blocks
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_partitions_up_to_streams_the_lists_in_order(self, r):

@@ -182,6 +182,9 @@ class TestPackedMonomials:
             pytest.param(lambda: MatrixPolynomial(True, {(1,): 1}), "nonnegative int", id="bool-n"),
             pytest.param(lambda: MatrixPolynomial(2.0, {}), "nonnegative int", id="float-n"),
             pytest.param(lambda: MatrixPolynomial.zero(True), "nonnegative int", id="zero-bool-n"),
+            # a bool or float k would export "k": true or "k": 1.5, which from_json_dict rejects
+            pytest.param(lambda: MatrixPolynomial(1, {}, True), "k must be an int", id="bool-k"),
+            pytest.param(lambda: MatrixPolynomial.zero(2, k=1.5), "k must be an int", id="zero-float-k"),
         ],
     )
     def test_rejects_rows_outside_0_to_n(self, build, message):

@@ -99,6 +99,11 @@ class TestStructure:
         with pytest.raises(ValueError):
             JellyfishTableau(p, 1, (1, 1))  # column 2 never fed
 
+    def test_rejects_an_assignment_that_is_not_a_tuple(self):
+        # a list would compare unequal to the (1,) tableau and not hash
+        with pytest.raises(ValueError, match="must be a tuple"):
+            JellyfishTableau(parse_partition("1 2|3"), 1, [1])
+
     @pytest.mark.parametrize("column", [True, 1.0], ids=["bool", "float"])
     def test_rejects_a_column_that_is_not_an_int(self, column):
         # True and 1.0 count as column 1, so the tableau would pass for (1,)
