@@ -363,10 +363,12 @@ def predicted_global_sign(partition: OrderedSetPartition, r: int) -> int:
     return -1 if exponent % 2 else 1
 
 
-def resolved_global_sign(partition: OrderedSetPartition, r: int, caps: dict | None = None) -> int | None:
+def pulled_back_gc(partition: OrderedSetPartition, r: int, caps: dict | None = None) -> MatrixPolynomial:
+    """The cap-and-wedge side of the invariant pulled back to matrix entries."""
+    return phi_star(gc_jellyfish(partition, r, caps))
+
+
+def resolved_global_sign(partition: OrderedSetPartition, r: int) -> int | None:
     """The actual sign with phi_star(gc_jellyfish) = sign * invariant, or
-    None if the two disagree beyond sign (never observed).  ``caps`` is
-    the cap table of ``gc_jellyfish``."""
-    return compare_up_to_sign(
-        phi_star(gc_jellyfish(partition, r, caps)), jellyfish_invariant(partition, r)
-    )
+    None if the two disagree beyond sign (never observed)."""
+    return compare_up_to_sign(pulled_back_gc(partition, r), jellyfish_invariant(partition, r))

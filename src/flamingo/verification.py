@@ -19,16 +19,18 @@ import signal
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .diagrams import boundary_degrees, build_tensor_diagram, validate
 from .grassmann import (
     PlueckerExpression,
+    compare_up_to_sign,
     delta_index_set,
     delta_to_minor,
     gc_jellyfish,
     phi,
     phi_star,
+    pulled_back_gc,
     resolved_global_sign,
 )
 from .invariants import ColumnAction, jellyfish_invariant
@@ -139,6 +141,7 @@ def signed_minor_expansion(
 
 Item = TypeVar("Item")
 Count = TypeVar("Count", int, Counter)
+Result = TypeVar("Result")
 
 
 def _shard(
@@ -156,6 +159,38 @@ def _shard(
     return count, None
 
 
+def _fork_child(send: Callable[[BinaryIO], object], receive: Callable[[BinaryIO], Result]) -> Result:
+    """``receive`` run here on a pipe that one forked child writes by ``send``
+    or by send's exception.  The child leaves by ``os._exit``, and is then
+    killed if still running and reaped.  No thread runs, so forking is safe."""
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: send, then out
+        status = 1
+        try:
+            os.close(read_end)
+            with os.fdopen(write_end, "wb") as pipe:
+                try:
+                    send(pipe)
+                except BaseException as exc:
+                    pipe.write(pickle.dumps(exc))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    try:
+        with os.fdopen(read_end, "rb") as pipe:
+            return receive(pipe)
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
+def _one_cpu() -> bool:
+    """True when this process may run on one CPU only, or cannot tell."""
+    return len(os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()) < 2
+
+
 def _split_sweep(
     items: Iterable[Item], check: Callable[[Item], Count | str], zero: Count = 0
 ) -> tuple[Count, str | None]:
@@ -170,52 +205,76 @@ def _split_sweep(
     failure at the lesser position is the one reported, so the outcome is
     the serial loop's.  With one CPU the one shard runs here and nothing
     forks.  The child returns only its result through a pipe, so what it
-    adds to a cache is lost: a sweep splits only where no later check needs
-    its cache entries.  The package starts no thread, so forking is safe.
+    adds to a cache is lost: a sweep splits by position only where no later
+    check needs its cache entries.  Where one does, it splits by layer, as
+    ``_gc_layers`` does, and the layer that fills the cache runs here.
     Where the items carry seeded random draws, the item generator makes
     them, in item order, and both shards run it in full from one state of
     the generator: a shard draws the other's items before it skips them, so
     every item holds the serial loop's draws.
-    An exception in the child is raised here with its type; an exception
-    here kills the child first; and no child outlives the call.
     """
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-    if len(cpus) < 2:
+    if _one_cpu():
         shards = [_shard(items, check, 0, 1, zero)]
     else:
-        read_end, write_end = os.pipe()
-        pid = os.fork()
-        if pid == 0:  # the child: its shard's result or exception to the pipe, then out
-            status = 1
-            try:
-                os.close(read_end)
-                try:
-                    result = _shard(items, check, 1, 2, zero)
-                except BaseException as exc:
-                    result = exc
-                with os.fdopen(write_end, "wb") as pipe:
-                    pickle.dump(result, pipe)
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(write_end)
-        with os.fdopen(read_end, "rb") as pipe:
-            try:
-                mine = _shard(items, check, 0, 2, zero)
-                sent = pipe.read()
-            except BaseException:
-                os.kill(pid, signal.SIGKILL)
-                raise
-            finally:
-                os.waitpid(pid, 0)
-        if not sent:
-            raise ChildProcessError("the sweep's second shard ended without a result")
-        theirs = pickle.loads(sent)  # written by the child above
-        if isinstance(theirs, BaseException):
-            raise theirs
-        shards = [mine, theirs]
+        shards = _fork_child(
+            lambda pipe: pipe.write(pickle.dumps(_shard(items, check, 1, 2, zero))),
+            lambda pipe: [_shard(items, check, 0, 2, zero), _received(pipe)],
+        )
     failures = [failure for _, failure in shards if failure]
     return sum((count for count, _ in shards), zero), min(failures)[1] if failures else None
+
+
+def _received(pipe: BinaryIO) -> object:
+    """The next object a forked child pickled into the pipe, raised if an exception."""
+    try:
+        sent = pickle.load(pipe)
+    except EOFError:
+        raise ChildProcessError("the sweep's second shard or layer ended without a result") from None
+    if isinstance(sent, BaseException):
+        raise sent
+    return sent
+
+
+LAYER_CHUNK = 128  # items per message from the child of the layer sweep
+
+
+def _gc_layers(n_max: int) -> tuple[int, str | None]:
+    """Compare the pulled-back cap-and-wedge side with the invariant of
+    every (partition, r), r outermost, as the serial loop does: the count
+    that match up to sign and the first failure's detail or None, or the
+    first exception.  With two or more CPUs one forked child pulls back
+    every item and sends its results, or its exception, in chunks of
+    LAYER_CHUNK, while this process builds the invariants in item order, so
+    what it caches is the serial loop's.  With one CPU nothing forks."""
+    caps: dict = {}  # one cap table for the pulled-back side: each piece is built once
+    items = ((partition, r) for r in DEPTHS for partition in partitions_up_to(n_max, r))
+    chunks = iter(lambda: list(itertools.islice(items, LAYER_CHUNK)), [])
+
+    def compare(pulled_back: Callable[[list], Iterable]) -> tuple[int, str | None]:
+        count = 0
+        for chunk in chunks:
+            for (partition, r), pulled in zip(chunk, pulled_back(chunk)):
+                if isinstance(pulled, BaseException):
+                    raise pulled
+                if compare_up_to_sign(pulled, jellyfish_invariant(partition, r)) is None:
+                    return count, f"no global sign for {partition} at depth {r}"
+                count += 1
+        return count, None
+
+    if _one_cpu():
+        return compare(lambda chunk: (pulled_back_gc(*item, caps) for item in chunk))
+
+    def send(pipe: BinaryIO) -> None:
+        for chunk in chunks:
+            done: list = []
+            try:
+                done.extend(pulled_back_gc(*item, caps) for item in chunk)
+            except BaseException as exc:
+                done.append(exc)
+            pipe.write(pickle.dumps(done))
+            pipe.flush()
+
+    return _fork_child(send, lambda pipe: compare(lambda chunk: _received(pipe)))
 
 
 # -- the thirteen checks ----------------------------------------------------
@@ -279,13 +338,9 @@ def _running_example_term_bijection() -> str | None:
 
 @_check("grassmann-cayley-equivalence")
 def check_gc_equivalence(n_max: int = 7) -> tuple[bool, str]:
-    checked = 0
-    caps: dict = {}  # one cap table for the sweep: each piece is built once
-    for r in DEPTHS:
-        for partition in partitions_up_to(n_max, r):
-            if resolved_global_sign(partition, r, caps) is None:
-                return False, f"no global sign for {partition} at depth {r}"
-            checked += 1
+    checked, failure = _gc_layers(n_max)
+    if failure:
+        return False, failure
     sign = resolved_global_sign(RUNNING_PARTITION, 2)
     if sign != 1:
         return False, f"running example resolved sign {sign}, expected +1"

@@ -30,6 +30,7 @@ from flamingo.verification import partitions_up_to
 
 import oracles
 from oracles import det_leibniz, random_int_matrix
+from test_split_sweep import _cpus
 
 EXAMPLE = parse_partition("2 3 6 10|5 7 8 9|1 4")
 
@@ -330,18 +331,23 @@ class TestCapTable:
             assert list(piece.terms.items()) == list(fresh.terms.items())
 
     def test_the_check_builds_each_piece_once(self, monkeypatch):
+        # on one CPU, so the pulled-back side runs in this process and the
+        # spies see every call: the sweep's through verification, the
+        # running example's through resolved_global_sign
+        _cpus(monkeypatch, 1)
         tables, built = [], []
-        original_sign, original_cap = verification.resolved_global_sign, grassmann.cap
+        original_pulled, original_cap = grassmann.pulled_back_gc, grassmann.cap
 
-        def spy_sign(partition, r, caps=None):
+        def spy_pulled(partition, r, caps=None):
             tables.append(caps)
-            return original_sign(partition, r, caps)
+            return original_pulled(partition, r, caps)
 
         def spy_cap(x, y, n):
             built.append(n)
             return original_cap(x, y, n)
 
-        monkeypatch.setattr(verification, "resolved_global_sign", spy_sign)
+        monkeypatch.setattr(verification, "pulled_back_gc", spy_pulled)
+        monkeypatch.setattr(grassmann, "pulled_back_gc", spy_pulled)
         monkeypatch.setattr(grassmann, "cap", spy_cap)
         assert verification.check_gc_equivalence(n_max=6).ok
         # the last call is the running example's, with a fresh table

@@ -322,15 +322,16 @@ def test_no_module_level_mutable_state():
     assert found == []
 
 
-# The one place that forks: the two-shard sweep of verification.py, which
+# The one place that forks: the helper that both split sweeps of
+# verification.py share (the two-shard sweep and the layer sweep), which
 # reaps its child on every path.  A fork anywhere else would need the same
 # care, so it has to be added here on purpose.
-FORKING = [("verification.py", "_split_sweep")]
+FORKING = [("verification.py", "_fork_child")]
 
 
-def _forks(tree: ast.Module) -> list[str]:
-    """The enclosing top-level function (or "module") of every reference
-    to ``os.fork``, by attribute or by a name imported from os."""
+def _fork_references(tree: ast.Module) -> list[tuple[ast.stmt, ast.AST]]:
+    """(enclosing top-level statement, node) for every reference to
+    ``os.fork``, by attribute or by a name imported from os."""
     aliases = {
         alias.asname or alias.name
         for node in ast.walk(tree)
@@ -338,14 +339,29 @@ def _forks(tree: ast.Module) -> list[str]:
         for alias in node.names
         if alias.name == "fork"
     }
-    found = []
-    for top in tree.body:
-        for node in ast.walk(top):
-            if (isinstance(node, ast.Attribute) and node.attr == "fork" and isinstance(node.value, ast.Name)) or (
-                isinstance(node, ast.Name) and node.id in aliases
-            ):
-                found.append(top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "module")
-    return found
+    return [
+        (top, node)
+        for top in tree.body
+        for node in ast.walk(top)
+        if (isinstance(node, ast.Attribute) and node.attr == "fork" and isinstance(node.value, ast.Name))
+        or (isinstance(node, ast.Name) and node.id in aliases)
+    ]
+
+
+def _forks(tree: ast.Module) -> list[str]:
+    """The enclosing top-level function (or "module") of every reference
+    to ``os.fork``."""
+    return [
+        top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "module"
+        for top, _ in _fork_references(tree)
+    ]
+
+
+def _fork_calls(tree: ast.Module) -> int:
+    """The number of calls of ``os.fork``, by attribute or by a name
+    imported from os."""
+    references = {id(node) for _, node in _fork_references(tree)}
+    return sum(isinstance(node, ast.Call) and id(node.func) in references for node in ast.walk(tree))
 
 
 @pytest.mark.parametrize(
@@ -365,3 +381,23 @@ def test_only_the_split_sweep_forks():
     paths = sorted((ROOT / "src" / "flamingo").glob("*.py"))
     found = [(path.name, where) for path in paths for where in _forks(ast.parse(path.read_text(encoding="utf-8")))]
     assert found == FORKING
+
+
+@pytest.mark.parametrize(
+    "source, calls",
+    [
+        ("import os\ndef f():\n    return os.fork()", 1),
+        ("from os import fork as spawn\npid = spawn() or spawn()", 2),
+        ("import os\nfork = os.fork", 0),
+        ("import os\ndef f():\n    return os.forkpty(), os.getpid()", 0),
+    ],
+)
+def test_the_fork_call_count_is_what_it_should_be(source, calls):
+    assert _fork_calls(ast.parse(source)) == calls
+
+
+def test_the_package_calls_os_fork_once():
+    # README's "the one place that forks": both split sweeps go through
+    # one call, so the fork, the pipe and the reaping are written once
+    paths = sorted((ROOT / "src" / "flamingo").glob("*.py"))
+    assert sum(_fork_calls(ast.parse(path.read_text(encoding="utf-8"))) for path in paths) == 1

@@ -1,7 +1,9 @@
-"""The two-shard sweeps of ``flamingo.verification``: the column-equivariance,
+"""The two-process sweeps of ``flamingo.verification``: the column-equivariance,
 recurrence, diagram and sign-properties checks give the serial outcome,
 detail for detail, whether their items run as one shard in this process or
-split with one forked child, and no child outlives a check."""
+split with one forked child; the Grassmann-Cayley check gives it whether its
+pulled-back side runs here or in a forked child, and builds every invariant
+here either way; and no child outlives a check."""
 
 import os
 import time
@@ -13,6 +15,7 @@ import oracles
 from flamingo import invariants, verification
 from flamingo.diagrams import build_tensor_diagram
 from flamingo.partitions import parse_partition, partitions_up_to
+from flamingo.polynomials import ColumnCollision
 from flamingo.tableaux import enumerate_tableaux
 from flamingo.verification import (
     DEPTHS,
@@ -20,6 +23,7 @@ from flamingo.verification import (
     _split_sweep,
     check_diagrams,
     check_equivariance,
+    check_gc_equivalence,
     check_recurrence,
     check_sign_properties,
 )
@@ -29,6 +33,8 @@ SMALL_CHECKS = [
     pytest.param(lambda: check_recurrence(n_max=6), id="recurrence-identities"),
     pytest.param(lambda: check_diagrams(n_max=6), id="tensor-diagram-validation"),
     pytest.param(lambda: check_sign_properties(seed=2024, exhaustive_n=5), id="sign-properties"),
+    pytest.param(lambda: check_gc_equivalence(n_max=5), id="grassmann-cayley-equivalence-5"),
+    pytest.param(lambda: check_gc_equivalence(n_max=6), id="grassmann-cayley-equivalence-6"),
 ]
 SIGN_DETAIL = (
     "500 translation signs verified numerically; 23822 column swaps and "
@@ -316,3 +322,116 @@ def test_nothing_forks_without_an_affinity_set(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "fork", no_fork)
     assert check_diagrams(n_max=5).ok
+
+
+# -- the Grassmann-Cayley layer sweep ---------------------------------------
+
+GC_ITEMS = [(p, r) for r in DEPTHS for p in partitions_up_to(6, r)]  # the sweep's items at n <= 6
+PULLED, BUILT = "pulled_back_gc", "jellyfish_invariant"  # the child's side and this process's
+
+
+def _plant_in_gc(monkeypatch, side, position, outcome=None):
+    """``verification.<side>`` gives twice its value for the Grassmann-Cayley
+    sweep's item at ``position`` at n <= 6, so the two sides differ beyond
+    sign there, or raises ``outcome``; the detail the check gives for a
+    mismatch there."""
+    partition, r = GC_ITEMS[position]
+    original = getattr(verification, side)
+
+    def planted(q, depth, *rest):
+        if (q, depth) != (partition, r):
+            return original(q, depth, *rest)
+        if outcome is not None:
+            raise outcome
+        value = original(q, depth, *rest)
+        assert not value.is_zero
+        return value * 2
+
+    monkeypatch.setattr(verification, side, planted)
+    return f"no global sign for {partition} at depth {r}"
+
+
+@pytest.mark.parametrize("side", [PULLED, BUILT], ids=["child", "this-process"])
+@pytest.mark.parametrize("position", [0, 127, 128, 3000, 5510])
+def test_a_planted_gc_mismatch_gives_the_serial_detail(monkeypatch, side, position):
+    # 127 and 128 end and start a chunk of the child's results
+    expected = _plant_in_gc(monkeypatch, side, position)
+    _cpus(monkeypatch, 1)
+    serial = check_gc_equivalence(n_max=6)
+    _cpus(monkeypatch, 2)
+    split = check_gc_equivalence(n_max=6)
+    assert not serial.ok and not split.ok
+    assert serial.detail == split.detail == expected
+    _no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("pulled, built", [(40, 300), (300, 40), (40, 41), (41, 40)])
+def test_the_lesser_of_a_mismatch_on_each_side_is_named(monkeypatch, cpus, pulled, built):
+    expected = {pulled: _plant_in_gc(monkeypatch, PULLED, pulled), built: _plant_in_gc(monkeypatch, BUILT, built)}
+    _cpus(monkeypatch, cpus)
+    result = check_gc_equivalence(n_max=6)
+    assert not result.ok
+    assert result.detail == expected[min(pulled, built)]
+    _no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("position", [40, 200])
+def test_a_column_collision_in_the_child_is_raised_here(monkeypatch, cpus, position):
+    _plant_in_gc(monkeypatch, PULLED, position, ColumnCollision("planted"))
+    _cpus(monkeypatch, cpus)
+    with pytest.raises(ColumnCollision, match="^planted$"):
+        check_gc_equivalence(n_max=6)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("built", [41, 300])
+def test_an_invariant_exception_after_a_mismatch_gives_the_mismatch(monkeypatch, cpus, built):
+    expected = _plant_in_gc(monkeypatch, PULLED, 40)
+    _plant_in_gc(monkeypatch, BUILT, built, ZeroDivisionError("planted"))
+    _cpus(monkeypatch, cpus)
+    result = check_gc_equivalence(n_max=6)
+    assert (result.ok, result.detail) == (False, expected)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize(
+    "pulled, built, raised",
+    [(40, 40, ColumnCollision), (40, 41, ColumnCollision), (41, 40, ZeroDivisionError), (300, 40, ZeroDivisionError)],
+)
+def test_the_exception_at_the_lesser_position_is_raised(monkeypatch, cpus, pulled, built, raised):
+    # at one position the pulled-back side runs first, as in
+    # resolved_global_sign, so its exception is the one raised
+    _plant_in_gc(monkeypatch, PULLED, pulled, ColumnCollision("planted"))
+    _plant_in_gc(monkeypatch, BUILT, built, ZeroDivisionError("planted"))
+    _cpus(monkeypatch, cpus)
+    with pytest.raises(raised, match="^planted$"):
+        check_gc_equivalence(n_max=6)
+    _no_child_left()
+
+
+def test_the_gc_check_forks_once_with_two_cpus(monkeypatch, two_cpus):
+    forks, original = [], os.fork
+
+    def spy():
+        forks.append(os.getpid())
+        return original()
+
+    monkeypatch.setattr(os, "fork", spy)
+    assert check_gc_equivalence(n_max=5).ok
+    assert forks == [os.getpid()]
+    _no_child_left()
+
+
+def test_every_sweep_invariant_is_cached_here_after_a_split_run(two_cpus):
+    invariants._invariant_cached.cache_clear()
+    assert check_gc_equivalence(n_max=6).ok
+    before = invariants._invariant_cached.cache_info()
+    for partition, r in GC_ITEMS:
+        invariants.jellyfish_invariant(partition, r)
+    after = invariants._invariant_cached.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (len(GC_ITEMS), 0) == (5511, 0)
+    _no_child_left()
