@@ -1,9 +1,12 @@
 """Command-line surface for the invariant calculator.
 
 Every subcommand prints deterministic output: identical invocations give
-byte-identical results.  Exit status 0 means success or verified, 1 means
-a verification failed, 2 means the invocation itself was unusable.
-Randomized numeric spot checks accept --seed and default to a fixed one.
+byte-identical results.  Randomized numeric spot checks accept --seed and
+default to a fixed one.  Exit status 0 means success or verified, 1 means
+a verification failed, 2 means the invocation itself was unusable: a
+subcommand with a verdict hands it, with its JSON payload and its text
+lines, to :func:`_report`, the one place that picks --json or text and
+maps the verdict to 0 or 1, and :func:`main` alone exits 2.
 
 The front end restates no input rule of the library: arguments become
 library objects through :func:`_usage`, which turns the ``ValueError`` of
@@ -76,6 +79,13 @@ def _rank(family: Sequence[OrderedSetPartition], r: int) -> int:
     return exact_rank([jellyfish_invariant(p, r) for p in family])
 
 
+def _report(args, ok: bool, payload: object, *lines: str) -> int:
+    """Print ``payload`` as JSON under --json, else the text lines; exit 0
+    when ``ok``, else 1."""
+    print(json.dumps(payload) if args.json else "\n".join(lines))
+    return 0 if ok else 1
+
+
 # -- subcommand handlers (return process exit codes) -------------------------
 
 
@@ -93,24 +103,21 @@ def cmd_invariant(args) -> int:
 def cmd_tableaux(args) -> int:
     partition = _filled(args.partition, args.r)
     tableaux = enumerate_tableaux(partition, args.r)
-    if args.json:
-        payload = [
-            {
-                "columns": [list(t.column_rows(i)) for i in range(1, partition.d + 1)],
-                "word": t.reading_word(),
-                "inversions": t.inversion_number(),
-                "sign": t.sign(),
-            }
-            for t in tableaux
-        ]
-        print(json.dumps({"count": len(tableaux), "tableaux": payload}))
-        return 0
-    print(f"count={len(tableaux)}")
+    payload = [
+        {
+            "columns": [list(t.column_rows(i)) for i in range(1, partition.d + 1)],
+            "word": t.reading_word(),
+            "inversions": t.inversion_number(),
+            "sign": t.sign(),
+        }
+        for t in tableaux
+    ]
+    lines = [f"count={len(tableaux)}"]
     for idx, t in enumerate(tableaux, start=1):
         word = " ".join(str(x) for x in t.reading_word())
-        print(f"-- tableau {idx}: inversions={t.inversion_number()} sign={t.sign():+d} word={word}")
-        print(t.render_text())
-    return 0
+        lines.append(f"-- tableau {idx}: inversions={t.inversion_number()} sign={t.sign():+d} word={word}")
+        lines.append(t.render_text())
+    return _report(args, True, {"count": len(tableaux), "tableaux": payload}, *lines)
 
 
 def cmd_recurrence(args) -> int:
@@ -118,22 +125,13 @@ def cmd_recurrence(args) -> int:
     A, B, C = _elements(args.A), _elements(args.B), _elements(args.C)
     left, terms = _usage(recurrence_terms, prefix, A, B, C, args.r)
     ok = relation_holds(left, terms, args.r)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "left": left.text(),
-                    "terms": [{"sign": s, "partition": p.text()} for s, p in terms],
-                    "verified": ok,
-                }
-            )
-        )
-    else:
-        print(f"left: ({left.text()})")
-        for sign, p in terms:
-            print(f"  {'+' if sign > 0 else '-'} ({p.text()})")
-        print("VERIFIED" if ok else "FAILED")
-    return 0 if ok else 1
+    payload = {
+        "left": left.text(),
+        "terms": [{"sign": s, "partition": p.text()} for s, p in terms],
+        "verified": ok,
+    }
+    lines = [f"  {'+' if sign > 0 else '-'} ({p.text()})" for sign, p in terms]
+    return _report(args, ok, payload, f"left: ({left.text()})", *lines, "VERIFIED" if ok else "FAILED")
 
 
 def cmd_independence(args) -> int:
@@ -151,21 +149,9 @@ def cmd_independence(args) -> int:
         _usage(SpechtShape, args.n, args.d, args.r)  # the family's module needs n >= r*d
         make = enumerate_noncrossing if args.family == "nc" else conjecture_family
         family, r = _usage(make, args.n, args.d, args.r), args.r
-    rank = _rank(family, r)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "family": args.family,
-                    "size": len(family),
-                    "rank": rank,
-                    "members": [p.text() for p in family],
-                }
-            )
-        )
-    else:
-        print(f"size={len(family)} rank={rank}")
-    return 0 if rank == len(family) else 1
+    size, rank = len(family), _rank(family, r)
+    payload = {"family": args.family, "size": size, "rank": rank, "members": [p.text() for p in family]}
+    return _report(args, rank == size, payload, f"size={size} rank={rank}")
 
 
 def cmd_specht_check(args) -> int:
@@ -173,25 +159,16 @@ def cmd_specht_check(args) -> int:
     shape = _usage(SpechtShape, partition.n, partition.d, args.r)
     poly = jellyfish_invariant(partition, args.r)
     ok = membership_test(poly, shape)
-    if args.json:
-        print(json.dumps({"partition": partition.text(), "r": args.r, "member": ok}))
-    else:
-        print(f"member={'true' if ok else 'false'}")
-    return 0 if ok else 1
+    payload = {"partition": partition.text(), "r": args.r, "member": ok}
+    return _report(args, ok, payload, f"member={'true' if ok else 'false'}")
 
 
 def cmd_gc_compare(args) -> int:
     partition = _filled(args.partition, args.r)
     sign = resolved_global_sign(partition, args.r)
     predicted = predicted_global_sign(partition, args.r)
-    if args.json:
-        print(json.dumps({"sign": sign, "predicted": predicted}))
-        return 0 if sign is not None else 1
-    if sign is None:
-        print("NOT PROPORTIONAL")
-        return 1
-    print(f"{sign:+d} (predicted {predicted:+d})")
-    return 0
+    line = "NOT PROPORTIONAL" if sign is None else f"{sign:+d} (predicted {predicted:+d})"
+    return _report(args, sign is not None, {"sign": sign, "predicted": predicted}, line)
 
 
 def cmd_diagram(args) -> int:
@@ -214,25 +191,17 @@ def cmd_diagram(args) -> int:
 def cmd_hook_basis(args) -> int:
     _usage(hook_family, args.n, args.d)
     report = hook_basis(args.n, args.d)
-    if args.json:
-        print(json.dumps({**dataclasses.asdict(report), "basis": report.basis}))
-    else:
-        print(
-            f"family={report.family} rank={report.rank} dimension={report.dimension} "
-            f"basis={'true' if report.basis else 'false'}"
-        )
-    return 0 if report.basis else 1
+    payload = {**dataclasses.asdict(report), "basis": report.basis}
+    counts = f"family={report.family} rank={report.rank} dimension={report.dimension}"
+    return _report(args, report.basis, payload, f"{counts} basis={'true' if report.basis else 'false'}")
 
 
 def cmd_conjecture(args) -> int:
     _usage(SpechtShape, args.n, args.d, args.r)
     family = _usage(conjecture_family, args.n, args.d, args.r)
     size, rank = len(family), _rank(family, args.r)
-    if args.json:
-        print(json.dumps({"n": args.n, "d": args.d, "r": args.r, "size": size, "rank": rank}))
-    else:
-        print(f"size={size} rank={rank}")
-    return 0 if size == rank else 1
+    payload = {"n": args.n, "d": args.d, "r": args.r, "size": size, "rank": rank}
+    return _report(args, size == rank, payload, f"size={size} rank={rank}")
 
 
 def cmd_orbit_rank(args) -> int:
@@ -248,19 +217,10 @@ def cmd_verify_all(args) -> int:
     for name, check in verification.battery(args.n_max, args.seed):
         print(f"running {name} ...", file=sys.stderr, flush=True)
         results.append(check())
-    if args.json:
-        print(
-            json.dumps(
-                [
-                    {"name": r.name, "ok": r.ok, "detail": r.detail, "seconds": round(r.seconds, 3)}
-                    for r in results
-                ]
-            )
-        )
-    else:
-        for r in results:
-            print(r.line())
-    return 0 if all(r.ok for r in results) else 1
+    payload = [
+        {"name": r.name, "ok": r.ok, "detail": r.detail, "seconds": round(r.seconds, 3)} for r in results
+    ]
+    return _report(args, all(r.ok for r in results), payload, *(r.line() for r in results))
 
 
 # -- parser -------------------------------------------------------------------

@@ -10,6 +10,8 @@ Boundary vertices are plain integers, interior vertices strings like
 the boundary clockwise on a circle.  One rule tells a boundary vertex: an
 ``int``, not a ``bool``, in 1..2n.  ``to_dot`` and ``unclasping_is_forest``
 raise ValueError on an endpoint that is neither that nor declared interior.
+``from_json_dict`` raises ValueError on input that these readers and
+``validate`` cannot take.
 """
 
 from __future__ import annotations
@@ -195,13 +197,26 @@ def to_json(diagram: TensorDiagram, **kwargs) -> str:
 
 def from_json_dict(data: Mapping) -> TensorDiagram:
     """Read the JSON form back.  ``n`` and every weight must be JSON
-    integers; nothing is truncated, and ``true`` is not 1."""
+    integers; nothing is truncated, and ``true`` is not 1.  Every edge end
+    must be a JSON integer or string (``true`` is read, and is no vertex),
+    and the interior vertices distinct strings, none both white and black."""
     n = data["n"]
+    white, black = tuple(data["interior_white"]), tuple(data["interior_black"])
     edges = tuple((e["ends"][0], e["ends"][1], e["weight"]) for e in data["edges"])
     for value in (n, *(w for _, _, w in edges)):
         if type(value) is not int:
             raise ValueError(f"n and every weight must be JSON integers, got {value!r}")
-    return TensorDiagram(n, tuple(data["interior_white"]), tuple(data["interior_black"]), edges)
+    for end in (v for a, b, _ in edges for v in (a, b)):
+        if not isinstance(end, (int, str)):
+            raise ValueError(f"every edge end must be a JSON integer or string, got {end!r}")
+    seen = set()
+    for name in white + black:
+        if type(name) is not str:
+            raise ValueError(f"every interior vertex must be a JSON string, got {name!r}")
+        if name in seen:
+            raise ValueError(f"interior vertex {name!r} is declared twice")
+        seen.add(name)
+    return TensorDiagram(n, white, black, edges)
 
 
 def from_json(text: str) -> TensorDiagram:

@@ -146,23 +146,31 @@ Result = TypeVar("Result")
 
 def _shard(
     items: Iterable[Item], check: Callable[[Item], Count | str], start: int, step: int, zero: Count
-) -> tuple[Count, tuple[int, str] | None]:
+) -> tuple[Count, tuple[int, str | Exception] | None]:
     """Check the items at positions start, start + step, ...: their instance
-    counts summed from ``zero`` (which stays as it was), and the position
-    and detail of the first that fails."""
-    count = zero
-    for position, item in zip(itertools.count(start, step), itertools.islice(items, start, None, step)):
-        outcome = check(item)
-        if isinstance(outcome, str):
-            return count, (position, outcome)
-        count = count + outcome
+    counts summed from ``zero`` (which stays as it was), and the position of
+    the first that fails or raises, with its detail or exception.  An
+    exception at position 0 is raised at once: nothing comes before it."""
+    count, position = zero, start
+    try:
+        for item in itertools.islice(items, start, None, step):
+            outcome = check(item)
+            if isinstance(outcome, str):
+                return count, (position, outcome)
+            count = count + outcome
+            position += step
+    except Exception as exc:
+        if position == 0:
+            raise
+        return count, (position, exc)
     return count, None
 
 
 def _fork_child(send: Callable[[BinaryIO], object], receive: Callable[[BinaryIO], Result]) -> Result:
-    """``receive`` run here on a pipe that one forked child writes by ``send``
-    or by send's exception.  The child leaves by ``os._exit``, and is then
-    killed if still running and reaped.  No thread runs, so forking is safe."""
+    """``receive`` run here on a pipe that one forked child writes by ``send``;
+    an exception that escapes ``send`` ends what the child writes.  The
+    child leaves by ``os._exit``, and is then killed if still running and
+    reaped.  No thread runs, so forking is safe."""
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:  # the child: send, then out
@@ -170,10 +178,7 @@ def _fork_child(send: Callable[[BinaryIO], object], receive: Callable[[BinaryIO]
         try:
             os.close(read_end)
             with os.fdopen(write_end, "wb") as pipe:
-                try:
-                    send(pipe)
-                except BaseException as exc:
-                    pipe.write(pickle.dumps(exc))
+                send(pipe)
             status = 0
         finally:
             os._exit(status)
@@ -196,18 +201,20 @@ def _split_sweep(
 ) -> tuple[Count, str | None]:
     """Check every item of a sweep whose items are independent: the summed
     instance counts, and the detail of the first failure in item order or
-    None.  ``check`` returns an item's instance count, or a Counter of its
-    named counts summed from ``zero=Counter()``, or its failure's detail.
+    None; an exception that comes first in item order is raised instead.
+    ``check`` returns an item's instance count, or a Counter of its named
+    counts summed from ``zero=Counter()``, or its failure's detail.
 
     With two or more CPUs in this process's affinity set, the items split
     into two interleaved shards: this process checks the even positions and
-    one forked child the odd ones, each up to its own first failure.  The
-    failure at the lesser position is the one reported, so the outcome is
-    the serial loop's.  With one CPU the one shard runs here and nothing
-    forks.  The child returns only its result through a pipe, so what it
-    adds to a cache is lost: a sweep splits by position only where no later
-    check needs its cache entries.  Where one does, it splits by layer, as
-    ``_gc_layers`` does, and the layer that fills the cache runs here.
+    one forked child the odd ones, each up to its own first failure or
+    exception.  The one at the lesser position is the one reported, so the
+    outcome is the serial loop's.  With one CPU the one shard runs here and
+    nothing forks.  The child returns only its result through a pipe, so
+    what it adds to a cache is lost: a sweep splits by position only where
+    no later check needs its cache entries.  Where one does, it splits by
+    layer, as ``_gc_layers`` does, and the layer that fills the cache runs
+    here.
     Where the items carry seeded random draws, the item generator makes
     them, in item order, and both shards run it in full from one state of
     the generator: a shard draws the other's items before it skips them, so
@@ -220,19 +227,19 @@ def _split_sweep(
             lambda pipe: pipe.write(pickle.dumps(_shard(items, check, 1, 2, zero))),
             lambda pipe: [_shard(items, check, 0, 2, zero), _received(pipe)],
         )
-    failures = [failure for _, failure in shards if failure]
-    return sum((count for count, _ in shards), zero), min(failures)[1] if failures else None
+    events = [event for _, event in shards if event]
+    first = min(events)[1] if events else None  # the shards' positions differ
+    if isinstance(first, Exception):
+        raise first
+    return sum((count for count, _ in shards), zero), first
 
 
 def _received(pipe: BinaryIO) -> object:
-    """The next object a forked child pickled into the pipe, raised if an exception."""
+    """The next object a forked child pickled into the pipe."""
     try:
-        sent = pickle.load(pipe)
+        return pickle.load(pipe)
     except EOFError:
         raise ChildProcessError("the sweep's second shard or layer ended without a result") from None
-    if isinstance(sent, BaseException):
-        raise sent
-    return sent
 
 
 LAYER_CHUNK = 128  # items per message from the child of the layer sweep

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -8,7 +9,7 @@ import sys
 import pytest
 
 import flamingo
-from flamingo import verification
+from flamingo import cli, specht, verification
 from flamingo.cli import main
 from flamingo.diagrams import to_dot, to_json
 from flamingo.partitions import parse_partition
@@ -361,3 +362,81 @@ def test_usage_error_names_the_rejected_values(capsys, argv, values):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert values in err
+
+
+# The exit contract of the eight subcommands with a verdict: the same exit
+# code and the same verdict with and without --json, for each README
+# example (verify-all at --n-max 3) and for a failing instance of each
+# command that has one.  Only orbit families fail for real, so the other
+# failures are planted in-process.  tableaux has no verdict: it exits 0
+# with its count.
+def _sizes(text):
+    found = dict(pair.split("=") for pair in text.split())
+    return int(found["size"]), int(found["rank"])
+
+
+VERDICTS = {  # command: its verdict read off the text and off the JSON
+    "tableaux": (lambda text: int(text.split()[0].removeprefix("count=")), lambda doc: doc["count"]),
+    "recurrence": (lambda text: text.splitlines()[-1] == "VERIFIED", lambda doc: doc["verified"]),
+    "independence": (_sizes, lambda doc: (doc["size"], doc["rank"])),
+    "specht-check": (lambda text: text == "member=true\n", lambda doc: doc["member"]),
+    "gc-compare": (lambda text: None if text == "NOT PROPORTIONAL\n" else int(text.split()[0]), lambda doc: doc["sign"]),
+    "hook-basis": (lambda text: "basis=true" in text.split(), lambda doc: doc["basis"]),
+    "conjecture": (_sizes, lambda doc: (doc["size"], doc["rank"])),
+    "verify-all": (
+        lambda text: [line.startswith("[PASS]") for line in text.splitlines()],
+        lambda doc: [entry["ok"] for entry in doc],
+    ),
+}
+RUNNING = ("--partition", "2 3 6 10|5 7 8 9|1 4", "--r", "2")
+RECURRENCE = ("recurrence", "--A", "1 2", "--B", "3 4", "--C", "5 6", "--r", "2")
+SPECHT = ("specht-check", "--partition", "1 3 5|2 4 6", "--r", "2")
+HOOK = ("hook-basis", "--n", "6", "--d", "3")
+CONJECTURE = ("conjecture", "--n", "8", "--d", "2", "--r", "4")
+VERIFY = ("verify-all", "--n-max", "3")
+ORBIT_FAILS = [name != "rotation-orbit-rank" for name, _ in verification.battery(3, 2024)]
+
+
+def _failed_hook_basis(n, d):
+    return dataclasses.replace(specht.hook_basis(n, d), members=False)
+
+
+def _failed_orbit_rank():
+    return verification.CheckResult("rotation-orbit-rank", False, "planted")
+
+
+@pytest.mark.parametrize(
+    "argv, plant, code, verdict",
+    [
+        pytest.param(("tableaux", *RUNNING), None, 0, 6, id="tableaux"),
+        pytest.param(RECURRENCE, None, 0, True, id="recurrence"),
+        pytest.param(RECURRENCE, (cli, "relation_holds", lambda *args: False), 1, False, id="recurrence-fails"),
+        pytest.param(
+            ("independence", "--family", "nc", "--n", "6", "--d", "2", "--r", "2"), None, 0, (9, 9), id="independence"
+        ),
+        pytest.param(
+            ("independence", "--family", "orbit", "--partition", "1 2 3 5|4 6", "--r", "2"),
+            None, 1, (6, 5), id="independence-orbit-fails",
+        ),
+        pytest.param(SPECHT, None, 0, True, id="specht-check"),
+        pytest.param(SPECHT, (cli, "membership_test", lambda poly, shape: False), 1, False, id="specht-check-fails"),
+        pytest.param(("gc-compare", *RUNNING), None, 0, 1, id="gc-compare"),
+        pytest.param(
+            ("gc-compare", *RUNNING), (cli, "resolved_global_sign", lambda p, r: None), 1, None, id="gc-compare-fails"
+        ),
+        pytest.param(HOOK, None, 0, True, id="hook-basis"),
+        pytest.param(HOOK, (cli, "hook_basis", _failed_hook_basis), 1, False, id="hook-basis-fails"),
+        pytest.param(CONJECTURE, None, 0, (11, 11), id="conjecture"),
+        pytest.param(CONJECTURE, (cli, "exact_rank", lambda polys: len(polys) - 1), 1, (11, 10), id="conjecture-fails"),
+        pytest.param(VERIFY, None, 0, [True] * 13, id="verify-all"),
+        pytest.param(VERIFY, (verification, "check_orbit_rank", _failed_orbit_rank), 1, ORBIT_FAILS, id="verify-all-fails"),
+    ],
+)
+def test_the_exit_and_the_verdict_are_the_same_with_and_without_json(capsys, monkeypatch, argv, plant, code, verdict):
+    if plant:
+        monkeypatch.setattr(*plant)
+    from_text, from_json = VERDICTS[argv[0]]
+    text_code, text, _ = run_cli(capsys, *argv)
+    json_code, doc, _ = run_cli(capsys, *argv, "--json")
+    assert text_code == json_code == code
+    assert from_text(text) == from_json(json.loads(doc)) == verdict

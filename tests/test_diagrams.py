@@ -276,6 +276,31 @@ class TestExport:
         with pytest.raises(ValueError, match=f"must be JSON integers, got {value!r}"):
             from_json(json.dumps(doc))
 
+    # the JSON reader takes only what validate, to_dot and unclasping_is_forest
+    # can read: [1] as an end made validate raise TypeError, and "w1" both
+    # white and black made it report no problem
+
+    @pytest.mark.parametrize("end", [[1], {"v": 1}, 1.5, None], ids=["list", "object", "float", "null"])
+    def test_json_reader_takes_only_integer_or_string_ends(self, end):
+        doc = {"n": 2, "interior_white": ["w1"], "interior_black": [], "edges": [{"ends": [end, 2], "weight": 2}]}
+        with pytest.raises(ValueError, match=re.escape(f"must be a JSON integer or string, got {end!r}")):
+            from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "white, black, message",
+        [
+            (["w1", 3], [], "must be a JSON string, got 3"),
+            (["w1", ["b1"]], [], "must be a JSON string, got ['b1']"),
+            (["w1", "w1"], [], "interior vertex 'w1' is declared twice"),
+            (["w1"], ["w1"], "interior vertex 'w1' is declared twice"),
+        ],
+        ids=["int", "list", "repeated", "white-and-black"],
+    )
+    def test_json_reader_takes_only_distinct_string_interiors(self, white, black, message):
+        doc = {"n": 2, "interior_white": white, "interior_black": black, "edges": [{"ends": ["w1", 1], "weight": 2}]}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            from_json(json.dumps(doc))
+
     def test_json_fields(self):
         doc = json.loads(export(build_tensor_diagram(EXAMPLE, 2), "json"))
         assert set(doc) == {"n", "boundary", "interior_white", "interior_black", "edges"}

@@ -401,3 +401,73 @@ def test_the_package_calls_os_fork_once():
     # one call, so the fork, the pipe and the reaping are written once
     paths = sorted((ROOT / "src" / "flamingo").glob("*.py"))
     assert sum(_fork_calls(ast.parse(path.read_text(encoding="utf-8"))) for path in paths) == 1
+
+
+# cli.py states the JSON-or-text choice and the 0/1 exit once, in _report:
+# no other code of it reads ``args.json`` (or any ``.json`` attribute),
+# refers to ``json.dumps``, or returns 1, alone or as a branch of a
+# conditional.
+REPORTER = "_report"
+
+
+def _report_bypasses(tree: ast.Module) -> list[str]:
+    """'where: what' for each such read, reference or return outside the
+    top-level function REPORTER, sorted."""
+    dumps = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "json"
+        for alias in node.names
+        if alias.name == "dumps"
+    }
+    found = []
+    for top in tree.body:
+        where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "module"
+        if where == REPORTER:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr == "json":
+                found.append(f"{where}: reads .json")
+            elif isinstance(node, ast.Attribute) and node.attr == "dumps" and getattr(node.value, "id", None) == "json":
+                found.append(f"{where}: json.dumps")
+            elif isinstance(node, ast.Name) and node.id in dumps:
+                found.append(f"{where}: json.dumps")
+            elif isinstance(node, ast.Return) and node.value is not None:
+                value = node.value
+                branches = [value.body, value.orelse] if isinstance(value, ast.IfExp) else [value]
+                if any(isinstance(b, ast.Constant) and type(b.value) is int and b.value == 1 for b in branches):
+                    found.append(f"{where}: returns 1")
+    return sorted(found)
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        (
+            "def _report(args, ok, payload, *lines):\n"
+            "    print(json.dumps(payload) if args.json else '\\n'.join(lines))\n"
+            "    return 0 if ok else 1\n"
+            "def cmd(args):\n"
+            "    return _report(args, len(args.items) == 1, {}, 'one')",
+            [],
+        ),
+        (
+            "from json import dumps as show\n"
+            "def cmd(args):\n"
+            "    if args.json:\n"
+            "        print(json.dumps({}), show([]))\n"
+            "        return 0 if args.ok else 1\n"
+            "    return 1",
+            ["cmd: json.dumps", "cmd: json.dumps", "cmd: reads .json", "cmd: returns 1", "cmd: returns 1"],
+        ),
+    ],
+    ids=["through-the-reporter", "around-it"],
+)
+def test_the_report_scan_finds_what_it_should(source, found):
+    assert _report_bypasses(ast.parse(source)) == found
+
+
+def test_only_the_reporter_picks_json_or_text_and_exits_1():
+    tree = ast.parse((ROOT / "src" / "flamingo" / "cli.py").read_text(encoding="utf-8"))
+    assert REPORTER in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert _report_bypasses(tree) == []

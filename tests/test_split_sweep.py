@@ -131,6 +131,30 @@ def test_the_failure_at_the_lesser_position_is_named(first, second):
     _no_child_left()
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize(
+    "failed, raised, reported",
+    [(0, 1, "failure"), (1, 2, "failure"), (3, 2, "exception"), (2, 1, "exception")],
+    ids=["fails-here-raises-in-child", "fails-in-child-raises-here", "raises-here-first", "raises-in-child-first"],
+)
+def test_a_failure_and_an_exception_give_the_serial_outcome(monkeypatch, cpus, failed, raised, reported):
+    # with two CPUs the two fall in different shards; the one at the lesser
+    # position is the outcome, as in one loop over the items
+    _cpus(monkeypatch, cpus)
+
+    def check(i):
+        if i == raised:
+            raise ZeroDivisionError(f"raised at {i}")
+        return f"failed at {i}" if i == failed else 1
+
+    if reported == "failure":
+        assert _split_sweep(range(10), check)[1] == f"failed at {failed}"
+    else:
+        with pytest.raises(ZeroDivisionError, match=f"^raised at {raised}$"):
+            _split_sweep(range(10), check)
+    _no_child_left()
+
+
 def test_counts_add_up_across_shards(two_cpus):
     assert _split_sweep(range(1001), lambda i: i % 3) == (sum(i % 3 for i in range(1001)), None)
     assert _split_sweep([], lambda i: 1) == (0, None)
