@@ -197,12 +197,20 @@ def to_json(diagram: TensorDiagram, **kwargs) -> str:
 
 def from_json_dict(data: Mapping) -> TensorDiagram:
     """Read the JSON form back.  ``n`` and every weight must be JSON
-    integers; nothing is truncated, and ``true`` is not 1.  Every edge end
-    must be a JSON integer or string (``true`` is read, and is no vertex),
-    and the interior vertices distinct strings, none both white and black."""
+    integers; nothing is truncated, and ``true`` is not 1.  The interior
+    vertices and the edges are JSON arrays, and each edge's ``ends`` an
+    array of two.  Every edge end must be a JSON integer or string
+    (``true`` is read, and is no vertex), and the interior vertices
+    distinct strings, none both white and black."""
     n = data["n"]
+    for field in ("interior_white", "interior_black", "edges"):
+        if type(data[field]) is not list:
+            raise ValueError(f"{field} must be a JSON array, got {data[field]!r}")
+    for e in data["edges"]:
+        if type(e) is not dict or type(e["ends"]) is not list or len(e["ends"]) != 2:
+            raise ValueError(f"every edge must be an object with an array of two ends, got {e!r}")
     white, black = tuple(data["interior_white"]), tuple(data["interior_black"])
-    edges = tuple((e["ends"][0], e["ends"][1], e["weight"]) for e in data["edges"])
+    edges = tuple((*e["ends"], e["weight"]) for e in data["edges"])
     for value in (n, *(w for _, _, w in edges)):
         if type(value) is not int:
             raise ValueError(f"n and every weight must be JSON integers, got {value!r}")

@@ -204,9 +204,6 @@ class MatrixPolynomial:
             return NotImplemented
         return self.n == other.n and self.terms == other.terms
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -278,17 +275,20 @@ class MatrixPolynomial:
             ],
         }
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_json_dict(), **kwargs)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "MatrixPolynomial":
         """Read the JSON form back.  ``n``, ``k`` and the rows must be JSON
-        integers and ``coeff`` a decimal string or a JSON integer; nothing
-        is truncated, and ``true`` is not 1."""
+        integers, ``terms`` an array of objects and ``coeff`` a decimal
+        string or a JSON integer; nothing is truncated, and ``true`` is not
+        1."""
         n, k = data["n"], data.get("k", 0)
         if type(n) is not int or type(k) is not int:
             raise ValueError(f"n and k must be JSON integers, got {n!r} and {k!r}")
+        if type(data["terms"]) is not list or any(type(t) is not dict for t in data["terms"]):
+            raise ValueError(f"terms must be a JSON array of objects, got {data['terms']!r}")
         terms: dict[tuple[int, ...], int] = {}
         for t in data["terms"]:
             m = tuple(t["rows"])  # the constructor rejects a row that is not an int

@@ -215,10 +215,6 @@ def _split_sweep(
     no later check needs its cache entries.  Where one does, it splits by
     layer, as ``_gc_layers`` does, and the layer that fills the cache runs
     here.
-    Where the items carry seeded random draws, the item generator makes
-    them, in item order, and both shards run it in full from one state of
-    the generator: a shard draws the other's items before it skips them, so
-    every item holds the serial loop's draws.
     """
     if _one_cpu():
         shards = [_shard(items, check, 0, 1, zero)]
@@ -587,29 +583,15 @@ def _sign_panel(r: int, exhaustive_n: int) -> list[OrderedSetPartition]:
     return panel
 
 
-def _sign_items(rng: random.Random, exhaustive_n: int) -> Iterator[tuple]:
-    """(r, partition, orders) for every partition of the sign panel at each
-    depth r, in order.  ``orders`` holds the column orders of each tableau
-    whose arrangement sign is checked, the first max(1, tableau_count // 4):
-    every order where a tableau has at most 64, else 64 drawn from ``rng``
-    here, as the serial loop drew them."""
-    for r in DEPTHS:
-        for partition in _sign_panel(r, exhaustive_n):
-            blocks = partition.blocks
-            checked = range(max(1, tableau_count(partition, r) // 4))
-            if math.prod(math.factorial(len(block)) for block in blocks) > 64:
-                orders = [[tuple(rng.sample(b, len(b)) for b in blocks) for _ in range(64)] for _ in checked]
-            else:
-                orders = [list(itertools.product(*map(itertools.permutations, blocks)))] * len(checked)
-            yield r, partition, orders
-
-
-def _sign_holds(item: tuple) -> Counter | str:
-    """The item's swap and arrangement counts, or its first failure: each
-    tableau with its columns reordered by sigma has sgn(sigma)^r times its
-    sign, for every sigma; then each tableau the item carries column
-    orders for keeps its sign under every one of them."""
-    r, partition, orders = item
+def _sign_holds(seed: int, item: tuple[int, OrderedSetPartition]) -> Counter | str:
+    """The (r, partition) item's swap and arrangement counts, or its first
+    failure: each tableau with its columns reordered by sigma has
+    sgn(sigma)^r times its sign, for every sigma; then each of the first
+    max(1, count // 4) tableaux keeps its sign under every order of its
+    columns where it has at most 64, else under 64 drawn from a generator
+    seeded by the seed, r and the partition alone."""
+    r, partition = item
+    blocks = partition.blocks
     tableaux = enumerate_tableaux(partition, r)
     signs = [t.sign() for t in tableaux]
     swaps = 0
@@ -619,8 +601,14 @@ def _sign_holds(item: tuple) -> Counter | str:
             if t.permute_columns(sigma).sign() != sgn * base:
                 return f"column-swap sign fails for {partition}, sigma={sigma}"
             swaps += 1
+    draws = random.Random(f"{seed} {r} {partition.text()}")
+    every = math.prod(math.factorial(len(block)) for block in blocks) <= 64
     arrangements = 0
-    for t, base, chosen in zip(tableaux, signs, orders):
+    for t, base in zip(tableaux, signs[: max(1, len(tableaux) // 4)]):
+        if every:
+            chosen = itertools.product(*map(itertools.permutations, blocks))
+        else:
+            chosen = (tuple(draws.sample(b, len(b)) for b in blocks) for _ in range(64))
         for order in chosen:
             if column_arrangement_sign(t, order) != base:
                 return f"column arrangement sign varies for {partition}"
@@ -646,7 +634,8 @@ def check_sign_properties(seed: int = 2024, exhaustive_n: int = 5) -> tuple[bool
         value = sign * integer_determinant([[matrix[i - 1][j - 1] for j in J] for i in I])
         if direct != value:
             return False, f"translation sign failed for n={n}, I={I}, J={J}"
-    counts, failure = _split_sweep(_sign_items(rng, exhaustive_n), _sign_holds, Counter())
+    items = ((r, partition) for r in DEPTHS for partition in _sign_panel(r, exhaustive_n))
+    counts, failure = _split_sweep(items, functools.partial(_sign_holds, seed), Counter())
     if failure:
         return False, failure
     return True, (

@@ -256,12 +256,13 @@ def sign_panel_by_lists(r: int, exhaustive_n: int) -> list[OrderedSetPartition]:
 
 
 def sign_properties_by_one_loop(seed: int, exhaustive_n: int) -> tuple[bool, str]:
-    """``check_sign_properties`` as it was before its swaps and arrangements
-    split into items: one loop drawing from one generator, the 500
-    translation signs first, then each panel partition's column swaps and
-    column arrangements, sampled from the same generator where a partition
-    has more than 64 column orders.  It calls ``column_arrangement_sign``
-    through this module, so a spy set here sees every call."""
+    """``check_sign_properties`` as one loop, with no items: the 500
+    translation signs drawn from ``random.Random(seed)`` first, then each
+    panel partition's column swaps and column arrangements, sampled where a
+    partition has more than 64 column orders from a generator seeded by the
+    seed, r and the partition's text, one per partition.  It calls
+    ``column_arrangement_sign`` through this module, so a spy set here sees
+    every call."""
     rng = random.Random(seed)
     for _ in range(500):
         n = rng.randint(1, 8)
@@ -283,6 +284,7 @@ def sign_properties_by_one_loop(seed: int, exhaustive_n: int) -> tuple[bool, str
     for r in (1, 2, 3):
         for partition in sign_panel_by_lists(r, exhaustive_n):
             d = partition.d
+            draws = random.Random(f"{seed} {r} {partition.text()}")
             tableaux = enumerate_tableaux(partition, r)
             signs = [t.sign() for t in tableaux]
             for sigma in itertools.permutations(range(1, d + 1)):
@@ -297,7 +299,7 @@ def sign_properties_by_one_loop(seed: int, exhaustive_n: int) -> tuple[bool, str
                     chosen = itertools.product(*orders_pool)
                 else:
                     chosen = (
-                        tuple(rng.sample(block, len(block)) for block in partition.blocks)
+                        tuple(draws.sample(block, len(block)) for block in partition.blocks)
                         for _ in range(64)
                     )
                 for orders in chosen:

@@ -354,8 +354,20 @@ def test_out_of_range_argument_is_usage_error(capsys, argv):
         (("conjecture", "--n", "4", "--d", "3", "--r", "3"), "got n = 4, d = 3, r = 3, r*d = 9"),
         # two faults, an empty B and the gap at 2: the left side (A+B | C) is checked first
         (("recurrence", "--A", "1", "--B", "", "--C", "3", "--r", "1"), "error: element 3 outside [1, 2]\n"),
+        # the options a family needs, and an element list that is no list of integers
+        (("independence", "--family", "orbit"), "error: --family orbit needs --partition and --r\n"),
+        (("independence", "--family", "hook", "--d", "2"), "error: --family hook needs --n and --d\n"),
+        (("recurrence", "--A", "1 x", "--B", "2", "--C", "3", "--r", "1"), "error: bad element list '1 x'\n"),
     ],
-    ids=["block-too-small", "hook-family", "specht-shape", "recurrence-left-side-first"],
+    ids=[
+        "block-too-small",
+        "hook-family",
+        "specht-shape",
+        "recurrence-left-side-first",
+        "orbit-without-partition",
+        "hook-without-n",
+        "recurrence-not-integers",
+    ],
 )
 def test_usage_error_names_the_rejected_values(capsys, argv, values):
     # the library's messages carry the values, so every caller reports them

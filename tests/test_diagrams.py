@@ -301,6 +301,42 @@ class TestExport:
         with pytest.raises(ValueError, match=re.escape(message)):
             from_json(json.dumps(doc))
 
+    # a string or object where an array belongs was read as its characters
+    # or keys, and ends past the second were dropped
+    def test_json_reader_rejects_a_string_array_and_a_third_end(self):
+        doc = {
+            "n": 1,
+            "interior_white": "w1",
+            "interior_black": [],
+            "edges": [{"ends": ["w", 1], "weight": 1}, {"ends": ["1", 2, 9], "weight": 1}],
+        }
+        with pytest.raises(ValueError, match="^interior_white must be a JSON array, got 'w1'$"):
+            from_json(json.dumps(doc))
+        doc["interior_white"] = ["w", "1"]
+        with pytest.raises(ValueError, match=re.escape("array of two ends, got {'ends': ['1', 2, 9], 'weight': 1}")):
+            from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("interior_white", "w1"), ("interior_black", {"b1": 1}), ("edges", {"ends": ["w1", 1], "weight": 2}), ("edges", None)],
+        ids=["white-string", "black-object", "edges-object", "edges-null"],
+    )
+    def test_json_reader_takes_only_arrays_of_vertices_and_edges(self, field, value):
+        doc = {"n": 2, "interior_white": ["w1"], "interior_black": [], "edges": [{"ends": ["w1", 1], "weight": 2}]}
+        doc[field] = value
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be a JSON array, got {value!r}")):
+            from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "edge",
+        [{"ends": ["w1"], "weight": 2}, {"ends": ["w1", 1, 2], "weight": 2}, {"ends": "w1", "weight": 2}, ["w1", 1, 2]],
+        ids=["one-end", "three-ends", "string-ends", "edge-array"],
+    )
+    def test_json_reader_takes_only_edges_of_two_ends(self, edge):
+        doc = {"n": 2, "interior_white": ["w1"], "interior_black": [], "edges": [edge]}
+        with pytest.raises(ValueError, match=re.escape(f"every edge must be an object with an array of two ends, got {edge!r}")):
+            from_json(json.dumps(doc))
+
     def test_json_fields(self):
         doc = json.loads(export(build_tensor_diagram(EXAMPLE, 2), "json"))
         assert set(doc) == {"n", "boundary", "interior_white", "interior_black", "edges"}

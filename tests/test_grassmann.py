@@ -141,6 +141,19 @@ class TestTranslation:
     def test_delta_index_set(self):
         assert delta_index_set((1, 3), (2, 4), 4) == (2, 4, 6, 8)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: phi([[1, 2]]), "matrix must be square"),
+            (lambda: delta_index_set((1, 2), (1,), 3), "need |rows| = |cols|"),
+            (lambda: delta_to_minor((1, 2), 3), "K must be a size-n subset of [2n]"),
+        ],
+        ids=["phi-not-square", "index-set-unequal", "minor-short-K"],
+    )
+    def test_rejects_mismatched_sizes(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_delta_to_minor_numeric(self, n):
         # Delta_K(phi(M)) == sign * minor_{I,J}(M) on random integer matrices

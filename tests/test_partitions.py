@@ -103,6 +103,19 @@ class TestConstruction:
         with pytest.raises(ValueError):
             OrderedSetPartition(n, blocks)
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: OrderedSetPartition(2, ((2, 1),)), "block not sorted: (2, 1)"),
+            (lambda: OrderedSetPartition(3, ((1,), (2,))), "blocks do not cover [n]; missing [3]"),
+            (lambda: parse_partition("1 x|2"), "bad element in partition text: '1 x'"),
+        ],
+        ids=["unsorted-block", "missing-element", "text-not-a-number"],
+    )
+    def test_rejection_names_the_fault(self, make, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+
     def test_block_of(self):
         p = parse_partition("2 3|1 4")
         assert p.block_of(1) == 2

@@ -489,6 +489,30 @@ class TestValidationBoundary:
         doc = {"n": 2, "terms": [{"rows": [1, 0], "coeff": coeff}]}
         assert MatrixPolynomial.from_json_dict(doc) == MatrixPolynomial(2, {(1, 0): -12})
 
+    @pytest.mark.parametrize(
+        "terms", ["ab", {"rows": [1], "coeff": "1"}, ["ab"], [[1]]], ids=["string", "object", "string-term", "list-term"]
+    )
+    def test_from_json_takes_terms_only_as_an_array_of_objects(self, terms):
+        with pytest.raises(ValueError, match=re.escape(f"terms must be a JSON array of objects, got {terms!r}")):
+            MatrixPolynomial.from_json_dict({"n": 1, "terms": terms})
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: MatrixPolynomial(2, {(1, 0): 1}) + MatrixPolynomial(3, {(1, 0, 0): 1}), "column-count mismatch"),
+            (lambda: MatrixPolynomial(2, {(1, 0): 1}).evaluate([[1], [2]]), "every row must have 2 entries"),
+            (lambda: integer_determinant([[1, 2]]), "matrix must be square"),
+        ],
+        ids=["add-across-widths", "evaluate-narrow-rows", "determinant-not-square"],
+    )
+    def test_rejects_mismatched_shapes(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_truth_is_having_terms(self):
+        assert not MatrixPolynomial.zero(2)
+        assert MatrixPolynomial(2, {(1, 0): 1})
+
     def test_from_json_rejects_duplicate_monomial(self):
         doc = {"n": 2, "terms": [{"rows": [1, 0], "coeff": "1"}, {"rows": [1, 0], "coeff": "2"}]}
         with pytest.raises(ValueError):

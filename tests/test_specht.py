@@ -108,6 +108,12 @@ class TestSpanChecker:
         with pytest.raises(ValueError):
             checker.insert(minor((1,), (1,), 3))
 
+    def test_contains_rejects_another_width(self):
+        checker = SpanChecker()
+        checker.insert(minor((1,), (1,), 2))
+        with pytest.raises(ValueError, match="^mixed column counts$"):
+            checker.contains(minor((1,), (1,), 3))
+
 
 class TestExactRank:
     @pytest.mark.parametrize(

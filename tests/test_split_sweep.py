@@ -234,21 +234,57 @@ def test_an_exhaustive_item_checks_its_first_quarter_of_tableaux(monkeypatch, re
 @pytest.mark.parametrize("seed", [2024, 7])
 def test_the_arrangements_are_the_one_loop_draws(monkeypatch, one_cpu, seed):
     # the (partition, orders) passed to column_arrangement_sign, in order,
-    # against the loop that drew them before the sweep split into items
-    def spy(calls, sign):
-        def recorded(t, orders):
-            calls.append((t.partition, t.r, t.assignment, orders))
-            return sign(t, orders)
-
-        return recorded
-
+    # against one loop over the panel that makes no items
     ours, theirs = [], []
-    monkeypatch.setattr(verification, "column_arrangement_sign", spy(ours, verification.column_arrangement_sign))
-    monkeypatch.setattr(oracles, "column_arrangement_sign", spy(theirs, oracles.column_arrangement_sign))
+    monkeypatch.setattr(verification, "column_arrangement_sign", _spy(ours, verification.column_arrangement_sign))
+    monkeypatch.setattr(oracles, "column_arrangement_sign", _spy(theirs, oracles.column_arrangement_sign))
     result = check_sign_properties(seed=seed, exhaustive_n=5)
     assert (result.ok, result.detail) == oracles.sign_properties_by_one_loop(seed, 5)
     assert len(ours) == 8011
     assert ours == theirs
+
+
+def _spy(calls, sign):
+    """``sign`` that first records its tableau and column orders in calls."""
+
+    def recorded(t, orders):
+        calls.append((t.partition, t.r, t.assignment, orders))
+        return sign(t, orders)
+
+    return recorded
+
+
+def test_this_shard_makes_the_one_loop_draws_of_its_own_items(monkeypatch, two_cpus):
+    # this process checks the even positions, and draws for them alone
+    # what one loop over every item draws
+    position = {item: i for i, item in enumerate((r, p) for r in DEPTHS for p in _sign_panel(r, 5))}
+    ours, theirs = [], []
+    monkeypatch.setattr(verification, "column_arrangement_sign", _spy(ours, verification.column_arrangement_sign))
+    monkeypatch.setattr(oracles, "column_arrangement_sign", _spy(theirs, oracles.column_arrangement_sign))
+    assert check_sign_properties(seed=2024, exhaustive_n=5).detail == SIGN_DETAIL
+    oracles.sign_properties_by_one_loop(2024, 5)
+    assert ours == [call for call in theirs if position[call[1], call[0]] % 2 == 0]
+    assert 0 < len(ours) < 8011
+    _no_child_left()
+
+
+def test_a_drawn_item_draws_the_same_alone_and_in_the_sweep(monkeypatch, one_cpu):
+    # the item at 653, a partition of [8] with more than 64 column orders,
+    # gets the same orders checked alone as in the whole check, and other
+    # ones at another seed
+    item = [(r, p) for r in DEPTHS for p in _sign_panel(r, 5)][653]
+    original = verification.column_arrangement_sign
+    calls = {}
+    for seed in (2024, 7):
+        alone, swept = [], []
+        monkeypatch.setattr(verification, "column_arrangement_sign", _spy(alone, original))
+        verification._sign_holds(seed, item)
+        monkeypatch.setattr(verification, "column_arrangement_sign", _spy(swept, original))
+        assert check_sign_properties(seed=seed, exhaustive_n=5).detail == SIGN_DETAIL
+        assert len(alone) == 64 * max(1, len(enumerate_tableaux(item[1], item[0])) // 4)
+        assert alone == [call for call in swept if call[:2] == (item[1], item[0])]
+        calls[seed] = alone
+    assert calls[2024] != calls[7]
 
 
 @pytest.mark.parametrize("position", [10, 11], ids=["this-process", "child"])
