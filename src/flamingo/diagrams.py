@@ -12,6 +12,11 @@ the boundary clockwise on a circle.  One rule tells a boundary vertex: an
 raise ValueError on an endpoint that is neither that nor declared interior.
 ``from_json_dict`` raises ValueError on input that these readers and
 ``validate`` cannot take.
+
+The builder slices the interior names from module-level tuples, so
+diagrams share the strings, whose hashes are then cached, and format
+none up to 64 blocks.  The validator keeps one cell [colour, weight sum]
+per interior vertex and looks each edge end up once.
 """
 
 from __future__ import annotations
@@ -39,6 +44,17 @@ class TensorDiagram:
         return tuple(range(1, 2 * self.n + 1))
 
 
+_TABLE = 64
+_W, _U, _B = (tuple(f"{prefix}{i}" for i in range(1, _TABLE + 1)) for prefix in "wub")
+
+
+def _names(table: tuple[str, ...], prefix: str, count: int) -> tuple[str, ...]:
+    """prefix1 .. prefix<count>."""
+    if count <= _TABLE:
+        return table[:count]
+    return table + tuple(f"{prefix}{i}" for i in range(_TABLE + 1, count + 1))
+
+
 def build_tensor_diagram(partition: OrderedSetPartition, r: int) -> TensorDiagram:
     """The diagram whose white vertex w_i fans out to the tail range and to
     block i shifted by n, with u_i collecting the tentacle range and b_i
@@ -46,9 +62,7 @@ def build_tensor_diagram(partition: OrderedSetPartition, r: int) -> TensorDiagra
     nu = require_admissible(partition, r)
     n, d = partition.n, partition.d
     tail, tentacles = range(nu + 1, n + 1), range(r + 1, nu + 1)
-    ws = [f"w{i}" for i in range(1, d + 1)]
-    us = [f"u{i}" for i in range(1, d)]
-    bs = [f"b{i}" for i in range(1, d)]
+    ws, us, bs = _names(_W, "w", d), _names(_U, "u", d - 1), _names(_B, "b", d - 1)
     edges: list[Edge] = []
     for w, block in zip(ws, partition.blocks):
         for e in tail:
@@ -63,33 +77,40 @@ def build_tensor_diagram(partition: OrderedSetPartition, r: int) -> TensorDiagra
         edges.append((b, u, r * d))
         if len(block) > r:
             edges.append((b, ws[-1], len(block) - r))
-    return TensorDiagram(n, (*ws, *us), tuple(bs), tuple(edges))
+    return TensorDiagram(n, ws + us, bs, tuple(edges))
 
 
 def validate(diagram: TensorDiagram) -> list[str]:
     """Empty list when sound; otherwise human-readable violations covering
     interior weight sums, bipartiteness, weight positivity, and endpoint
-    validity."""
+    validity.  A name declared white and black is white.  An int end takes
+    its colour from the boundary rule alone, and any end equal to a
+    declared name, an int or ``True`` too, adds its weight to that name's
+    sum."""
     problems = []
     n = diagram.n
     n2 = 2 * n
-    colour = dict.fromkeys(diagram.interior_black, "black") | dict.fromkeys(diagram.interior_white, "white")
-    sums = dict.fromkeys(diagram.interior_white + diagram.interior_black, 0)
+    cells = {v: ["white", 0] for v in diagram.interior_white}
+    for v in diagram.interior_black:
+        cells.setdefault(v, ["black", 0])
+    get = cells.get
     for a, b, w in diagram.edges:
-        ca = ("black" if 1 <= a <= n2 else None) if type(a) is int else colour.get(a)
-        cb = ("black" if 1 <= b <= n2 else None) if type(b) is int else colour.get(b)
+        cell_a, cell_b = get(a), get(b)
+        ca = ("black" if 1 <= a <= n2 else None) if type(a) is int else cell_a and cell_a[0]
+        cb = ("black" if 1 <= b <= n2 else None) if type(b) is int else cell_b and cell_b[0]
         if ca is None or cb is None:
             problems.append(f"edge ({a!r}, {b!r}) touches an unknown vertex")
             continue
-        if not 1 <= w <= n:
-            problems.append(f"edge ({a!r}, {b!r}) has weight {w} outside [1, {n}]")
-        if ca == cb:
-            problems.append(f"edge ({a!r}, {b!r}) joins two {ca} vertices")
-        if a in sums:
-            sums[a] += w
-        if b in sums:
-            sums[b] += w
-    for v, total in sums.items():
+        if ca == cb or not 1 <= w <= n:
+            if not 1 <= w <= n:
+                problems.append(f"edge ({a!r}, {b!r}) has weight {w} outside [1, {n}]")
+            if ca == cb:
+                problems.append(f"edge ({a!r}, {b!r}) joins two {ca} vertices")
+        if cell_a is not None:
+            cell_a[1] += w
+        if cell_b is not None:
+            cell_b[1] += w
+    for v, (_, total) in cells.items():
         if total != n:
             problems.append(f"interior vertex {v} has weight sum {total}, expected {n}")
     return problems
@@ -196,24 +217,34 @@ def to_json(diagram: TensorDiagram, **kwargs) -> str:
 
 
 def from_json_dict(data: Mapping) -> TensorDiagram:
-    """Read the JSON form back.  ``n`` and every weight must be JSON
-    integers; nothing is truncated, and ``true`` is not 1.  The interior
+    """Read the JSON form back: an object with ``n``, ``interior_white``,
+    ``interior_black`` and ``edges``, each edge an object with ``ends`` and
+    ``weight``.  ``n`` and every weight must be JSON integers, ``n`` at
+    least 0; nothing is truncated, and ``true`` is not 1.  The interior
     vertices and the edges are JSON arrays, and each edge's ``ends`` an
     array of two.  Every edge end must be a JSON integer or string
     (``true`` is read, and is no vertex), and the interior vertices
     distinct strings, none both white and black."""
+    if not isinstance(data, Mapping) or not data.keys() >= {"n", "interior_white", "interior_black", "edges"}:
+        raise ValueError(
+            f"a diagram must be a JSON object with n, interior_white, interior_black and edges, got {data!r}"
+        )
     n = data["n"]
     for field in ("interior_white", "interior_black", "edges"):
         if type(data[field]) is not list:
             raise ValueError(f"{field} must be a JSON array, got {data[field]!r}")
     for e in data["edges"]:
-        if type(e) is not dict or type(e["ends"]) is not list or len(e["ends"]) != 2:
+        if type(e) is not dict or type(e.get("ends")) is not list or len(e["ends"]) != 2:
             raise ValueError(f"every edge must be an object with an array of two ends, got {e!r}")
+        if "weight" not in e:
+            raise ValueError(f"every edge needs a weight, got {e!r}")
     white, black = tuple(data["interior_white"]), tuple(data["interior_black"])
     edges = tuple((*e["ends"], e["weight"]) for e in data["edges"])
     for value in (n, *(w for _, _, w in edges)):
         if type(value) is not int:
             raise ValueError(f"n and every weight must be JSON integers, got {value!r}")
+    if n < 0:
+        raise ValueError(f"n must be at least 0, got {n}")
     for end in (v for a, b, _ in edges for v in (a, b)):
         if not isinstance(end, (int, str)):
             raise ValueError(f"every edge end must be a JSON integer or string, got {end!r}")

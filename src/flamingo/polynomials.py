@@ -280,10 +280,13 @@ class MatrixPolynomial:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "MatrixPolynomial":
-        """Read the JSON form back.  ``n``, ``k`` and the rows must be JSON
-        integers, ``terms`` an array of objects and ``coeff`` a decimal
-        string or a JSON integer; nothing is truncated, and ``true`` is not
-        1."""
+        """Read the JSON form back: an object with ``n``, ``terms`` and
+        optionally ``k``, each term an object with ``rows`` and ``coeff``.
+        ``n``, ``k`` and the rows must be JSON integers, ``terms`` an array
+        of objects and ``coeff`` a decimal string or a JSON integer;
+        nothing is truncated, and ``true`` is not 1."""
+        if not isinstance(data, Mapping) or not data.keys() >= {"n", "terms"}:
+            raise ValueError(f"a polynomial must be a JSON object with n and terms, got {data!r}")
         n, k = data["n"], data.get("k", 0)
         if type(n) is not int or type(k) is not int:
             raise ValueError(f"n and k must be JSON integers, got {n!r} and {k!r}")
@@ -291,6 +294,8 @@ class MatrixPolynomial:
             raise ValueError(f"terms must be a JSON array of objects, got {data['terms']!r}")
         terms: dict[tuple[int, ...], int] = {}
         for t in data["terms"]:
+            if not t.keys() >= {"rows", "coeff"}:
+                raise ValueError(f"every term needs rows and coeff, got {t!r}")
             m = tuple(t["rows"])  # the constructor rejects a row that is not an int
             c = t["coeff"]
             if type(c) is str:

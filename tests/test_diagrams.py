@@ -18,7 +18,7 @@ from flamingo.diagrams import (
     unclasping_is_forest,
     validate,
 )
-from flamingo.partitions import enumerate_ordered_partitions, parse_partition, partitions_up_to
+from flamingo.partitions import OrderedSetPartition, enumerate_ordered_partitions, parse_partition, partitions_up_to
 
 import oracles
 
@@ -176,13 +176,30 @@ class TestAgainstReference:
             (("w1", 3), (), ((3, "w1", 1), ("w1", 3, 1))),
             (("w1",), (True,), (("w1", True, 2), (1, True, 1))),
             (("w1", "b1"), ("b1",), (("w1", "b1", 2), ("b1", 1, 1))),
+            # True and 1 hash alike: a True end takes the white cell's colour,
+            # a 1 end the boundary's, and both add to that one cell's sum
+            (("w1", True), (1, "b1"), (("w1", 1, 1), ("b1", True, 1), (True, 1, 1), ("w1", "b1", 1))),
+            # the black vertex 2 is also boundary vertex 2: an int end adds to
+            # its sum with the boundary's colour, a float end with its own
+            (("w1",), (2,), (("w1", 2, 1), ("w1", 2.0, 2), (2.0, 3, 1))),
         ],
-        ids=["int-named-interior", "true-named-interior", "white-and-black"],
+        ids=["int-named-interior", "true-named-interior", "white-and-black", "true-white-one-black", "int-interior-in-range"],
     )
     def test_odd_declarations_get_the_reference_verdicts(self, white, black, edges):
         diagram = TensorDiagram(n=2, interior_white=white, interior_black=black, edges=edges)
         assert validate(diagram) == oracles.validate(diagram)
         assert boundary_degrees(diagram) == oracles.boundary_degrees(diagram)
+
+    def test_names_past_the_tables_are_formatted(self):
+        # 65 singletons at r = 1: w65 lies past the name tables, u64 and b64 do not
+        p = OrderedSetPartition(65, tuple((i,) for i in range(1, 66)))
+        diagram = build_tensor_diagram(p, 1)
+        reference = oracles.build_tensor_diagram(p, 1)
+        assert diagram == reference  # the edge tuples too, in order
+        assert diagram.interior_white[63:66] == ("w64", "w65", "u1")
+        assert diagram.interior_black[-1] == "b64"
+        assert validate(diagram) == oracles.validate(reference) == []
+        assert boundary_degrees(diagram) == oracles.boundary_degrees(reference)
 
     def test_float_one_is_not_boundary_vertex_one(self):
         diagram = TensorDiagram(n=1, interior_white=("w1",), interior_black=(), edges=(("w1", 1.0, 1),))
@@ -336,6 +353,37 @@ class TestExport:
         doc = {"n": 2, "interior_white": ["w1"], "interior_black": [], "edges": [edge]}
         with pytest.raises(ValueError, match=re.escape(f"every edge must be an object with an array of two ends, got {edge!r}")):
             from_json(json.dumps(doc))
+
+    # a missing key raised KeyError and a document that is no object TypeError
+    @pytest.mark.parametrize(
+        "drop", ["n", "interior_white", "interior_black", "edges", "document"], ids=str
+    )
+    def test_json_reader_needs_an_object_with_every_key(self, drop):
+        doc = {"n": 2, "interior_white": ["w1"], "interior_black": [], "edges": [{"ends": ["w1", 1], "weight": 2}]}
+        doc = [doc] if drop == "document" else {k: v for k, v in doc.items() if k != drop}
+        message = f"a diagram must be a JSON object with n, interior_white, interior_black and edges, got {doc!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "edge, message",
+        [
+            ({"ends": ["w1", 1]}, "every edge needs a weight, got {'ends': ['w1', 1]}"),
+            ({"weight": 2}, "every edge must be an object with an array of two ends, got {'weight': 2}"),
+        ],
+        ids=["no-weight", "no-ends"],
+    )
+    def test_json_reader_needs_ends_and_a_weight(self, edge, message):
+        doc = {"n": 2, "interior_white": ["w1"], "interior_black": [], "edges": [edge]}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            from_json(json.dumps(doc))
+
+    # {"n": -3, ...} was read, and validate found nothing wrong with it
+    def test_json_reader_rejects_a_negative_n(self):
+        doc = {"n": -3, "interior_white": [], "interior_black": [], "edges": []}
+        with pytest.raises(ValueError, match="^n must be at least 0, got -3$"):
+            from_json(json.dumps(doc))
+        assert from_json(json.dumps({**doc, "n": 0})) == TensorDiagram(0, (), (), ())
 
     def test_json_fields(self):
         doc = json.loads(export(build_tensor_diagram(EXAMPLE, 2), "json"))

@@ -496,6 +496,23 @@ class TestValidationBoundary:
         with pytest.raises(ValueError, match=re.escape(f"terms must be a JSON array of objects, got {terms!r}")):
             MatrixPolynomial.from_json_dict({"n": 1, "terms": terms})
 
+    # a missing key raised KeyError and a document that is no object TypeError
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([1], "a polynomial must be a JSON object with n and terms, got [1]"),
+            ("ab", "a polynomial must be a JSON object with n and terms, got 'ab'"),
+            ({"terms": []}, "a polynomial must be a JSON object with n and terms, got {'terms': []}"),
+            ({"n": 1}, "a polynomial must be a JSON object with n and terms, got {'n': 1}"),
+            ({"n": 1, "terms": [{"coeff": "1"}]}, "every term needs rows and coeff, got {'coeff': '1'}"),
+            ({"n": 1, "terms": [{"rows": [1]}]}, "every term needs rows and coeff, got {'rows': [1]}"),
+        ],
+        ids=["array", "string", "no-n", "no-terms", "no-rows", "no-coeff"],
+    )
+    def test_from_json_needs_an_object_with_every_key(self, doc, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MatrixPolynomial.from_json(json.dumps(doc))
+
     @pytest.mark.parametrize(
         "call, message",
         [
