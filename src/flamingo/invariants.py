@@ -8,12 +8,16 @@ It is built without tableau objects: the deep rows are chosen column by
 column in the order of ``iter_tableaux``, as row masks, and the product of
 the minors of the columns chosen so far is carried down as a list of
 partial terms, so tableaux that agree on their first columns share that
-work.  Each finished term is added in place into one dict, signed by the
-parity of the tableau's reading word, and the polynomial is adopted once
-through ``MatrixPolynomial._trusted``; the walk meets its precondition,
-since cancelled terms leave the dict and no row exceeds nu.  The tests'
-independent references are the tableau sum multiplied pair by pair
-(``oracles.pairwise_product``) and ``oracles.determinant_invariant``.
+work.  Each finished term is stored once into one dict, signed by the
+parity of the tableau's reading word, with no lookup: a monomial fixes
+the row set of each block's columns, so it names its tableau, no two
+tableaux share a monomial and nothing cancels.  The walk counts the terms
+it writes and raises ``ArithmeticError`` if the dict holds fewer, so a
+collision can never come back as a wrong polynomial.  The polynomial is
+adopted once through ``MatrixPolynomial._trusted``; the walk meets its
+precondition, since every coefficient is +-1 and no row exceeds nu.  The
+tests' independent references are the tableau sum multiplied pair by
+pair (``oracles.pairwise_product``) and ``oracles.determinant_invariant``.
 
 The symmetric group acts on columns; the laws verified here are
 
@@ -48,8 +52,8 @@ from .partitions import (
 from .polynomials import (
     MatrixPolynomial,
     _mask,
+    _minor_terms,
     add_into,
-    add_minor_product,
     column_map,
     extend_minor_product,
     map_monomial,
@@ -72,8 +76,10 @@ def _invariant_cached(partition: OrderedSetPartition, r: int) -> MatrixPolynomia
     head_word = [block[t] for t in range(r) for block in blocks]
     entry: dict[int, int] = {}  # deep row's bit -> its entry along the current path
     acc: dict = {}
+    stored = 0  # terms written at the leaves; each must be a new key
 
     def walk(i: int, remaining: list[int], partial: list) -> None:
+        nonlocal stored
         for chosen in itertools.combinations(remaining, len(blocks[i]) - r):
             for bit, element in zip(chosen, blocks[i][r:]):
                 entry[bit] = element
@@ -83,10 +89,18 @@ def _invariant_cached(partition: OrderedSetPartition, r: int) -> MatrixPolynomia
                 walk(i + 1, rest, extend_minor_product(partial, rows, cols[i], n))
             else:
                 word = head_word + [entry[bit] for bit in deep_rows]
-                sign = -1 if word_inversions(word) % 2 else 1
-                add_minor_product(acc, partial, rows, cols[i], n, sign)
+                odd = word_inversions(word) % 2
+                terms = _minor_terms(rows, cols[i], n)
+                stored += len(partial) * len(terms)
+                for head, c in partial:
+                    if odd:
+                        c = -c
+                    for tail, s in terms:
+                        acc[head | tail] = c * s
 
     walk(0, deep_rows, [(0, 1)])
+    if len(acc) != stored:
+        raise ArithmeticError(f"two tableaux of {partition.text()} at depth {r} gave one monomial")
     return MatrixPolynomial._trusted(n, acc, nu)
 
 

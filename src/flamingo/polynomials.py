@@ -20,6 +20,9 @@ expansion along its first row, so minors that end on the same rows and
 columns share those tables; the terms keep the order of the row-by-row
 expansion, the permutations in lexicographic order.  ``phi_star`` raises
 :class:`ColumnCollision` when two of its factors share a column.
+:func:`add_minor_product` serves ``phi_star`` alone, whose terms may
+cancel; the invariant walk stores its terms, which never meet, straight
+from the cached tables.
 
 The constructor and ``from_json_dict`` validate input from outside.  The
 ring operations and the kernel combine operands that are already valid,
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .partitions import is_permutation
@@ -283,8 +287,10 @@ class MatrixPolynomial:
         """Read the JSON form back: an object with ``n``, ``terms`` and
         optionally ``k``, each term an object with ``rows`` and ``coeff``.
         ``n``, ``k`` and the rows must be JSON integers, ``terms`` an array
-        of objects and ``coeff`` a decimal string or a JSON integer;
-        nothing is truncated, and ``true`` is not 1."""
+        of objects, ``rows`` an array and ``coeff`` a JSON integer or a
+        string of ASCII digits with an optional leading minus, as
+        ``to_json_dict`` writes it; nothing is truncated, and ``true`` is
+        not 1."""
         if not isinstance(data, Mapping) or not data.keys() >= {"n", "terms"}:
             raise ValueError(f"a polynomial must be a JSON object with n and terms, got {data!r}")
         n, k = data["n"], data.get("k", 0)
@@ -296,12 +302,14 @@ class MatrixPolynomial:
         for t in data["terms"]:
             if not t.keys() >= {"rows", "coeff"}:
                 raise ValueError(f"every term needs rows and coeff, got {t!r}")
-            m = tuple(t["rows"])  # the constructor rejects a row that is not an int
-            c = t["coeff"]
-            if type(c) is str:
+            m, c = t["rows"], t["coeff"]
+            if type(m) is not list:
+                raise ValueError(f"rows must be a JSON array, got {m!r}")
+            m = tuple(m)  # the constructor rejects a row that is not an int
+            if type(c) is str and re.fullmatch("-?[0-9]+", c):
                 c = int(c)
             elif type(c) is not int:
-                raise ValueError(f"coeff must be a decimal string or a JSON integer, got {c!r}")
+                raise ValueError(f"coeff must be a decimal string -?[0-9]+ or a JSON integer, got {c!r}")
             if m in terms:
                 raise ValueError(f"duplicate monomial {m}")
             terms[m] = c

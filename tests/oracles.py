@@ -20,18 +20,21 @@ from typing import Iterable, Mapping, Sequence
 from flamingo import grassmann, invariants
 from flamingo.diagrams import Edge, TensorDiagram, Vertex
 from flamingo.partitions import (
+    BlockTooSmall,
     OrderedSetPartition,
     act_elements,
     enumerate_ordered_partitions,
     enumerate_unordered_partitions,
     perm_sign,
     permute_blocks,
+    require_admissible,
     word_inversions,
 )
 from flamingo.polynomials import (
     ColumnCollision,
     MatrixPolynomial,
     _bit,
+    _mask,
     _unpack,
     add_into,
     add_minor_product,
@@ -92,6 +95,43 @@ def determinant_invariant(partition: OrderedSetPartition, r: int) -> dict[tuple[
         states = advanced
     sign = -1 if math.comb(d, 2) * math.comb(r, 2) % 2 else 1
     return {m: sign * c for m, c in states.get((1 << n) - 1, {}).items() if c}
+
+
+def accumulated_invariant(partition: OrderedSetPartition, r: int) -> MatrixPolynomial:
+    """[pi]_r by the walk ``invariants._invariant_cached`` had before it
+    stored each term once: the same column-by-column choice of deep rows,
+    but every finished product of minors is added into the dict by
+    ``add_minor_product``, which looks each monomial up and drops it if
+    its coefficient cancels to 0.  Without any disjointness argument the
+    result is still the signed tableau sum, in the walk's term order."""
+    try:
+        nu = require_admissible(partition, r)
+    except BlockTooSmall:
+        return MatrixPolynomial.zero(partition.n, k=0)
+    blocks, n = partition.blocks, partition.n
+    last = len(blocks) - 1
+    top = (1 << r) - 1
+    cols = [_mask(block) for block in blocks]
+    deep_rows = [1 << a for a in range(r, nu)]
+    head_word = [block[t] for t in range(r) for block in blocks]
+    entry: dict[int, int] = {}
+    acc: dict = {}
+
+    def walk(i: int, remaining: list[int], partial: list) -> None:
+        for chosen in itertools.combinations(remaining, len(blocks[i]) - r):
+            for bit, element in zip(chosen, blocks[i][r:]):
+                entry[bit] = element
+            rows = top | sum(chosen)
+            if i < last:
+                rest = [bit for bit in remaining if not bit & rows]
+                walk(i + 1, rest, extend_minor_product(partial, rows, cols[i], n))
+            else:
+                word = head_word + [entry[bit] for bit in deep_rows]
+                sign = -1 if word_inversions(word) % 2 else 1
+                add_minor_product(acc, partial, rows, cols[i], n, sign)
+
+    walk(0, deep_rows, [(0, 1)])
+    return MatrixPolynomial._trusted(n, acc, nu)
 
 
 # The minor expansion keyed on row and column tuples and the product of two

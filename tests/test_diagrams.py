@@ -71,12 +71,25 @@ def _pairs(n_max):
     return [(p, r) for r in (1, 2, 3) for p in partitions_up_to(n_max, r)]
 
 
+@pytest.fixture(scope="module")
+def diagrams_up_to_seven():
+    """(p, r, diagram) for every pair of ``_pairs(7)``, in its order, built
+    once for the tests that read them; a test at a smaller n takes the
+    pairs with p.n up to its own bound, in the order ``_pairs`` gives them.
+    The list holds about 180 MiB, so it is dropped when this module ends."""
+    return [(p, r, build_tensor_diagram(p, r)) for p, r in _pairs(7)]
+
+
+def _up_to(built, n_max):
+    return [(p, r, diagram) for p, r, diagram in built if p.n <= n_max]
+
+
 class TestBoundaryProfile:
     """The diagram check's boundary profile, one expected list compared in
     vertex order, against the four-range walk it replaced, kept in
     ``oracles``."""
 
-    def test_a_moved_degree_fails_at_the_reference_vertex(self, monkeypatch):
+    def test_a_moved_degree_fails_at_the_reference_vertex(self, monkeypatch, diagrams_up_to_seven):
         # every diagram at n <= 6 with one boundary degree moved by +1 or -1:
         # both checks name that vertex.  Building and validating are stubbed
         # out, so the sweep compares degrees and nothing else.
@@ -86,9 +99,9 @@ class TestBoundaryProfile:
         monkeypatch.setattr(verification, "boundary_degrees", lambda diagram: degrees)
         vertex = re.compile(r"boundary (\d+) ")
         cases = 0
-        for p, r in _pairs(6):
+        for p, r, diagram in _up_to(diagrams_up_to_seven, 6):
             degrees.clear()
-            degrees.update(boundary_degrees(build_tensor_diagram(p, r)))
+            degrees.update(boundary_degrees(diagram))
             for v, degree in list(degrees.items()):
                 for delta in (1, -1):
                     degrees[v] = degree + delta
@@ -100,13 +113,13 @@ class TestBoundaryProfile:
                 degrees[v] = degree
         assert cases == 129_084
 
-    def test_the_first_vertex_out_of_profile_is_named(self, monkeypatch):
+    def test_the_first_vertex_out_of_profile_is_named(self, monkeypatch, diagrams_up_to_seven):
         # every degree moved at once: both checks name vertex 1
         degrees: dict[int, int] = {}
         monkeypatch.setattr(verification, "boundary_degrees", lambda diagram: degrees)
-        for p, r in _pairs(4):
+        for p, r, diagram in _up_to(diagrams_up_to_seven, 4):
             degrees.clear()
-            degrees.update((v, degree + 1) for v, degree in boundary_degrees(build_tensor_diagram(p, r)).items())
+            degrees.update((v, degree + 1) for v, degree in boundary_degrees(diagram).items())
             assert verification._diagram_holds((p, r)).startswith("boundary 1 degree ")
             assert oracles.boundary_profile_by_ranges(p, r, degrees).startswith("boundary 1 ")
 
@@ -115,11 +128,9 @@ class TestAgainstReference:
     """The builder, the one-pass validator and the degree count against
     the code they replaced, kept verbatim in ``oracles``."""
 
-    def test_every_diagram_up_to_seven_is_equal_in_edge_order(self):
-        pairs = _pairs(7)
-        assert len(pairs) == 53_618
-        for p, r in pairs:
-            diagram = build_tensor_diagram(p, r)
+    def test_every_diagram_up_to_seven_is_equal_in_edge_order(self, diagrams_up_to_seven):
+        assert len(diagrams_up_to_seven) == 53_618
+        for p, r, diagram in diagrams_up_to_seven:
             reference = oracles.build_tensor_diagram(p, r)
             assert diagram == reference  # the edge tuples too, in order
             assert validate(diagram) == oracles.validate(reference) == []

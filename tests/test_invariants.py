@@ -23,7 +23,7 @@ from flamingo.partitions import (
     permute_blocks,
     simple_transposition,
 )
-from flamingo.polynomials import MatrixPolynomial, _unpack
+from flamingo.polynomials import MatrixPolynomial, _minor_terms, _unpack
 from flamingo.tableaux import (
     JellyfishTableau,
     enumerate_tableaux,
@@ -33,6 +33,7 @@ from flamingo.tableaux import (
 )
 
 from oracles import (
+    accumulated_invariant,
     apply_action,
     det_leibniz,
     determinant_invariant,
@@ -343,6 +344,49 @@ class TestDeterminantOracle:
     def test_zero_when_a_block_is_small(self, text, r):
         p = parse_partition(text)
         assert determinant_invariant(p, r) == {} and jellyfish_invariant(p, r).is_zero
+
+
+class TestStoredOnce:
+    """The walk writes each term once, trusting that no two tableaux share a
+    monomial; ``oracles.accumulated_invariant`` is the walk that added each
+    term by lookup and cancel instead.  The two must agree in the terms, the
+    order of the terms and k, and a repeated monomial must raise."""
+
+    @staticmethod
+    def _same(p, r):
+        built, summed = invariants._invariant_cached.__wrapped__(p, r), accumulated_invariant(p, r)
+        return list(built.terms.items()) == list(summed.terms.items()) and (built.n, built.k) == (summed.n, summed.k)
+
+    def test_every_pair_up_to_six(self):
+        pairs = 0
+        for r in range(1, 7):
+            for p in partitions_up_to(6, r):
+                assert self._same(p, r), (p, r)
+                pairs += 1
+        assert pairs == 5517
+
+    def test_seeded_sample_at_eight(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            r = rng.choice((1, 2, 3))
+            p = _random_partition(rng, 8, rng.randint(2, 8 // r), r)
+            assert self._same(p, r), (p, r)
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["repeated", "negated"])
+    def test_a_repeated_monomial_raises(self, monkeypatch, sign):
+        # a leaf's minor table with its first monomial once more: the old
+        # accumulate would have merged or cancelled it into a wrong polynomial
+        def planted(rows, cols, n):
+            terms = _minor_terms(rows, cols, n)
+            return terms + ((terms[0][0], sign * terms[0][1]),)
+
+        p = parse_partition("1 2 5|3 4 6")
+        invariants._invariant_cached.cache_clear()
+        monkeypatch.setattr(invariants, "_minor_terms", planted)
+        with pytest.raises(ArithmeticError, match=re.escape("1 2 5|3 4 6 at depth 2")):
+            jellyfish_invariant(p, 2)
+        monkeypatch.undo()
+        assert self._same(p, 2) and jellyfish_invariant(p, 2) == accumulated_invariant(p, 2)
 
 
 def _inversion_sign(w) -> int:

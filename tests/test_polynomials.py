@@ -138,7 +138,7 @@ class TestPackedMonomials:
             ),
             pytest.param(
                 lambda: MatrixPolynomial.from_json_dict({"n": 2, "terms": [{"rows": [1, 0], "coeff": "2.7"}]}),
-                "invalid literal",
+                "coeff must be a decimal string",
                 id="json-non-decimal-coeff",
             ),
             pytest.param(
@@ -495,6 +495,22 @@ class TestValidationBoundary:
     def test_from_json_takes_terms_only_as_an_array_of_objects(self, terms):
         with pytest.raises(ValueError, match=re.escape(f"terms must be a JSON array of objects, got {terms!r}")):
             MatrixPolynomial.from_json_dict({"n": 1, "terms": terms})
+
+    # a number, null or a bool raised TypeError from tuple(), and a string
+    # was read as its characters
+    @pytest.mark.parametrize("rows", [1, None, True, "12"], ids=["number", "null", "bool", "string"])
+    def test_from_json_takes_rows_only_as_an_array(self, rows):
+        doc = {"n": 2, "terms": [{"rows": rows, "coeff": "1"}]}
+        with pytest.raises(ValueError, match=f"^{re.escape(f'rows must be a JSON array, got {rows!r}')}$"):
+            MatrixPolynomial.from_json(json.dumps(doc))
+
+    # int() read these as 10, 7, 1 and 1
+    @pytest.mark.parametrize("coeff", ["1_0", " 7 ", "+1", "\u0661"], ids=["underscore", "spaces", "plus", "arabic-indic"])
+    def test_from_json_takes_a_coeff_string_only_as_ascii_digits(self, coeff):
+        doc = {"n": 2, "terms": [{"rows": [1, 0], "coeff": coeff}]}
+        message = f"coeff must be a decimal string -?[0-9]+ or a JSON integer, got {coeff!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MatrixPolynomial.from_json(json.dumps(doc))
 
     # a missing key raised KeyError and a document that is no object TypeError
     @pytest.mark.parametrize(
