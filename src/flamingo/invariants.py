@@ -8,12 +8,13 @@ It is built without tableau objects: the deep rows are chosen column by
 column in the order of ``iter_tableaux``, as row masks, and the product of
 the minors of the columns chosen so far is carried down as a list of
 partial terms, so tableaux that agree on their first columns share that
-work.  Each finished term is stored once into one dict, signed by the
-parity of the tableau's reading word, with no lookup: a monomial fixes
-the row set of each block's columns, so it names its tableau, no two
-tableaux share a monomial and nothing cancels.  The walk counts the terms
-it writes and raises ``ArithmeticError`` if the dict holds fewer, so a
-collision can never come back as a wrong polynomial.  The polynomial is
+work.  Each finished term is stored once into one dict by
+``polynomials.store_minor_product``, signed by the parity of the tableau's
+reading word, with no lookup: a monomial fixes the row set of each block's
+columns, so it names its tableau, no two tableaux share a monomial and
+nothing cancels.  The walk sums the counts the kernel returns and raises
+``ArithmeticError`` if the dict holds fewer terms, so a collision can
+never come back as a wrong polynomial.  The polynomial is
 adopted once through ``MatrixPolynomial._trusted``; the walk meets its
 precondition, since every coefficient is +-1 and no row exceeds nu.  The
 tests' independent references are the tableau sum multiplied pair by
@@ -52,11 +53,11 @@ from .partitions import (
 from .polynomials import (
     MatrixPolynomial,
     _mask,
-    _minor_terms,
     add_into,
     column_map,
     extend_minor_product,
     map_monomial,
+    store_minor_product,
 )
 
 
@@ -89,14 +90,8 @@ def _invariant_cached(partition: OrderedSetPartition, r: int) -> MatrixPolynomia
                 walk(i + 1, rest, extend_minor_product(partial, rows, cols[i], n))
             else:
                 word = head_word + [entry[bit] for bit in deep_rows]
-                odd = word_inversions(word) % 2
-                terms = _minor_terms(rows, cols[i], n)
-                stored += len(partial) * len(terms)
-                for head, c in partial:
-                    if odd:
-                        c = -c
-                    for tail, s in terms:
-                        acc[head | tail] = c * s
+                sign = -1 if word_inversions(word) % 2 else 1
+                stored += store_minor_product(acc, partial, rows, cols[i], n, sign)
 
     walk(0, deep_rows, [(0, 1)])
     if len(acc) != stored:

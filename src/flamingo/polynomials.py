@@ -20,9 +20,14 @@ expansion along its first row, so minors that end on the same rows and
 columns share those tables; the terms keep the order of the row-by-row
 expansion, the permutations in lexicographic order.  ``phi_star`` raises
 :class:`ColumnCollision` when two of its factors share a column.
-:func:`add_minor_product` serves ``phi_star`` alone, whose terms may
-cancel; the invariant walk stores its terms, which never meet, straight
-from the cached tables.
+Two kernels end a product.  :func:`add_minor_product` looks each term up
+and drops what cancels; it serves ``phi_star`` alone, whose terms may
+meet.  :func:`store_minor_product` writes each term with no lookup and
+returns how many it wrote; it serves the invariant walk and the worked
+examples' explicit expansions, whose terms never meet, since a monomial
+fixes the row set of each block's columns.  Each of its callers raises
+when its dict holds fewer terms than it wrote, and the worked examples
+name the row sets that two explicit terms repeat.
 
 The constructor and ``from_json_dict`` validate input from outside.  The
 ring operations and the kernel combine operands that are already valid,
@@ -136,8 +141,8 @@ class MatrixPolynomial:
     def __init__(self, n: int, terms: Mapping[tuple[int, ...], int] | None = None, k: int = 0):
         if type(n) is not int or n < 0:
             raise ValueError(f"n must be a nonnegative int, got {n!r}")
-        if type(k) is not int:
-            raise ValueError(f"k must be an int, got {k!r}")
+        if type(k) is not int or k < 0:
+            raise ValueError(f"k must be an int >= 0, got {k!r}")
         clean: dict[Monomial, int] = {}
         max_row = 0
         for m, c in (terms or {}).items():
@@ -290,7 +295,8 @@ class MatrixPolynomial:
         of objects, ``rows`` an array and ``coeff`` a JSON integer or a
         string of ASCII digits with an optional leading minus, as
         ``to_json_dict`` writes it; nothing is truncated, and ``true`` is
-        not 1."""
+        not 1.  ``k`` is at least 0, and a zero coefficient, which
+        ``to_json_dict`` never writes, is rejected rather than dropped."""
         if not isinstance(data, Mapping) or not data.keys() >= {"n", "terms"}:
             raise ValueError(f"a polynomial must be a JSON object with n and terms, got {data!r}")
         n, k = data["n"], data.get("k", 0)
@@ -310,6 +316,8 @@ class MatrixPolynomial:
                 c = int(c)
             elif type(c) is not int:
                 raise ValueError(f"coeff must be a decimal string -?[0-9]+ or a JSON integer, got {c!r}")
+            if c == 0:
+                raise ValueError(f"coeff must not be zero, got the term {t!r}")
             if m in terms:
                 raise ValueError(f"duplicate monomial {m}")
             terms[m] = c
@@ -391,6 +399,27 @@ def extend_minor_product(
     masks; no head uses those columns."""
     terms = _minor_terms(rows, cols, n)
     return [(head | tail, c * s) for head, c in partial for tail, s in terms]
+
+
+def store_minor_product(
+    acc: dict[Monomial, int],
+    partial: list[tuple[Monomial, int]],
+    rows: int,
+    cols: int,
+    n: int,
+    coeff: int,
+) -> int:
+    """Write coeff times the partial terms times the minor on the rows and
+    columns of two masks into ``acc`` with no lookup, and return how many
+    terms it wrote.  The caller guarantees that no term meets a key already
+    in ``acc`` or another term, and checks ``len(acc)`` against the summed
+    counts, so a collision raises rather than overwriting a term."""
+    terms = _minor_terms(rows, cols, n)
+    for head, c in partial:
+        c *= coeff
+        for tail, s in terms:
+            acc[head | tail] = c * s
+    return len(partial) * len(terms)
 
 
 def add_minor_product(

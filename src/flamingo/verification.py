@@ -47,7 +47,7 @@ from .partitions import (
     rotation_orbit,
     simple_transposition,
 )
-from .polynomials import MatrixPolynomial, _mask, add_into, extend_minor_product, integer_determinant
+from .polynomials import MatrixPolynomial, _mask, extend_minor_product, integer_determinant, store_minor_product
 from .relations import (
     conjecture_family,
     conjecture_report,
@@ -126,15 +126,24 @@ def _check(name: str) -> Callable[[Callable[..., tuple[bool, str]]], Callable[..
 def signed_minor_expansion(
     partition: OrderedSetPartition, terms: Sequence[tuple[int, tuple[tuple[int, ...], ...]]]
 ) -> MatrixPolynomial:
-    """Assemble a signed sum of minor products from explicit row sets, each
-    product folded through the minor-product kernel."""
+    """Assemble a signed sum of minor products from explicit row sets: each
+    product folds every block but the last through the minor-product kernel
+    and stores the last block's terms with no lookup.  Distinct row sets
+    never share a monomial, so nothing cancels; terms that repeat a tuple of
+    row sets would, and raise ``ValueError`` naming it."""
     n = partition.n
     acc: dict = {}
+    stored = 0  # terms written; each must be a new key
     for sign, row_sets in terms:
-        partial = [(0, sign)]
-        for rows, block in zip(row_sets, partition.blocks):
-            partial = extend_minor_product(partial, _mask(rows), _mask(block), n)
-        add_into(acc, dict(partial))
+        *heads, last = [(_mask(rows), _mask(block)) for rows, block in zip(row_sets, partition.blocks)]
+        partial = [(0, 1)]
+        for rows, cols in heads:
+            partial = extend_minor_product(partial, rows, cols, n)
+        stored += store_minor_product(acc, partial, *last, n, sign)
+    if len(acc) != stored:
+        seen = Counter(row_sets for _, row_sets in terms)
+        repeated = [row_sets for row_sets, count in seen.items() if count > 1]
+        raise ValueError(f"explicit terms of {partition.text()} share a monomial; repeated row sets: {repeated}")
     k = max((max(rows, default=0) for _, row_sets in terms for rows in row_sets), default=0)
     return MatrixPolynomial._trusted(n, acc, k)
 

@@ -206,6 +206,22 @@ def signed_minor_expansion(partition: OrderedSetPartition, terms) -> MatrixPolyn
     return total
 
 
+def accumulated_expansion(partition: OrderedSetPartition, terms) -> MatrixPolynomial:
+    """``verification.signed_minor_expansion`` as it was before it stored
+    each term once: every signed product of minors folded through the
+    kernel and added into the dict by ``add_into``, which looks each
+    monomial up and drops it if its coefficient cancels to 0."""
+    n = partition.n
+    acc: dict = {}
+    for sign, row_sets in terms:
+        partial = [(0, sign)]
+        for rows, block in zip(row_sets, partition.blocks):
+            partial = extend_minor_product(partial, _mask(rows), _mask(block), n)
+        add_into(acc, dict(partial))
+    k = max((max(rows, default=0) for _, row_sets in terms for rows in row_sets), default=0)
+    return MatrixPolynomial._trusted(n, acc, k)
+
+
 def det_leibniz(matrix: list[list[int]]) -> int:
     """Signed permutation expansion of the determinant."""
     size = len(matrix)

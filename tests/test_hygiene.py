@@ -471,3 +471,100 @@ def test_only_the_reporter_picks_json_or_text_and_exits_1():
     tree = ast.parse((ROOT / "src" / "flamingo" / "cli.py").read_text(encoding="utf-8"))
     assert REPORTER in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert _report_bypasses(tree) == []
+
+
+# The two leaf kernels of polynomials.py and the top-level functions that
+# call them, as the README states.  add_minor_product looks each term up
+# and drops what cancels, for phi_star alone.  store_minor_product writes
+# with no lookup, so each caller adds the count it returns to a tally and
+# later raises when ``len`` of its dict differs from that tally; a caller
+# without that check could overwrite a term and return a wrong polynomial.
+KERNEL_CALLERS = {
+    "add_minor_product": [("grassmann.py", "phi_star", False)],
+    "store_minor_product": [
+        ("invariants.py", "_invariant_cached", True),
+        ("verification.py", "signed_minor_expansion", True),
+    ],
+}
+
+
+def _kernel_references(tree: ast.Module, kernel: str) -> list[tuple[str, bool]]:
+    """(enclosing top-level function, or "module", checked) for every
+    reference to ``kernel``, by attribute or by name, an imported alias
+    too.  It is checked when it is a call whose value ``tally += ...``
+    adds to a name and, on a later line of the same top-level statement,
+    ``if len(...) != tally:`` ends by raising."""
+    names = {kernel} | {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name == kernel
+    }
+    found = []
+    for top in tree.body:
+        where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "module"
+        nodes = list(ast.walk(top))
+        tallies = {
+            id(node.value): node.target.id
+            for node in nodes
+            if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add) and isinstance(node.target, ast.Name)
+        }
+        guards = [
+            (node.lineno, node.test.comparators[0].id)
+            for node in nodes
+            if isinstance(node, ast.If)
+            and isinstance(node.test, ast.Compare)
+            and [type(op) for op in node.test.ops] == [ast.NotEq]
+            and isinstance(node.test.left, ast.Call)
+            and getattr(node.test.left.func, "id", None) == "len"
+            and isinstance(node.test.comparators[0], ast.Name)
+            and isinstance(node.body[-1], ast.Raise)
+        ]
+        calls = {id(node.func): node for node in nodes if isinstance(node, ast.Call)}
+        for node in nodes:
+            if (isinstance(node, ast.Attribute) and node.attr == kernel) or (
+                isinstance(node, ast.Name) and node.id in names
+            ):
+                call = calls.get(id(node))
+                tally = tallies.get(id(call)) if call else None
+                checked = any(line > node.lineno and name == tally for line, name in guards)
+                found.append((where, checked))
+    return found
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        (
+            "def f(acc):\n    stored = 0\n    stored += store(acc)\n    if len(acc) != stored:\n        raise E",
+            [("f", True)],
+        ),
+        (
+            "def f(acc):\n    stored = 0\n    def walk():\n        nonlocal stored\n        stored += p.store(acc)\n"
+            "    walk()\n    if len(acc) != stored:\n        raise E",
+            [("f", True)],
+        ),
+        ("def f(acc):\n    store(acc)\n    return acc", [("f", False)]),
+        ("def f(acc, n):\n    if len(acc) != n:\n        raise E\n    n += store(acc)", [("f", False)]),
+        ("def f(acc, n, m):\n    n += store(acc)\n    if len(acc) != m:\n        raise E", [("f", False)]),
+        ("def f(acc, n):\n    n += store(acc)\n    if len(acc) != n:\n        return acc", [("f", False)]),
+        (
+            "from p import store as put\nfill = put\nclass C:\n    def m(self):\n        p.store(1)",
+            [("module", False), ("C", False)],
+        ),
+    ],
+    ids=["checked", "in-a-nested-walk", "count-dropped", "check-before", "other-tally", "no-raise", "elsewhere"],
+)
+def test_the_kernel_scan_finds_what_it_should(source, found):
+    assert _kernel_references(ast.parse(source), "store") == found
+
+
+def test_each_leaf_kernel_has_only_its_stated_callers():
+    paths = sorted((ROOT / "src" / "flamingo").glob("*.py"))
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    found = {
+        kernel: [(name, *reference) for name, tree in trees.items() for reference in _kernel_references(tree, kernel)]
+        for kernel in KERNEL_CALLERS
+    }
+    assert found == KERNEL_CALLERS

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flamingo import invariants
+from flamingo import invariants, polynomials
 from flamingo.diagrams import build_tensor_diagram
 from flamingo.grassmann import gc_jellyfish, predicted_global_sign
 from flamingo.invariants import ColumnAction, jellyfish_invariant, verify_block_reorder
@@ -374,18 +374,22 @@ class TestStoredOnce:
 
     @pytest.mark.parametrize("sign", [1, -1], ids=["repeated", "negated"])
     def test_a_repeated_monomial_raises(self, monkeypatch, sign):
-        # a leaf's minor table with its first monomial once more: the old
-        # accumulate would have merged or cancelled it into a wrong polynomial
+        # every minor table with its first monomial once more, as the
+        # kernel looks it up: the old accumulate would have merged or
+        # cancelled it into a wrong polynomial
         def planted(rows, cols, n):
             terms = _minor_terms(rows, cols, n)
             return terms + ((terms[0][0], sign * terms[0][1]),)
 
         p = parse_partition("1 2 5|3 4 6")
         invariants._invariant_cached.cache_clear()
-        monkeypatch.setattr(invariants, "_minor_terms", planted)
+        monkeypatch.setattr(polynomials, "_minor_terms", planted)
         with pytest.raises(ArithmeticError, match=re.escape("1 2 5|3 4 6 at depth 2")):
             jellyfish_invariant(p, 2)
         monkeypatch.undo()
+        # a table looks its smaller tables up by the module's name, so
+        # planted ones may have reached the cache
+        _minor_terms.cache_clear()
         assert self._same(p, 2) and jellyfish_invariant(p, 2) == accumulated_invariant(p, 2)
 
 

@@ -1,16 +1,26 @@
 """Differential tests of the minor-product kernel behind the invariants,
 phi_star, the tableau products and the worked examples, against the
-tuple-keyed minor expansion and the pairwise product of ``oracles``."""
+tuple-keyed minor expansion, the pairwise product and the lookup-and-cancel
+accumulate of ``oracles``."""
 
 import itertools
 import random
+import re
 
 import pytest
 
 from flamingo import verification
 from flamingo.grassmann import PlueckerExpression, delta_to_minor, gc_jellyfish, index_set, phi_star
 from flamingo.invariants import jellyfish_invariant
-from flamingo.polynomials import ColumnCollision, MatrixPolynomial, _mask, _minor_terms
+from flamingo.polynomials import (
+    ColumnCollision,
+    MatrixPolynomial,
+    _mask,
+    _minor_terms,
+    add_minor_product,
+    extend_minor_product,
+    store_minor_product,
+)
 from flamingo.tableaux import iter_tableaux
 from flamingo.verification import partitions_up_to
 
@@ -129,7 +139,7 @@ def test_minor_product_equals_the_pairwise_product(r):
             assert_same(tableau.minor_product(), tableau_minor_product(tableau))
 
 
-@pytest.mark.parametrize(
+WORKED_EXAMPLES = pytest.mark.parametrize(
     "partition, terms",
     [
         (verification.RUNNING_PARTITION, verification.RUNNING_R2_TERMS),
@@ -137,7 +147,49 @@ def test_minor_product_equals_the_pairwise_product(r):
     ],
     ids=["running-example", "three-row-example"],
 )
+
+
+@WORKED_EXAMPLES
 def test_signed_minor_expansion_equals_the_pairwise_product(partition, terms):
     assert_same(
         verification.signed_minor_expansion(partition, terms), oracles.signed_minor_expansion(partition, terms)
     )
+
+
+@WORKED_EXAMPLES
+def test_signed_minor_expansion_equals_the_accumulated_one_in_order(partition, terms):
+    stored = verification.signed_minor_expansion(partition, terms)
+    summed = oracles.accumulated_expansion(partition, terms)
+    assert list(stored.terms.items()) == list(summed.terms.items())
+    assert (stored.n, stored.k) == (summed.n, summed.k)
+
+
+@WORKED_EXAMPLES
+@pytest.mark.parametrize("flip", [1, -1], ids=["repeated", "negated"])
+def test_a_repeated_explicit_term_raises(partition, terms, flip):
+    # the accumulate would have doubled the term, or cancelled it to nothing
+    sign, row_sets = terms[-1]
+    message = f"explicit terms of {partition.text()} share a monomial; repeated row sets: [{row_sets}]"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        verification.signed_minor_expansion(partition, terms + ((flip * sign, row_sets),))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_store_minor_product_writes_what_add_minor_product_adds(n):
+    full = (1 << n) - 1
+    pairs = 0
+    for cols in range(1 << n):
+        # heads from the minor on the other columns, so not every head is 0
+        rest = full ^ cols
+        partial = extend_minor_product([(0, 2)], (1 << rest.bit_count()) - 1, rest, n)
+        for rows in range(1 << n):
+            if rows.bit_count() != cols.bit_count():
+                continue
+            for coeff in (1, -3):
+                stored, added = {}, {}
+                count = store_minor_product(stored, partial, rows, cols, n, coeff)
+                add_minor_product(added, partial, rows, cols, n, coeff)
+                assert list(stored.items()) == list(added.items())
+                assert count == len(stored)
+            pairs += 1
+    assert pairs == [2, 6, 20, 70][n - 1]

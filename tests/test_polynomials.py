@@ -484,6 +484,26 @@ class TestValidationBoundary:
         assert p == MatrixPolynomial(2, {(0, 1): 2})
         assert p.k == 1
 
+    # the constructor rejected n < 0 but took any int k
+    @pytest.mark.parametrize("terms", [{}, {(1, 0): 1}], ids=["no-terms", "one-term"])
+    def test_rejects_a_negative_k(self, terms):
+        with pytest.raises(ValueError, match=f"^{re.escape('k must be an int >= 0, got -1')}$"):
+            MatrixPolynomial(2, terms, k=-1)
+
+    # it read back with k 1, or with no terms kept k = -1
+    @pytest.mark.parametrize("terms", [[], [{"rows": [1, 0], "coeff": "1"}]], ids=["no-terms", "one-term"])
+    def test_from_json_rejects_a_negative_k(self, terms):
+        with pytest.raises(ValueError, match=f"^{re.escape('k must be an int >= 0, got -1')}$"):
+            MatrixPolynomial.from_json(json.dumps({"n": 2, "k": -1, "terms": terms}))
+
+    # to_json_dict never writes a zero coefficient; the reader dropped the term
+    @pytest.mark.parametrize("coeff", [0, "0", "-0", "00"], ids=["integer", "string", "minus", "two-zeros"])
+    def test_from_json_rejects_a_zero_coeff(self, coeff):
+        term = {"rows": [1, 0], "coeff": coeff}
+        doc = {"n": 2, "terms": [{"rows": [0, 1], "coeff": "1"}, term]}
+        with pytest.raises(ValueError, match=f"^{re.escape(f'coeff must not be zero, got the term {term!r}')}$"):
+            MatrixPolynomial.from_json(json.dumps(doc))
+
     @pytest.mark.parametrize("coeff", ["-12", -12], ids=["string", "integer"])
     def test_from_json_reads_decimal_string_or_integer_coeff(self, coeff):
         doc = {"n": 2, "terms": [{"rows": [1, 0], "coeff": coeff}]}

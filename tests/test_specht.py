@@ -200,9 +200,13 @@ SHAPES_UP_TO_6 = [
 
 
 def _perturbed(p: MatrixPolynomial) -> MatrixPolynomial:
-    """p with the coefficient of its leading term raised by one."""
+    """p with the coefficient of its leading term raised by one; a term
+    raised to 0 is left out, as the reader rejects a zero coefficient."""
     doc = p.to_json_dict()
-    doc["terms"][0]["coeff"] = str(int(doc["terms"][0]["coeff"]) + 1)
+    lead = doc["terms"][0]
+    lead["coeff"] = str(int(lead["coeff"]) + 1)
+    if lead["coeff"] == "0":
+        del doc["terms"][0]
     return MatrixPolynomial.from_json_dict(doc)
 
 
